@@ -3,8 +3,9 @@
 Subcommands: ``run`` (Monte Carlo experiment with file outputs),
 ``verify-bounds`` (randomized suite against the exact optimum), ``trace``
 (per-round dump of one protocol run) and ``scaling`` (per-round time
-regression).  Exit codes are stable: 0 success, 1 bound violation,
-2 configuration error, 3 runtime error.  Diagnostics go to stderr.
+regression of the per-agent reference round).  Exit codes are stable:
+0 success, 1 bound violation, 2 configuration error, 3 runtime error.
+Diagnostics go to stderr.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ from .harness import (
     write_outputs,
 )
 from .scenario import sample_scenario
-from .solvers import check_allocation_trace, dgba_run
+from .solvers import ARRAY_VIEWS_MIN_AGENTS, check_allocation_trace, dgba_run
 
 EXIT_OK = 0
 EXIT_BOUND_VIOLATION = 1
@@ -204,7 +205,14 @@ def build_parser() -> argparse.ArgumentParser:
     tr.add_argument("--draw", type=int, default=0)
     tr.set_defaults(func=cmd_trace)
 
-    sc = sub.add_parser("scaling", help="per-round time scaling regression")
+    sc = sub.add_parser(
+        "scaling", help="per-round time scaling regression of the per-agent round",
+        description="Time one assignment-plus-communication round of the "
+                    "per-agent reference kernels over a size grid and fit "
+                    "a + b*N^2 + c*N*M.  dgba_run runs teams of "
+                    f"{ARRAY_VIEWS_MIN_AGENTS} or more agents on array views "
+                    "instead, whose round time is nearly flat over the grid; "
+                    "that round is not what is timed here.")
     sc.add_argument("--grid", nargs="*", metavar="NxM",
                     help="sizes to measure, e.g. 5x5 10x10 (default full grid)")
     sc.add_argument("--rounds", type=int, default=50)

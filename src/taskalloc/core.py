@@ -15,6 +15,8 @@ from dataclasses import dataclass
 from itertools import combinations
 from typing import FrozenSet, Iterable, NamedTuple, Optional, Tuple
 
+import numpy as np
+
 
 class ContractViolation(ValueError):
     """A caller broke an operation precondition."""
@@ -62,9 +64,12 @@ class UtilityOracle(abc.ABC):
 
     def evaluate(self, policy: Policy) -> float:
         self.check_bounds(policy)
-        return sum(
-            self.evaluate_target(j, policy) for j in range(1, self.n_targets + 1)
-        )
+        return sum(self.target_utilities(policy))
+
+    def target_utilities(self, policy: Policy) -> list[float]:
+        """evaluate_target(j, policy) for j = 1..M, in order.  Subclasses
+        with per-target structure override this with a single pass."""
+        return [self.evaluate_target(j, policy) for j in range(1, self.n_targets + 1)]
 
     def check_bounds(self, policy: Policy) -> None:
         for el in policy:
@@ -241,20 +246,40 @@ class TableOracle(UtilityOracle):
     (1 - prob[i][j])).  This is the coverage-style objective the satellite
     scenario instantiates from live positions; here the table is frozen,
     which is what the static bound-verification instances need.
+
+    ``values`` and ``probs`` are plain lists; ``prob_table`` is the same
+    N x M table as a float array, for the solvers' array kernels.  Both are
+    read-only after construction.
     """
 
     def __init__(self, values, probs):
         # values: length-M, probs: N x M, both indexable from 0.
-        self.values = [float(v) for v in values]
-        self.probs = [[float(p) for p in row] for row in probs]
-        self.n_agents = len(self.probs)
-        self.n_targets = len(self.values)
-        for row in self.probs:
-            if len(row) != self.n_targets:
-                raise ContractViolation("probability table is ragged")
-            for p in row:
-                if not 0.0 <= p <= 1.0:
-                    raise ContractViolation("success probabilities must lie in [0, 1]")
+        values = np.array(values, dtype=float)
+        try:
+            table = np.array(probs, dtype=float)
+        except ValueError as exc:
+            raise ContractViolation("probability table is ragged") from exc
+        if table.shape == (0,):  # no agents
+            table = table.reshape(0, len(values))
+        if values.ndim != 1 or table.ndim != 2 or table.shape[1] != len(values):
+            raise ContractViolation("probability table is ragged")
+        if not ((table >= 0.0) & (table <= 1.0)).all():
+            raise ContractViolation("success probabilities must lie in [0, 1]")
+        if not (values >= 0.0).all():
+            # A negative value would make the utility decreasing.
+            raise ContractViolation("target values must be nonnegative")
+        self.values = values.tolist()
+        self.probs = table.tolist()
+        self.prob_table = table
+        self.n_agents, self.n_targets = table.shape
+
+    def target_utilities(self, policy: Policy) -> list[float]:
+        # One pass over the policy; each target's factors are multiplied in
+        # the policy's iteration order, as evaluate_target multiplies them.
+        miss = [1.0] * self.n_targets
+        for el in policy:
+            miss[el.target - 1] *= 1.0 - self.probs[el.agent - 1][el.target - 1]
+        return [v * (1.0 - q) for v, q in zip(self.values, miss)]
 
     def evaluate_target(self, target: int, policy: Policy) -> float:
         miss = 1.0

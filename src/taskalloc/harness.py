@@ -328,6 +328,10 @@ def _aggregate(config: ExperimentConfig, metrics: Sequence[RunMetrics]) -> dict:
                 "std_total_messages": float(msgs.std()),
                 "mean_total_cost": float(costs.mean()),
                 "mean_wall_time_s": float(walls.mean()),
+                "mean_phase_times_s": {
+                    phase: float(np.mean([r.phase_times[phase] for r in runs]))
+                    for phase in runs[0].phase_times
+                },
                 "mean_rounds": float(np.mean([r.rounds for r in runs])),
                 "certificates_checked": sum(
                     1 for r in runs if r.certificate is not None
@@ -534,8 +538,13 @@ class ScalingReport:
 
 def _time_one_round(oracle: TableOracle, adjacency: np.ndarray,
                     rounds: int) -> float:
-    """Mean wall time of one assignment-plus-communication round, measured
-    on fresh bundles so every repetition does the same work."""
+    """Mean wall time of one assignment-plus-communication round of the
+    per-agent reference kernels (``AgentViews``), measured on fresh bundles
+    so every repetition does the same work.
+
+    The array round that ``dgba_run`` uses for larger teams is not timed:
+    it costs about the same at every grid size, so the fit below has
+    nothing to explain there."""
     scen = StaticScenario(oracle, adjacency=adjacency)
     n = oracle.n_agents
     total = 0.0
@@ -553,7 +562,8 @@ def _time_one_round(oracle: TableOracle, adjacency: np.ndarray,
 
 def measure_scaling(sizes: Sequence = SCALING_GRID, rounds: int = 50,
                     seed: int = 0) -> ScalingReport:
-    """Fit the mean per-round protocol time to a + b*N^2 + c*N*M."""
+    """Fit the mean per-round time of the per-agent reference round to
+    a + b*N^2 + c*N*M (see ``_time_one_round``)."""
     rng = np.random.default_rng(seed)
     means = []
     for n, m in sizes:

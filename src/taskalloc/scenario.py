@@ -450,9 +450,8 @@ class SatelliteScenario(AllocationScenario):
         self.dt = max_end / config.n_steps
         self._round = 0
         self._modes = ["idle"] * self.n_agents
-        self._cost_cache: dict[int, list[float]] = {}
-        self._cache_round = -1
-        self._target_forecast = None
+        self._costs = None
+        self._cost_round = -1
         self._loiter_costs = np.array([
             loiter_cost(config.orbit_speed, t.obs_radius, t.obs_duration)
             for t in self.targets
@@ -474,40 +473,37 @@ class SatelliteScenario(AllocationScenario):
 
     def pair_cost(self, agent: int, target: int) -> float:
         """Current closed-form effort estimate for the pair, frozen per round."""
-        return self.pair_cost_row(agent)[target - 1]
+        return float(self.pair_costs()[agent - 1, target - 1])
 
     def pair_cost_row(self, agent: int) -> list[float]:
-        return self._cost_row(agent)
+        return self.pair_costs()[agent - 1].tolist()
 
-    def _cost_row(self, agent: int) -> list[float]:
-        """All pair costs of one agent at the current round, vectorized over
+    def pair_costs(self) -> np.ndarray:
+        """Every pair cost at the current round, vectorized over agents and
         targets and cached for the round."""
-        if self._cache_round != self._round:
-            self._cost_cache.clear()
-            self._target_forecast = None
-            self._cache_round = self._round
-        row = self._cost_cache.get(agent)
-        if row is not None:
-            return row
-        if self._target_forecast is None:
-            now = self.time
-            q_hat = np.empty((self.n_targets, 3))
-            w_hat = np.empty((self.n_targets, 3))
-            tau = np.empty(self.n_targets)
-            radius = np.empty(self.n_targets)
-            for k, tgt in enumerate(self.targets):
-                tau[k] = tgt.final_time - now
-                q_hat[k], w_hat[k] = predict_target(tgt, tau[k])
-                radius[k] = tgt.obs_radius
-            self._target_forecast = (q_hat, w_hat, tau, radius)
-        q_hat, w_hat, tau, radius = self._target_forecast
-        body = self.agents[agent - 1]
-        p, v = body.position, body.velocity
+        if self._cost_round != self._round:
+            self._costs = self._cost_matrix()
+            self._cost_round = self._round
+        return self._costs
+
+    def _cost_matrix(self) -> np.ndarray:
+        now = self.time
+        q_hat = np.empty((self.n_targets, 3))
+        w_hat = np.empty((self.n_targets, 3))
+        tau = np.empty(self.n_targets)
+        radius = np.empty(self.n_targets)
+        for k, tgt in enumerate(self.targets):
+            tau[k] = tgt.final_time - now
+            q_hat[k], w_hat[k] = predict_target(tgt, tau[k])
+            radius[k] = tgt.obs_radius
+        # Agents along axis 0, targets along axis 1, space along axis 2.
+        p = np.array([a.position for a in self.agents]).reshape(-1, 1, 3)
+        v = np.array([a.velocity for a in self.agents]).reshape(-1, 1, 3)
         offset = p - q_hat
-        norm = np.linalg.norm(offset, axis=1)
+        norm = np.linalg.norm(offset, axis=2)
         safe = np.where(norm < 1e-12, 1.0, norm)
-        unit = np.where(norm[:, None] < 1e-12,
-                        np.array([1.0, 0.0, 0.0]), offset / safe[:, None])
+        unit = np.where(norm[..., None] < 1e-12,
+                        np.array([1.0, 0.0, 0.0]), offset / safe[..., None])
         r_hat = q_hat + radius[:, None] * unit
         t_ok = np.maximum(tau, 1e-12)[:, None]
         dv = w_hat - v
@@ -515,12 +511,10 @@ class SatelliteScenario(AllocationScenario):
         a = -2.0 * dv / t_ok + 6.0 * dp / t_ok ** 2
         b = (6.0 * dv * t_ok - 12.0 * dp) / t_ok ** 3
         t1 = t_ok[:, 0]
-        row = 0.5 * (np.sum(a * a, axis=1) * t1
-                     + np.sum(a * b, axis=1) * t1 ** 2
-                     + np.sum(b * b, axis=1) * t1 ** 3 / 3.0) + self._loiter_costs
-        row = np.where(tau <= self.dt, math.inf, row).tolist()
-        self._cost_cache[agent] = row
-        return row
+        costs = 0.5 * (np.sum(a * a, axis=2) * t1
+                       + np.sum(a * b, axis=2) * t1 ** 2
+                       + np.sum(b * b, axis=2) * t1 ** 3 / 3.0) + self._loiter_costs
+        return np.where(tau <= self.dt, math.inf, costs)
 
     def remaining_budget(self, agent: int) -> float:
         body = self.agents[agent - 1]
@@ -529,8 +523,9 @@ class SatelliteScenario(AllocationScenario):
     def adjacency(self) -> np.ndarray:
         return build_comm_graph(self.agents, self.config.domain_diameter)
 
-    def reachable(self, agent: int, target: int, round_index: int) -> bool:
-        return self.targets[target - 1].final_time - self.time > self.dt
+    def reachable_targets(self, round_index: int) -> list[bool]:
+        now = self.time
+        return [t.final_time - now > self.dt for t in self.targets]
 
     def lock_due(self, target: int, round_index: int) -> bool:
         tgt = self.targets[target - 1]

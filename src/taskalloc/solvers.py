@@ -9,6 +9,13 @@ exchange self-entries with neighbors and resolve claims on the same target
 in favor of the highest bid (phase II), and the world state advances
 (phase III).  Once an agent's ``f`` self-entry is set it never changes.
 
+One round driver runs the protocol over either of two exact
+implementations of the views: ``AgentViews`` keeps one ``BundleState`` per
+agent and runs the per-agent phase kernels (the reference, and the faster
+one for small teams); ``ArrayViews`` keeps the whole team's views as N x N
+arrays, row i being agent i's view, and runs each phase as a few array
+operations.  ``dgba_run`` picks by team size.
+
 Baselines: a centralized sequential greedy, a brute-force exact search, and
 a simplified flooding auction.  The auction baseline is NOT a faithful
 reimplementation of published consensus-auction algorithms: agents bid
@@ -33,6 +40,7 @@ from .core import (
     GroundElement,
     Policy,
     SizeLimitExceeded,
+    TableOracle,
     UtilityOracle,
     marginal_gain,
 )
@@ -44,13 +52,19 @@ class ConfigurationError(ValueError):
 
 EXACT_SEARCH_CAP = 10 ** 7
 
+# Team size from which dgba_run keeps the views as N x N arrays rather than
+# per-agent lists.  Median time per dgba_run on complete-graph TableOracle
+# instances with N = M (Xeon, Python 3.11, numpy 2.4, one thread):
+#   N          4      8      9     10     16
+#   lists    308    456    470    540   1146 us
+#   arrays   424    458    451    461    707 us
+ARRAY_VIEWS_MIN_AGENTS = 9
+
 
 @dataclass
 class BundleState:
-    """One agent's local view of the allocation (w), bids (b), finals (f).
-
-    Plain lists, not arrays: the vectors are tiny (length N) and every
-    round touches them entry by entry, where list indexing is cheapest.
+    """One agent's local view of the allocation (w), bids (b), finals (f),
+    as the per-agent kernels keep it: plain lists touched entry by entry.
     """
 
     w: list  # int, entries in 0..M, 0 = unassigned
@@ -72,7 +86,6 @@ class AgentRuntime:
     id: int  # 1-based
     bundle: BundleState
     remaining_budget: float = math.inf
-    mode: str = "idle"  # idle -> maneuvering -> observing
 
 
 @dataclass
@@ -98,7 +111,6 @@ class RoundRecord:
     messages: int
     cumulative_messages: int
     cumulative_cost: float
-    bundles: Optional[tuple[tuple[list, list, list], ...]] = None
 
 
 @dataclass
@@ -136,14 +148,22 @@ class AllocationScenario:
         per-pair queries."""
         return [self.pair_cost(agent, j) for j in range(1, self.n_targets + 1)]
 
+    def pair_costs(self) -> np.ndarray:
+        """Every pair cost as an N x M array, row i - 1 being
+        ``pair_cost_row(i)``."""
+        return np.array([self.pair_cost_row(i) for i in range(1, self.n_agents + 1)],
+                        dtype=float).reshape(self.n_agents, self.n_targets)
+
     def remaining_budget(self, agent: int) -> float:
         return math.inf
 
     def adjacency(self) -> np.ndarray:
         raise NotImplementedError
 
-    def reachable(self, agent: int, target: int, round_index: int) -> bool:
-        return True
+    def reachable_targets(self, round_index: int) -> list[bool]:
+        """Per target, whether its rendezvous deadline can still be met, by
+        any agent, in this round."""
+        return [True] * self.n_targets
 
     def lock_due(self, target: int, round_index: int) -> bool:
         """Whether an agent holding this target must finalize now."""
@@ -191,6 +211,16 @@ class StaticScenario(AllocationScenario):
             return [0.0] * self.n_targets
         return self._costs[agent - 1].tolist()
 
+    def pair_costs(self) -> np.ndarray:
+        if self._costs is None:
+            return np.zeros((self.n_agents, self.n_targets))
+        return self._costs
+
+    def agent_costs(self, policy: Policy) -> np.ndarray:
+        if self._costs is None:
+            return np.zeros(self.n_agents)
+        return super().agent_costs(policy)
+
     def remaining_budget(self, agent: int) -> float:
         if self._budgets is None:
             return math.inf
@@ -220,13 +250,14 @@ def available_targets(scenario: AllocationScenario, agent: AgentRuntime,
     bundle = agent.bundle
     claimed = {int(j) for i, j in enumerate(bundle.w) if j != 0 and i + 1 != agent.id}
     costs = scenario.pair_cost_row(agent.id)
+    reachable = scenario.reachable_targets(round_index)
     out = []
     for j in range(1, scenario.n_targets + 1):
         if j in claimed:
             continue
         if costs[j - 1] > agent.remaining_budget:
             continue
-        if not scenario.reachable(agent.id, j, round_index):
+        if not reachable[j - 1]:
             continue
         out.append(j)
     return out
@@ -266,6 +297,17 @@ def dgba_assignment_phase(agent: AgentRuntime, oracle: UtilityOracle,
 # Phase II: communication and conflict resolution
 # ---------------------------------------------------------------------------
 
+def _check_adjacency(adjacency: np.ndarray, n: int) -> np.ndarray:
+    adjacency = np.asarray(adjacency)
+    if adjacency.shape != (n, n):
+        raise ConfigurationError("adjacency shape does not match agent count")
+    if not np.array_equal(adjacency, adjacency.T):
+        raise ContractViolation("communication graph must be symmetric")
+    if np.any(np.diag(adjacency) != 0):
+        raise ContractViolation("communication graph must have a zero diagonal")
+    return adjacency
+
+
 def dgba_communication_phase(bundles: Sequence[BundleState],
                              adjacency: np.ndarray) -> tuple[list[BundleState], int]:
     """One synchronous exchange-and-resolve step over all agents.
@@ -284,14 +326,8 @@ def dgba_communication_phase(bundles: Sequence[BundleState],
     connected component.  One message is one bundle triple sent over one
     edge in one direction.
     """
-    adjacency = np.asarray(adjacency)
     n = len(bundles)
-    if adjacency.shape != (n, n):
-        raise ConfigurationError("adjacency shape does not match agent count")
-    if not np.array_equal(adjacency, adjacency.T):
-        raise ContractViolation("communication graph must be symmetric")
-    if np.any(np.diag(adjacency) != 0):
-        raise ContractViolation("communication graph must have a zero diagonal")
+    adjacency = _check_adjacency(adjacency, n)
 
     # Snapshot of every agent's self-entries, broadcast during the exchange.
     self_w = [b.w[k] for k, b in enumerate(bundles)]
@@ -330,36 +366,163 @@ def dgba_communication_phase(bundles: Sequence[BundleState],
 
 
 def graph_components(adjacency: np.ndarray) -> list[int]:
-    """Connected-component label per agent (labels are arbitrary ints)."""
-    n = len(adjacency)
-    labels = [-1] * n
+    """Connected-component label per agent (labels are arbitrary ints).
+
+    Each visited agent scans only the agents not labelled yet, so a dense
+    graph costs O(N) scans after the first rather than O(N^2)."""
+    linked = (np.asarray(adjacency) > 0).tolist()
+    labels = [-1] * len(linked)
+    unlabeled = set(range(len(linked)))
     current = 0
-    for start in range(n):
+    for start in range(len(linked)):
         if labels[start] != -1:
             continue
-        stack = [start]
         labels[start] = current
+        unlabeled.discard(start)
+        stack = [start]
         while stack:
-            u = stack.pop()
-            for v in range(n):
-                if adjacency[u][v] > 0 and labels[v] == -1:
-                    labels[v] = current
-                    stack.append(v)
+            row = linked[stack.pop()]
+            reached = [v for v in unlabeled if row[v]]
+            for v in reached:
+                labels[v] = current
+            unlabeled.difference_update(reached)
+            stack.extend(reached)
         current += 1
     return labels
 
 
 # ---------------------------------------------------------------------------
-# The full protocol run
+# The two implementations of the views
 # ---------------------------------------------------------------------------
 
-def _finalized_policy(agents: Sequence[AgentRuntime]) -> Policy:
-    return frozenset(
-        GroundElement(a.id, int(a.bundle.w[a.id - 1]))
-        for a in agents
-        if a.bundle.f[a.id - 1] and a.bundle.w[a.id - 1] != 0
-    )
+class AgentViews:
+    """Per-agent views: one ``BundleState`` per agent, updated by the
+    per-agent phase kernels above.  The reference implementation."""
 
+    def __init__(self, scenario: AllocationScenario):
+        n = scenario.n_agents
+        self.agents = [
+            AgentRuntime(id=i + 1, bundle=BundleState.empty(n),
+                         remaining_budget=scenario.remaining_budget(i + 1))
+            for i in range(n)
+        ]
+
+    def self_entries(self) -> tuple[list[int], list[bool]]:
+        """Each agent's own claim (0 = none) and whether it is finalized."""
+        return ([int(a.bundle.w[a.id - 1]) for a in self.agents],
+                [bool(a.bundle.f[a.id - 1]) for a in self.agents])
+
+    def finalize(self, k: int) -> None:
+        self.agents[k].bundle.f[k] = 1
+
+    def assign(self, scenario: AllocationScenario, oracle: UtilityOracle,
+               round_index: int) -> None:
+        """Phase I.  Finalized agents skip the candidate scan entirely;
+        agents with nothing available finalize with an empty claim."""
+        for agent in self.agents:
+            if agent.bundle.f[agent.id - 1]:
+                continue
+            avail = available_targets(scenario, agent, round_index)
+            if not dgba_assignment_phase(agent, oracle, avail):
+                agent.bundle.f[agent.id - 1] = 1
+
+    def communicate(self, adjacency: np.ndarray) -> int:
+        """Phase II; returns the messages sent."""
+        bundles, messages = dgba_communication_phase(
+            [a.bundle for a in self.agents], adjacency)
+        for agent, bundle in zip(self.agents, bundles):
+            agent.bundle = bundle
+        return messages
+
+
+class ArrayViews:
+    """Team-wide views as N x N arrays: row i of ``w`` (int32 targets),
+    ``b`` (float bids) and ``f`` (bool finals) is agent i's view.  Each
+    phase is a few array operations over the rows of unfinalized agents,
+    with the same results as ``AgentViews``, bids included to the last
+    bit."""
+
+    def __init__(self, scenario: AllocationScenario):
+        n = scenario.n_agents
+        self.w = np.zeros((n, n), dtype=np.int32)
+        self.b = np.zeros((n, n))
+        self.f = np.zeros((n, n), dtype=bool)
+        self.budgets = np.array(
+            [scenario.remaining_budget(i + 1) for i in range(n)], dtype=float)
+
+    def self_entries(self) -> tuple[list[int], list[bool]]:
+        return self.w.diagonal().tolist(), self.f.diagonal().tolist()
+
+    def finalize(self, k: int) -> None:
+        self.f[k, k] = True
+
+    def assign(self, scenario: AllocationScenario, oracle: UtilityOracle,
+               round_index: int) -> None:
+        """Phase I with the rules of ``AgentViews.assign``."""
+        rows = np.flatnonzero(~self.f.diagonal())
+        if rows.size == 0:
+            return
+        r = np.arange(rows.size)
+        # Targets other agents hold in each view; column 0 collects "none".
+        held = self.w[rows]
+        held[r, rows] = 0
+        claimed = np.zeros((rows.size, scenario.n_targets + 1), dtype=bool)
+        claimed[r[:, None], held] = True
+        avail = ~claimed[:, 1:]
+        avail &= ~(scenario.pair_costs()[rows] > self.budgets[rows, None])
+        avail &= scenario.reachable_targets(round_index)
+        has_option = avail.any(axis=1)
+        idle = rows[~has_option]
+        self.w[idle, idle] = 0
+        self.b[idle, idle] = 0.0
+        self.f[idle, idle] = True
+        rows, avail = rows[has_option], avail[has_option]
+        if rows.size == 0:
+            return
+        if isinstance(oracle, TableOracle):
+            # No one else holds an available target in the agent's view, so
+            # its miss factor is 1 and the marginal gain is value * prob,
+            # the product marginal_gains_for_agent forms.
+            gains = np.where(avail, np.asarray(oracle.values) * oracle.prob_table[rows],
+                             -np.inf)
+            best = gains.argmax(axis=1)  # first maximum: lowest target id
+            self.w[rows, rows] = best + 1
+            self.b[rows, rows] = gains[np.arange(rows.size), best]
+        else:
+            for k, targets in zip(rows.tolist(), avail):
+                agent = AgentRuntime(id=k + 1, bundle=BundleState(
+                    self.w[k].tolist(), self.b[k].tolist(), self.f[k].tolist()))
+                dgba_assignment_phase(agent, oracle, (np.flatnonzero(targets) + 1).tolist())
+                self.w[k, k] = agent.bundle.w[k]
+                self.b[k, k] = agent.bundle.b[k]
+
+    def communicate(self, adjacency: np.ndarray) -> int:
+        """Phase II with the rules of ``dgba_communication_phase``."""
+        n = len(self.w)
+        linked = _check_adjacency(adjacency, n) > 0
+        for view in (self.w, self.b, self.f):
+            np.copyto(view, view.diagonal().copy(), where=linked)
+        rows = np.flatnonzero(~self.f.diagonal() & (self.w.diagonal() != 0))
+        holders = self.w[rows] == self.w[rows, rows][:, None]
+        # Withdraw claims on a target some holder has finalized in the view.
+        yields = (holders & self.f[rows]).any(axis=1)
+        out = rows[yields]
+        self.w[out, out] = 0
+        self.b[out, out] = 0.0
+        rows, conflict = rows[~yields], holders[~yields]
+        # Highest bid wins, ties to the lowest agent id; losers are reset.
+        winner = np.where(conflict, self.b[rows], -np.inf).argmax(axis=1)
+        self.f[rows, winner] = True
+        conflict[np.arange(rows.size), winner] = False
+        lost_row, lost = np.nonzero(conflict)
+        self.w[rows[lost_row], lost] = 0
+        self.b[rows[lost_row], lost] = 0.0
+        return int(np.count_nonzero(linked))
+
+
+# ---------------------------------------------------------------------------
+# The full protocol run
+# ---------------------------------------------------------------------------
 
 def _round_groups(oracle: UtilityOracle, before: Policy,
                   newly: list[tuple[int, int, float]],
@@ -380,11 +543,13 @@ def _round_groups(oracle: UtilityOracle, before: Policy,
     return tuple(out)
 
 
+PHASES = ("assignment", "communication", "implementation", "components", "bookkeeping")
+
+
 def dgba_run(scenario: AllocationScenario,
              oracle: Optional[UtilityOracle] = None,
              constraints: Optional[IndependenceSystem] = None,
-             horizon: Optional[int] = None,
-             record_bundles: bool = False) -> SolverResult:
+             horizon: Optional[int] = None) -> SolverResult:
     """Run the distributed bundles protocol to completion.
 
     Phases run in lockstep each round: assignment, communication, then
@@ -398,6 +563,25 @@ def dgba_run(scenario: AllocationScenario,
     the start of every round and that frozen snapshot is used for the whole
     round (bids, trace deltas and the utility series), so the per-round
     increment identities hold even while the world moves underneath.
+
+    Teams of ``ARRAY_VIEWS_MIN_AGENTS`` or more keep their views as arrays
+    (``ArrayViews``), smaller ones per agent (``AgentViews``); the results
+    are the same either way.
+    """
+    views = ArrayViews if scenario.n_agents >= ARRAY_VIEWS_MIN_AGENTS else AgentViews
+    return run_rounds(views, scenario, oracle, constraints, horizon)
+
+
+def run_rounds(views_type, scenario: AllocationScenario,
+               oracle: Optional[UtilityOracle] = None,
+               constraints: Optional[IndependenceSystem] = None,
+               horizon: Optional[int] = None) -> SolverResult:
+    """The round driver of ``dgba_run`` over the given views implementation
+    (``AgentViews`` or ``ArrayViews``).
+
+    ``phase_times`` holds seconds per phase: the three protocol phases,
+    ``components`` (labelling the communication graph, done again only when
+    it changes) and ``bookkeeping`` (trace records, utilities and costs).
     """
     fixed_oracle = oracle
     oracle = fixed_oracle if fixed_oracle is not None else scenario.oracle()
@@ -413,102 +597,86 @@ def dgba_run(scenario: AllocationScenario,
     if horizon < 1:
         raise ConfigurationError("horizon must be at least 1")
 
-    n = scenario.n_agents
-    agents = [
-        AgentRuntime(id=i + 1, bundle=BundleState.empty(n),
-                     remaining_budget=scenario.remaining_budget(i + 1))
-        for i in range(n)
-    ]
+    clock = time.perf_counter
+    phase_times = dict.fromkeys(PHASES, 0.0)
+    views = views_type(scenario)
+    done = views.self_entries()[1]
     trace: list[RoundRecord] = []
     total_messages = 0
     protocol_rounds = 0
     policy = frozenset()
-    phase_times = {"assignment": 0.0, "communication": 0.0, "implementation": 0.0}
+    graph = components = None
 
     for t in range(horizon):
+        tick = clock()
         if fixed_oracle is None:
             oracle = scenario.oracle()
         adjacency = scenario.adjacency()
-        components = graph_components(adjacency)
-        before = policy
-        finalized_before = {a.id for a in agents if a.bundle.f[a.id - 1]}
+        tock = clock()
+        phase_times["implementation"] += tock - tick
+        if graph is None or not np.array_equal(adjacency, graph):
+            components = graph_components(adjacency)
+            graph = np.array(adjacency)
+        tick = clock()
+        phase_times["components"] += tick - tock
+        before, done_before = policy, done
         round_messages = 0
 
-        all_done = all(a.bundle.f[a.id - 1] for a in agents)
-        if not all_done:
+        if not all(done):
             protocol_rounds += 1
-            # Phase I (finalized agents skip the candidate scan entirely)
-            clock = time.perf_counter()
-            for agent in agents:
-                if agent.bundle.f[agent.id - 1]:
-                    continue
-                avail = available_targets(scenario, agent, t)
-                has_option = dgba_assignment_phase(agent, oracle, avail)
-                if not has_option:
-                    agent.bundle.f[agent.id - 1] = 1  # nothing affordable: done
-            phase_times["assignment"] += time.perf_counter() - clock
-            # Phase II
-            clock = time.perf_counter()
-            bundles, round_messages = dgba_communication_phase(
-                [a.bundle for a in agents], adjacency
-            )
-            for agent, bundle in zip(agents, bundles):
-                agent.bundle = bundle
+            views.assign(scenario, oracle, t)  # Phase I
+            tock = clock()
+            phase_times["assignment"] += tock - tick
+            round_messages = views.communicate(adjacency)  # Phase II
             total_messages += round_messages
-            phase_times["communication"] += time.perf_counter() - clock
+            tick = clock()
+            phase_times["communication"] += tick - tock
 
         # Phase III: deadline locks, then world dynamics.
-        clock = time.perf_counter()
-        for agent in agents:
-            k = agent.id - 1
-            j = int(agent.bundle.w[k])
-            if not agent.bundle.f[k] and j != 0 and scenario.lock_due(j, t):
-                agent.bundle.f[k] = 1
-        assignments = {
-            a.id: int(a.bundle.w[a.id - 1])
-            for a in agents
-            if a.bundle.w[a.id - 1] != 0
-        }
-        scenario.advance(assignments, t)
-        phase_times["implementation"] += time.perf_counter() - clock
+        claims, done = views.self_entries()
+        for k, j in enumerate(claims):
+            if j != 0 and not done[k] and scenario.lock_due(j, t):
+                views.finalize(k)
+                done[k] = True
+        scenario.advance({k + 1: j for k, j in enumerate(claims) if j != 0}, t)
+        tock = clock()
+        phase_times["implementation"] += tock - tick
 
-        policy = _finalized_policy(agents)
-        newly = []
-        for agent in agents:
-            k = agent.id - 1
-            if agent.bundle.f[k] and agent.id not in finalized_before:
-                j = int(agent.bundle.w[k])
-                if j != 0:
-                    delta = marginal_gain(oracle, before, GroundElement(agent.id, j))
-                    newly.append((agent.id, j, delta))
-        groups = _round_groups(oracle, before, newly, components)
+        policy = frozenset(
+            GroundElement(k + 1, j) for k, j in enumerate(claims) if done[k] and j != 0
+        )
+        newly = [
+            (k + 1, j, marginal_gain(oracle, before, GroundElement(k + 1, j)))
+            for k, j in enumerate(claims)
+            if done[k] and not done_before[k] and j != 0
+        ]
         utility = oracle.evaluate(policy)
         trace.append(RoundRecord(
             round=t,
             policy=policy,
             newly_finalized=tuple(newly),
-            groups=groups,
+            groups=_round_groups(oracle, before, newly, components),
             increment=utility - oracle.evaluate(before),
             utility=utility,
             messages=round_messages,
             cumulative_messages=total_messages,
             cumulative_cost=float(np.sum(scenario.agent_costs(policy))),
-            bundles=tuple(
-                (a.bundle.w.copy(), a.bundle.b.copy(), a.bundle.f.copy())
-                for a in agents
-            ) if record_bundles else None,
         ))
+        phase_times["bookkeeping"] += clock() - tock
 
-        if all(a.bundle.f[a.id - 1] for a in agents):
-            if not scenario.continue_after_allocation:
-                break
+        if all(done) and not scenario.continue_after_allocation:
+            break
 
+    tick = clock()
     if constraints is not None and not constraints.is_independent(policy):
         raise ContractViolation("protocol produced an infeasible policy")
+    utility = oracle.evaluate(policy)
+    per_agent_cost = scenario.agent_costs(policy)
+    phase_times["bookkeeping"] += clock() - tick
     return SolverResult(
         policy=policy,
-        utility=oracle.evaluate(policy),
-        per_agent_cost=scenario.agent_costs(policy),
+        utility=utility,
+        per_agent_cost=per_agent_cost,
         rounds=protocol_rounds,
         messages=total_messages,
         trace=trace,
@@ -646,6 +814,7 @@ def auction_baseline(scenario: AllocationScenario,
             # Bidding: standalone utility, not marginal.
             clock = time.perf_counter()
             bids = {}
+            reachable = scenario.reachable_targets(t)
             for i in range(1, n + 1):
                 if done[i]:
                     continue
@@ -656,7 +825,7 @@ def auction_baseline(scenario: AllocationScenario,
                         continue
                     if costs[j - 1] > scenario.remaining_budget(i):
                         continue
-                    if not scenario.reachable(i, j, t):
+                    if not reachable[j - 1]:
                         continue
                     v = oracle.evaluate_target(j, frozenset({GroundElement(i, j)}))
                     if v > best_bid:

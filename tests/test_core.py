@@ -2,7 +2,10 @@
 
 import math
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from taskalloc.core import (
     ContractViolation,
@@ -45,6 +48,10 @@ class TestTableOracle:
         with pytest.raises(ContractViolation):
             TableOracle([1.0], [[1.5]])
 
+    def test_rejects_negative_value(self):
+        with pytest.raises(ContractViolation):
+            TableOracle([1.0, -0.5], [[0.5, 0.5]])
+
     def test_rejects_ragged_table(self):
         with pytest.raises(ContractViolation):
             TableOracle([1.0, 1.0], [[0.5], [0.5, 0.5]])
@@ -61,6 +68,24 @@ class TestTableOracle:
         for j in (1, 2, 3):
             expected = marginal_gain(orc, pol, GroundElement(1, j))
             assert gains[j] == pytest.approx(expected, abs=1e-15)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 6), st.integers(1, 24), st.integers(0, 2 ** 32 - 1))
+def test_evaluate_is_left_to_right_sum_of_targets(n, m, seed):
+    """The one-pass evaluate equals the per-target definition to the bit,
+    with up to four agents (so up to four miss factors) per target."""
+    rng = np.random.default_rng(seed)
+    orc = TableOracle(rng.uniform(0.5, 3.0, m), rng.uniform(0.0, 1.0, (n, m)))
+    pol = make_policy(
+        (int(i) + 1, j)
+        for j in range(1, m + 1)
+        for i in rng.permutation(n)[:rng.integers(0, min(n, 4) + 1)]
+    )
+    expected = 0
+    for j in range(1, m + 1):
+        expected = expected + orc.evaluate_target(j, pol)
+    assert orc.evaluate(pol) == expected
 
 
 class TestMarginalGain:

@@ -72,7 +72,8 @@ class TestDgbaTwoAgentInstance:
     def test_phase_times_recorded(self):
         res = dgba_run(StaticScenario(two_agent_oracle()))
         assert set(res.phase_times) == {
-            "assignment", "communication", "implementation"
+            "assignment", "communication", "implementation",
+            "components", "bookkeeping",
         }
 
     def test_suboptimal_but_within_half(self):

@@ -1,0 +1,113 @@
+"""The two implementations of the protocol views, run side by side.
+
+``AgentViews`` (per-agent lists and kernels) is the reference;
+``ArrayViews`` (team-wide N x N arrays) must reproduce it.  Both are driven
+directly, whatever team size ``dgba_run`` would pick them for.
+"""
+
+import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from taskalloc.core import ModularOracle, TableOracle
+from taskalloc.solvers import AgentViews, ArrayViews, StaticScenario, run_rounds
+
+
+class DeadlineScenario(StaticScenario):
+    """Static utilities and costs; the communication graph cycles through
+    ``graphs`` round by round, and targets become unreachable, and claims
+    on them lock, from given rounds on."""
+
+    def __init__(self, oracle, costs, budgets, graphs, unreachable_from, lock_from):
+        super().__init__(oracle, costs=costs, budgets=budgets)
+        self.graphs = graphs
+        self.unreachable_from = unreachable_from
+        self.lock_from = lock_from
+        self.round = 0
+
+    def adjacency(self):
+        return self.graphs[self.round % len(self.graphs)]
+
+    def advance(self, assignments, round_index):
+        self.round += 1
+
+    def reachable_targets(self, round_index):
+        return [round_index < r for r in self.unreachable_from]
+
+    def lock_due(self, target, round_index):
+        return round_index >= self.lock_from[target - 1]
+
+
+def graphs(kind, n, rng):
+    if kind == "complete":
+        return [np.ones((n, n)) - np.eye(n)]
+    if kind == "disconnected":
+        return [np.zeros((n, n))]
+    # Sparse and changing: stale views make agents yield to finalized claims.
+    out = []
+    for density in rng.uniform(0.05, 0.5, size=3):
+        upper = np.triu(rng.random((n, n)) < density, k=1)
+        out.append((upper | upper.T).astype(float))
+    return out
+
+
+@st.composite
+def instances(draw):
+    """Arguments of a DeadlineScenario; each run builds its own."""
+    n = draw(st.integers(1, 24))
+    m = draw(st.integers(1, 24))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    # Few distinct levels make equal gains and equal bids common.
+    probs = rng.choice([0.2, 0.5, 0.8], size=(n, m))
+    if draw(st.booleans()):
+        oracle = TableOracle(rng.choice([1.0, 2.0], size=m), probs)
+    else:
+        oracle = ModularOracle(probs.tolist())
+    costs = rng.uniform(0.5, 1.5, size=(n, m))
+    budgets = rng.uniform(0.6, 1.5, size=n) if draw(st.booleans()) else None
+    kind = draw(st.sampled_from(["complete", "sparse", "disconnected"]))
+    return (oracle, costs, budgets, graphs(kind, n, rng),
+            rng.integers(0, 2 * n + 3, size=m).tolist(),
+            rng.integers(0, 2 * n + 3, size=m).tolist())
+
+
+def assert_same_views(agent, array):
+    """Equal views, bids to the last bit: an available target has no other
+    holder in the view, so for a TableOracle both forms compute its gain as
+    value * prob; other oracles go through the same per-agent kernel."""
+    bundles = [a.bundle for a in agent.agents]
+    assert array.w.tolist() == [[int(v) for v in x.w] for x in bundles]
+    assert array.b.tolist() == [list(x.b) for x in bundles]
+    assert array.f.tolist() == [[bool(v) for v in x.f] for x in bundles]
+
+
+@settings(max_examples=60, deadline=None)
+@given(instances())
+def test_phase_kernels_agree_round_by_round(args):
+    scenario = DeadlineScenario(*args)
+    oracle = scenario.oracle()
+    agent, array = AgentViews(scenario), ArrayViews(scenario)
+    for t in range(scenario.default_horizon()):
+        agent.assign(scenario, oracle, t)
+        array.assign(scenario, oracle, t)
+        assert_same_views(agent, array)
+        adjacency = scenario.adjacency()
+        assert agent.communicate(adjacency) == array.communicate(adjacency)
+        assert_same_views(agent, array)
+        claims, done = agent.self_entries()
+        assert array.self_entries() == (claims, done)
+        if all(done):
+            break
+        scenario.advance({}, t)
+
+
+@settings(max_examples=60, deadline=None)
+@given(instances())
+def test_runs_agree(args):
+    ref = run_rounds(AgentViews, DeadlineScenario(*args))
+    got = run_rounds(ArrayViews, DeadlineScenario(*args))
+    assert got.policy == ref.policy
+    assert repr(got.utility) == repr(ref.utility)
+    assert (got.messages, got.rounds) == (ref.messages, ref.rounds)
+    assert got.trace == ref.trace
+    assert got.per_agent_cost.tolist() == ref.per_agent_cost.tolist()
