@@ -13,7 +13,6 @@ from __future__ import annotations
 import argparse
 import sys
 
-import numpy as np
 import yaml
 
 from .harness import (
@@ -22,10 +21,10 @@ from .harness import (
     ExperimentConfig,
     measure_scaling,
     run_experiment,
+    sample_draw,
     verify_bound_suite,
     write_outputs,
 )
-from .scenario import sample_scenario
 from .solvers import ARRAY_VIEWS_MIN_AGENTS, check_allocation_trace, dgba_run
 
 EXIT_OK = 0
@@ -124,17 +123,10 @@ def cmd_verify_bounds(args: argparse.Namespace) -> int:
 
 def cmd_trace(args: argparse.Namespace) -> int:
     config = load_config(args.config, args.set, args.seed)
-    size_index = args.size_index
-    if not 0 <= size_index < len(config.sizes):
-        raise ConfigError(f"size index {size_index} out of range")
-    n, m = config.sizes[size_index]
-    rng = np.random.default_rng([config.seed, size_index, args.draw])
-    scen_cfg = config.scenario
-    scen_cfg.n_agents, scen_cfg.n_targets = n, m
-    world = sample_scenario(scen_cfg, rng)
-    oracle = world.oracle()
-    result = dgba_run(world, oracle=oracle, horizon=config.horizon)
-    print(f"instance: N={n} M={m} seed={config.seed} draw={args.draw}")
+    world = sample_draw(config, args.size_index, args.draw)
+    result = dgba_run(world, oracle=world.oracle(), horizon=config.horizon)
+    print(f"instance: N={world.n_agents} M={world.n_targets} "
+          f"seed={config.seed} draw={args.draw}")
     print("round  utility      messages  finalized")
     for rec in result.trace:
         finals = " ".join(f"{a}->{j}" for a, j, _ in rec.newly_finalized) or "-"

@@ -18,7 +18,7 @@ import json
 import math
 import os
 import time
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import asdict, dataclass, field, fields, replace
 from typing import Optional, Sequence
 
 import numpy as np
@@ -171,8 +171,15 @@ class ExperimentResult:
     overrides: list = field(default_factory=list)  # raw key=value strings
 
 
-def _draw_rng(master_seed: int, size_index: int, draw: int) -> np.random.Generator:
-    return np.random.default_rng([master_seed, size_index, draw])
+def sample_draw(config: ExperimentConfig, size_index: int, draw: int) -> SatelliteScenario:
+    """The instance of one draw: ``config.sizes[size_index]`` agents and
+    targets, sampled from a generator seeded by (master seed, size index,
+    draw).  ``config`` is left as it is."""
+    if not 0 <= size_index < len(config.sizes):
+        raise ConfigError(f"size index {size_index} out of range")
+    n, m = config.sizes[size_index]
+    return sample_scenario(replace(config.scenario, n_agents=n, n_targets=m),
+                           np.random.default_rng([config.seed, size_index, draw]))
 
 
 def _static_constraints(base: SatelliteScenario):
@@ -271,10 +278,7 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
     errors: list[dict] = []
     for size_index, (n, m) in enumerate(config.sizes):
         for draw in range(config.draws):
-            rng = _draw_rng(config.seed, size_index, draw)
-            scen_cfg = copy.deepcopy(config.scenario)
-            scen_cfg.n_agents, scen_cfg.n_targets = n, m
-            base = sample_scenario(scen_cfg, rng)
+            base = sample_draw(config, size_index, draw)
             oracle = base.oracle()
             draw_results: dict[str, RunMetrics] = {}
             for name in config.solvers:

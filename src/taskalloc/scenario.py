@@ -16,12 +16,12 @@ communication-range rule.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import Optional, Sequence
 
 import numpy as np
 
-from .core import ContractViolation, GroundElement, Policy, TableOracle
+from .core import ContractViolation, Policy, TableOracle
 from .solvers import AllocationScenario
 
 
@@ -165,37 +165,6 @@ def rendezvous_control(position, velocity, point, point_velocity,
     v_hat = np.asarray(point_velocity, float)
     tau = max(deadline - time_now, min_horizon)
     return 4.0 / tau * (v_hat - v) + 6.0 / tau ** 2 * (r_hat - p - v_hat * tau)
-
-
-def loiter_control(agent_pos, agent_vel, target_pos, target_vel,
-                   obs_radius: float, max_accel: float = 1.0) -> np.ndarray:
-    """Centripetal acceleration holding a circular relative orbit.
-
-    Magnitude is (relative speed)^2 / radius, pointed from the agent toward
-    the target center.  With no relative motion there is no orbit to hold;
-    the convention is a tangential kick of magnitude ``max_accel`` along a
-    fixed perpendicular, which builds up the orbit speed
-    sqrt(max_accel * radius) that a circular orbit at this radius and
-    acceleration implies.
-    """
-    r = np.asarray(agent_pos, float) - np.asarray(target_pos, float)
-    r_norm = np.linalg.norm(r)
-    if r_norm < 1e-12:
-        r, r_norm = np.array([obs_radius, 0.0, 0.0]), obs_radius
-    v_rel = np.asarray(agent_vel, float) - np.asarray(target_vel, float)
-    speed = np.linalg.norm(v_rel)
-    if speed < 1e-9:
-        return max_accel * _perpendicular(r / r_norm)
-    return -(speed ** 2 / obs_radius) * r / r_norm
-
-
-def _perpendicular(unit: np.ndarray) -> np.ndarray:
-    """A fixed unit vector perpendicular to the given unit vector."""
-    axis = np.array([0.0, 0.0, 1.0])
-    if abs(unit @ axis) > 0.9:
-        axis = np.array([1.0, 0.0, 0.0])
-    t = np.cross(axis, unit)
-    return t / np.linalg.norm(t)
 
 
 # ---------------------------------------------------------------------------
@@ -418,12 +387,7 @@ def sample_scenario(config: ScenarioConfig, rng: np.random.Generator) -> "Satell
     if config.fuel is not None:
         budget = float(config.fuel)
     else:
-        estimates = [
-            scenario.pair_cost(i, j)
-            for i in range(1, config.n_agents + 1)
-            for j in range(1, config.n_targets + 1)
-        ]
-        budget = config.fuel_median_factor * float(np.median(estimates))
+        budget = config.fuel_median_factor * float(np.median(scenario.pair_costs()))
     for a in scenario.agents:
         a.fuel = budget
     return scenario
@@ -435,8 +399,8 @@ class SatelliteScenario(AllocationScenario):
     The utility oracle and pair-cost estimates are snapshots of the current
     round (costs are cached per round); phase III advances the dynamics:
     assigned agents fly the rendezvous law toward their target's
-    observation circle, switch to loitering when they arrive at the
-    deadline, and coast when out of fuel or unassigned.
+    observation circle until its rendezvous deadline, and coast after it,
+    when out of fuel, or when unassigned.
     """
 
     def __init__(self, agents: Sequence[AgentBody], targets: Sequence[TargetBody],
@@ -449,7 +413,6 @@ class SatelliteScenario(AllocationScenario):
         max_end = max(t.end_time for t in self.targets)
         self.dt = max_end / config.n_steps
         self._round = 0
-        self._modes = ["idle"] * self.n_agents
         self._costs = None
         self._cost_round = -1
         self._loiter_costs = np.array([
@@ -471,16 +434,9 @@ class SatelliteScenario(AllocationScenario):
             [t.decay for t in self.targets],
         )
 
-    def pair_cost(self, agent: int, target: int) -> float:
-        """Current closed-form effort estimate for the pair, frozen per round."""
-        return float(self.pair_costs()[agent - 1, target - 1])
-
-    def pair_cost_row(self, agent: int) -> list[float]:
-        return self.pair_costs()[agent - 1].tolist()
-
     def pair_costs(self) -> np.ndarray:
-        """Every pair cost at the current round, vectorized over agents and
-        targets and cached for the round."""
+        """Every pair's closed-form effort estimate at the current round,
+        vectorized over agents and targets and cached for the round."""
         if self._cost_round != self._round:
             self._costs = self._cost_matrix()
             self._cost_round = self._round
@@ -527,10 +483,6 @@ class SatelliteScenario(AllocationScenario):
         now = self.time
         return [t.final_time - now > self.dt for t in self.targets]
 
-    def lock_due(self, target: int, round_index: int) -> bool:
-        tgt = self.targets[target - 1]
-        return (tgt.final_time - self.time) / tgt.obs_duration <= 1.0
-
     def agent_costs(self, policy: Policy) -> np.ndarray:
         return np.array([a.accrued_cost for a in self.agents])
 
@@ -548,33 +500,13 @@ class SatelliteScenario(AllocationScenario):
     # -- internals --------------------------------------------------------
 
     def _control(self, agent_id: int, target_id: Optional[int]) -> np.ndarray:
-        if target_id is None:
-            self._modes[agent_id - 1] = "idle"
+        """Rendezvous acceleration of an assigned agent before its target's
+        rendezvous deadline; zero, so the agent coasts, otherwise."""
+        now = self.time
+        if target_id is None or now >= self.targets[target_id - 1].final_time:
             return np.zeros(3)
         body = self.agents[agent_id - 1]
         tgt = self.targets[target_id - 1]
-        now = self.time
-        if now < tgt.final_time:
-            self._modes[agent_id - 1] = "maneuvering"
-            r_hat, v_hat = rendezvous_point(body.position, tgt, now)
-            return rendezvous_control(body.position, body.velocity,
-                                      r_hat, v_hat, now, tgt.final_time)
-        if now <= tgt.end_time:
-            if self._modes[agent_id - 1] != "observing":
-                self._modes[agent_id - 1] = "observing"
-                self._bootstrap_orbit(body, tgt)
-            return loiter_control(body.position, body.velocity,
-                                  tgt.position, tgt.velocity, tgt.obs_radius)
-        self._modes[agent_id - 1] = "idle"
-        return np.zeros(3)
-
-    def _bootstrap_orbit(self, body: AgentBody, tgt: TargetBody) -> None:
-        """On entering observation, inject the configured tangential orbit
-        speed if the agent arrives with (near-)zero relative velocity."""
-        v_rel = body.velocity - tgt.velocity
-        if np.linalg.norm(v_rel) < 1e-6:
-            r = body.position - tgt.position
-            norm = np.linalg.norm(r)
-            if norm < 1e-12:
-                r, norm = np.array([tgt.obs_radius, 0.0, 0.0]), tgt.obs_radius
-            body.velocity = tgt.velocity + self.config.orbit_speed * _perpendicular(r / norm)
+        r_hat, v_hat = rendezvous_point(body.position, tgt, now)
+        return rendezvous_control(body.position, body.velocity,
+                                  r_hat, v_hat, now, tgt.final_time)

@@ -9,15 +9,16 @@ exchange self-entries with neighbors and resolve claims on the same target
 in favor of the highest bid (phase II), and the world state advances
 (phase III).  Once an agent's ``f`` self-entry is set it never changes.
 
-One round driver runs the protocol over either of two exact
-implementations of the views: ``AgentViews`` keeps one ``BundleState`` per
-agent and runs the per-agent phase kernels (the reference, and the faster
-one for small teams); ``ArrayViews`` keeps the whole team's views as N x N
-arrays, row i being agent i's view, and runs each phase as a few array
-operations.  ``dgba_run`` picks by team size.
+One round driver, ``run_rounds``, runs the protocol over either of two
+exact implementations of the views: ``AgentViews`` keeps one
+``BundleState`` per agent and runs the per-agent phase kernels (the
+reference, and the faster one for small teams); ``ArrayViews`` keeps the
+whole team's views as N x N arrays, row i being agent i's view, and runs
+each phase as a few array operations.  ``dgba_run`` picks by team size.
 
 Baselines: a centralized sequential greedy, a brute-force exact search, and
-a simplified flooding auction.  The auction baseline is NOT a faithful
+a simplified flooding auction, which the same driver runs over its own
+state (``AuctionViews``).  The auction baseline is NOT a faithful
 reimplementation of published consensus-auction algorithms: agents bid
 their best standalone (non-marginal) utility, winners are determined by
 max-bid flooding until tables stabilize, and the set of taken targets is
@@ -30,6 +31,7 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass, field
+from itertools import chain
 from typing import Iterable, Optional, Sequence
 
 import numpy as np
@@ -134,25 +136,21 @@ class AllocationScenario:
 
     n_agents: int
     n_targets: int
-    continue_after_allocation = False
 
     def oracle(self) -> UtilityOracle:
         raise NotImplementedError
 
-    def pair_cost(self, agent: int, target: int) -> float:
+    def pair_costs(self) -> np.ndarray:
+        """Every pair cost as an N x M array, agent i and target j at
+        [i - 1, j - 1].  The one cost query a scenario implements."""
         raise NotImplementedError
 
-    def pair_cost_row(self, agent: int) -> list[float]:
-        """All pair costs of one agent, indexable by target - 1.  Scenarios
-        with batch structure override this; the default falls back to
-        per-pair queries."""
-        return [self.pair_cost(agent, j) for j in range(1, self.n_targets + 1)]
+    def pair_cost(self, agent: int, target: int) -> float:
+        return float(self.pair_costs()[agent - 1, target - 1])
 
-    def pair_costs(self) -> np.ndarray:
-        """Every pair cost as an N x M array, row i - 1 being
-        ``pair_cost_row(i)``."""
-        return np.array([self.pair_cost_row(i) for i in range(1, self.n_agents + 1)],
-                        dtype=float).reshape(self.n_agents, self.n_targets)
+    def pair_cost_row(self, agent: int) -> list[float]:
+        """All pair costs of one agent, indexable by target - 1."""
+        return self.pair_costs()[agent - 1].tolist()
 
     def remaining_budget(self, agent: int) -> float:
         return math.inf
@@ -165,18 +163,17 @@ class AllocationScenario:
         any agent, in this round."""
         return [True] * self.n_targets
 
-    def lock_due(self, target: int, round_index: int) -> bool:
-        """Whether an agent holding this target must finalize now."""
-        return False
-
     def advance(self, assignments: dict[int, int], round_index: int) -> None:
         """Advance world dynamics one step (no-op for static worlds)."""
 
     def agent_costs(self, policy: Policy) -> np.ndarray:
-        costs = np.zeros(self.n_agents)
-        for el in policy:
-            costs[el.agent - 1] += self.pair_cost(el.agent, el.target)
-        return costs
+        """Per agent, the pair costs of its pairs in the policy, summed in
+        the policy's iteration order."""
+        pairs = np.fromiter(chain.from_iterable(policy), dtype=np.intp,
+                            count=2 * len(policy)) - 1
+        agents = pairs[0::2]
+        return np.bincount(agents, weights=self.pair_costs()[agents, pairs[1::2]],
+                           minlength=self.n_agents)
 
     def default_horizon(self) -> int:
         return 2 * self.n_agents + 2
@@ -192,7 +189,8 @@ class StaticScenario(AllocationScenario):
         self.n_agents = oracle.n_agents
         self.n_targets = oracle.n_targets
         self._oracle = oracle
-        self._costs = None if costs is None else np.asarray(costs, dtype=float)
+        self._costs = (np.zeros((self.n_agents, self.n_targets)) if costs is None
+                       else np.asarray(costs, dtype=float))
         self._budgets = None if budgets is None else np.asarray(budgets, dtype=float)
         if adjacency is None:
             adjacency = np.ones((self.n_agents, self.n_agents)) - np.eye(self.n_agents)
@@ -201,25 +199,8 @@ class StaticScenario(AllocationScenario):
     def oracle(self) -> UtilityOracle:
         return self._oracle
 
-    def pair_cost(self, agent: int, target: int) -> float:
-        if self._costs is None:
-            return 0.0
-        return float(self._costs[agent - 1, target - 1])
-
-    def pair_cost_row(self, agent: int) -> list[float]:
-        if self._costs is None:
-            return [0.0] * self.n_targets
-        return self._costs[agent - 1].tolist()
-
     def pair_costs(self) -> np.ndarray:
-        if self._costs is None:
-            return np.zeros((self.n_agents, self.n_targets))
         return self._costs
-
-    def agent_costs(self, policy: Policy) -> np.ndarray:
-        if self._costs is None:
-            return np.zeros(self.n_agents)
-        return super().agent_costs(policy)
 
     def remaining_budget(self, agent: int) -> float:
         if self._budgets is None:
@@ -392,7 +373,7 @@ def graph_components(adjacency: np.ndarray) -> list[int]:
 
 
 # ---------------------------------------------------------------------------
-# The two implementations of the views
+# Views: DGBA's two exact implementations, and the auction's state
 # ---------------------------------------------------------------------------
 
 class AgentViews:
@@ -412,9 +393,6 @@ class AgentViews:
         return ([int(a.bundle.w[a.id - 1]) for a in self.agents],
                 [bool(a.bundle.f[a.id - 1]) for a in self.agents])
 
-    def finalize(self, k: int) -> None:
-        self.agents[k].bundle.f[k] = 1
-
     def assign(self, scenario: AllocationScenario, oracle: UtilityOracle,
                round_index: int) -> None:
         """Phase I.  Finalized agents skip the candidate scan entirely;
@@ -426,13 +404,13 @@ class AgentViews:
             if not dgba_assignment_phase(agent, oracle, avail):
                 agent.bundle.f[agent.id - 1] = 1
 
-    def communicate(self, adjacency: np.ndarray) -> int:
-        """Phase II; returns the messages sent."""
+    def communicate(self, adjacency: np.ndarray) -> tuple[int, int]:
+        """Phase II, one exchange; returns the messages sent and 1."""
         bundles, messages = dgba_communication_phase(
             [a.bundle for a in self.agents], adjacency)
         for agent, bundle in zip(self.agents, bundles):
             agent.bundle = bundle
-        return messages
+        return messages, 1
 
 
 class ArrayViews:
@@ -452,9 +430,6 @@ class ArrayViews:
 
     def self_entries(self) -> tuple[list[int], list[bool]]:
         return self.w.diagonal().tolist(), self.f.diagonal().tolist()
-
-    def finalize(self, k: int) -> None:
-        self.f[k, k] = True
 
     def assign(self, scenario: AllocationScenario, oracle: UtilityOracle,
                round_index: int) -> None:
@@ -496,7 +471,7 @@ class ArrayViews:
                 self.w[k, k] = agent.bundle.w[k]
                 self.b[k, k] = agent.bundle.b[k]
 
-    def communicate(self, adjacency: np.ndarray) -> int:
+    def communicate(self, adjacency: np.ndarray) -> tuple[int, int]:
         """Phase II with the rules of ``dgba_communication_phase``."""
         n = len(self.w)
         linked = _check_adjacency(adjacency, n) > 0
@@ -517,7 +492,87 @@ class ArrayViews:
         lost_row, lost = np.nonzero(conflict)
         self.w[rows[lost_row], lost] = 0
         self.b[rows[lost_row], lost] = 0.0
-        return int(np.count_nonzero(linked))
+        return int(np.count_nonzero(linked)), 1
+
+
+class AuctionViews:
+    """The flooding auction's state: each agent's won target (0 = none),
+    whether it is done, and, as row i of the N x M ``taken``, the won
+    targets agent i has heard of.  Knowledge of won targets spreads only
+    through the flooding, so disconnected components can duplicate
+    targets."""
+
+    def __init__(self, scenario: AllocationScenario):
+        n = scenario.n_agents
+        self.target = np.zeros(n, dtype=np.intp)
+        self.done = np.zeros(n, dtype=bool)
+        self.taken = np.zeros((n, scenario.n_targets), dtype=bool)
+        self.budgets = np.array(
+            [scenario.remaining_budget(i + 1) for i in range(n)], dtype=float)
+        # This round's bids, as bidder, target index and rank.
+        self.bidders = self.bid_targets = self.ranks = np.zeros(0, dtype=np.intp)
+
+    def self_entries(self) -> tuple[list[int], list[bool]]:
+        return self.target.tolist(), self.done.tolist()
+
+    def assign(self, scenario: AllocationScenario, oracle: UtilityOracle,
+               round_index: int) -> None:
+        """Bidding.  Every agent not done bids its best standalone utility
+        (the pair's utility on its own, ignoring what the allocation
+        already covers; ties to the lowest target id) on a target it has
+        not heard is won, that it can afford and that is reachable.  An
+        agent with no positive bid is done, with no target."""
+        rows = np.flatnonzero(~self.done)
+        ok = ~self.taken[rows]
+        ok &= ~(scenario.pair_costs()[rows] > self.budgets[rows, None])
+        ok &= scenario.reachable_targets(round_index)
+        if isinstance(oracle, TableOracle):
+            # evaluate_target of a single pair: value * (1 - (1 - prob)).
+            alone = np.asarray(oracle.values) * (1.0 - (1.0 - oracle.prob_table[rows]))
+        else:
+            alone = np.array([[oracle.evaluate_target(j, frozenset({GroundElement(k + 1, j)}))
+                               for j in range(1, scenario.n_targets + 1)]
+                              for k in rows.tolist()])
+        bids = np.where(ok, alone, 0.0)
+        best = bids.argmax(axis=1)  # first maximum: lowest target id
+        bid = bids[np.arange(rows.size), best]
+        placed = bid > 0.0
+        self.done[rows[~placed]] = True
+        self.bidders, self.bid_targets = rows[placed], best[placed]
+        # Rank 0 is the highest bid; ties go to the lowest agent id.
+        self.ranks = np.empty(placed.sum(), dtype=np.intp)
+        self.ranks[np.argsort(-bid[placed], kind="stable")] = np.arange(self.ranks.size)
+
+    def communicate(self, adjacency: np.ndarray) -> tuple[int, int]:
+        """Flooding.  Each sweep sends every agent's tables over every edge
+        and keeps, per agent and target, the best bid heard and whether the
+        target is heard to be won; sweeps repeat until no table changes.
+        Each bidder whose own table then names it top bidder on a target
+        not heard to be won wins it.  Returns the messages sent and the
+        sweeps made."""
+        n, m = self.taken.shape
+        linked = _check_adjacency(adjacency, n) > 0
+        around = [np.flatnonzero(row) for row in linked | np.eye(n, dtype=bool)]
+        # Per agent: the best bid rank heard per target (n = none), then per
+        # target 0 if heard to be won, else 1.  A sweep keeps the minimum of
+        # each entry over the agent and its neighbours.
+        tables = np.hstack([np.full((n, m), n), ~self.taken])
+        tables[self.bidders, self.bid_targets] = self.ranks
+        sweeps = 0
+        while True:
+            sweeps += 1
+            flooded = np.array([tables[k].min(axis=0) for k in around])
+            if np.array_equal(flooded, tables):
+                break
+            tables = flooded
+        self.taken = tables[:, m:] == 0
+        bids = self.bidders, self.bid_targets
+        won = (tables[bids] == self.ranks) & ~self.taken[bids]
+        winners, targets = self.bidders[won], self.bid_targets[won]
+        self.target[winners] = targets + 1
+        self.done[winners] = True
+        self.taken[winners, targets] = True
+        return sweeps * int(np.count_nonzero(linked)), sweeps
 
 
 # ---------------------------------------------------------------------------
@@ -553,11 +608,8 @@ def dgba_run(scenario: AllocationScenario,
     """Run the distributed bundles protocol to completion.
 
     Phases run in lockstep each round: assignment, communication, then
-    implementation (world dynamics, deadline locks, fresh adjacency).  The
-    protocol part stops once every agent is finalized; the world keeps
-    advancing afterwards only for scenarios that say so (so the satellite
-    simulation can play out its observations and report a full utility
-    series).
+    implementation (world dynamics and a fresh adjacency).  The run stops
+    once every agent is finalized.
 
     When no explicit oracle is given, the scenario's oracle is re-sampled at
     the start of every round and that frozen snapshot is used for the whole
@@ -576,10 +628,14 @@ def run_rounds(views_type, scenario: AllocationScenario,
                oracle: Optional[UtilityOracle] = None,
                constraints: Optional[IndependenceSystem] = None,
                horizon: Optional[int] = None) -> SolverResult:
-    """The round driver of ``dgba_run`` over the given views implementation
-    (``AgentViews`` or ``ArrayViews``).
+    """The round driver of both distributed solvers, over the given views
+    type: ``AgentViews`` or ``ArrayViews`` for ``dgba_run``,
+    ``AuctionViews`` for ``auction_baseline``.
 
-    ``phase_times`` holds seconds per phase: the three protocol phases,
+    A views type does phase I in ``assign`` and phase II in
+    ``communicate``, which returns the messages sent and the exchanges
+    made; ``rounds`` counts the exchanges.  ``phase_times`` holds seconds
+    per phase: the three protocol phases,
     ``components`` (labelling the communication graph, done again only when
     it changes) and ``bookkeeping`` (trace records, utilities and costs).
     """
@@ -623,21 +679,17 @@ def run_rounds(views_type, scenario: AllocationScenario,
         round_messages = 0
 
         if not all(done):
-            protocol_rounds += 1
             views.assign(scenario, oracle, t)  # Phase I
             tock = clock()
             phase_times["assignment"] += tock - tick
-            round_messages = views.communicate(adjacency)  # Phase II
+            round_messages, exchanges = views.communicate(adjacency)  # Phase II
             total_messages += round_messages
+            protocol_rounds += exchanges
             tick = clock()
             phase_times["communication"] += tick - tock
 
-        # Phase III: deadline locks, then world dynamics.
+        # Phase III: world dynamics.
         claims, done = views.self_entries()
-        for k, j in enumerate(claims):
-            if j != 0 and not done[k] and scenario.lock_due(j, t):
-                views.finalize(k)
-                done[k] = True
         scenario.advance({k + 1: j for k, j in enumerate(claims) if j != 0}, t)
         tock = clock()
         phase_times["implementation"] += tock - tick
@@ -651,6 +703,7 @@ def run_rounds(views_type, scenario: AllocationScenario,
             if done[k] and not done_before[k] and j != 0
         ]
         utility = oracle.evaluate(policy)
+        per_agent_cost = scenario.agent_costs(policy)
         trace.append(RoundRecord(
             round=t,
             policy=policy,
@@ -660,18 +713,16 @@ def run_rounds(views_type, scenario: AllocationScenario,
             utility=utility,
             messages=round_messages,
             cumulative_messages=total_messages,
-            cumulative_cost=float(np.sum(scenario.agent_costs(policy))),
+            cumulative_cost=float(np.sum(per_agent_cost)),
         ))
         phase_times["bookkeeping"] += clock() - tock
 
-        if all(done) and not scenario.continue_after_allocation:
+        if all(done):
             break
 
     tick = clock()
     if constraints is not None and not constraints.is_independent(policy):
         raise ContractViolation("protocol produced an infeasible policy")
-    utility = oracle.evaluate(policy)
-    per_agent_cost = scenario.agent_costs(policy)
     phase_times["bookkeeping"] += clock() - tick
     return SolverResult(
         policy=policy,
@@ -776,140 +827,11 @@ def auction_baseline(scenario: AllocationScenario,
     current allocation already covers), bids and the set of already-won
     targets are flooded over the current graph until every agent's local
     tables stabilize, and each target's top bidder within a component is
-    fixed.  Knowledge of won targets spreads only through the flooding, so
-    disconnected components can duplicate targets, exactly like the bundle
-    protocol.  ``rounds`` counts flooding sweeps, so it grows with graph
-    diameter.
+    fixed.  The rounds run on the driver of ``dgba_run`` (``run_rounds``
+    over ``AuctionViews``).  ``rounds`` counts flooding sweeps, so it grows
+    with graph diameter.
     """
-    fixed_oracle = oracle
-    oracle = fixed_oracle if fixed_oracle is not None else scenario.oracle()
-    if horizon is None:
-        horizon = scenario.default_horizon()
-    n, m = scenario.n_agents, scenario.n_targets
-    fixed_target = [0] * (n + 1)
-    done = [False] * (n + 1)
-    known_taken: list[set[int]] = [set() for _ in range(n + 1)]
-    total_messages = 0
-    flood_sweeps = 0
-    trace: list[RoundRecord] = []
-    phase_times = {"bidding": 0.0, "flooding": 0.0, "implementation": 0.0}
-
-    def policy_now() -> Policy:
-        return frozenset(
-            GroundElement(i, fixed_target[i])
-            for i in range(1, n + 1)
-            if fixed_target[i] != 0
-        )
-
-    for t in range(horizon):
-        if fixed_oracle is None:
-            oracle = scenario.oracle()
-        adjacency = scenario.adjacency()
-        round_messages = 0
-        before = policy_now()
-        newly: list[tuple[int, int, float]] = []
-        components = graph_components(adjacency)
-
-        if not all(done[1:]):
-            # Bidding: standalone utility, not marginal.
-            clock = time.perf_counter()
-            bids = {}
-            reachable = scenario.reachable_targets(t)
-            for i in range(1, n + 1):
-                if done[i]:
-                    continue
-                costs = scenario.pair_cost_row(i)
-                best_j, best_bid = 0, 0.0
-                for j in range(1, m + 1):
-                    if j in known_taken[i]:
-                        continue
-                    if costs[j - 1] > scenario.remaining_budget(i):
-                        continue
-                    if not reachable[j - 1]:
-                        continue
-                    v = oracle.evaluate_target(j, frozenset({GroundElement(i, j)}))
-                    if v > best_bid:
-                        best_j, best_bid = j, v
-                if best_j == 0:
-                    done[i] = True
-                else:
-                    bids[i] = (best_j, best_bid)
-
-            phase_times["bidding"] += time.perf_counter() - clock
-            # Flooding consensus on per-target best bids and won targets.
-            clock = time.perf_counter()
-            table = {}
-            for i in range(1, n + 1):
-                mine = {}
-                if i in bids:
-                    j, v = bids[i]
-                    mine[j] = (v, i)
-                table[i] = mine
-            n_edges = int(np.sum(np.asarray(adjacency) > 0))
-            while True:
-                flood_sweeps += 1
-                round_messages += n_edges
-                changed = False
-                snapshot = {i: dict(table[i]) for i in table}
-                taken_snapshot = [set(s) for s in known_taken]
-                for i in range(1, n + 1):
-                    for k in range(1, n + 1):
-                        if adjacency[i - 1][k - 1] > 0:
-                            for j, (v, who) in snapshot[k].items():
-                                cur = table[i].get(j)
-                                if cur is None or (v, -who) > (cur[0], -cur[1]):
-                                    table[i][j] = (v, who)
-                                    changed = True
-                            if not taken_snapshot[k] <= known_taken[i]:
-                                known_taken[i] |= taken_snapshot[k]
-                                changed = True
-                if not changed:
-                    break
-
-            # Winner per target: the agent its own table names as top bidder.
-            for i, (j, _v) in bids.items():
-                top = table[i].get(j)
-                if j not in known_taken[i] and top is not None and top[1] == i:
-                    fixed_target[i] = j
-                    done[i] = True
-                    known_taken[i].add(j)
-                    delta = marginal_gain(oracle, before, GroundElement(i, j))
-                    newly.append((i, j, delta))
-            total_messages += round_messages
-            phase_times["flooding"] += time.perf_counter() - clock
-
-        clock = time.perf_counter()
-        assignments = {
-            i: fixed_target[i] for i in range(1, n + 1) if fixed_target[i] != 0
-        }
-        scenario.advance(assignments, t)
-        phase_times["implementation"] += time.perf_counter() - clock
-        after = policy_now()
-        utility = oracle.evaluate(after)
-        trace.append(RoundRecord(
-            round=t,
-            policy=after,
-            newly_finalized=tuple(newly),
-            groups=_round_groups(oracle, before, newly, components),
-            increment=utility - oracle.evaluate(before),
-            utility=utility,
-            messages=round_messages,
-            cumulative_messages=total_messages,
-            cumulative_cost=float(np.sum(scenario.agent_costs(after))),
-        ))
-        if all(done[1:]) and not scenario.continue_after_allocation:
-            break
-
-    final = policy_now()
-    return SolverResult(
-        policy=final,
-        utility=oracle.evaluate(final),
-        per_agent_cost=scenario.agent_costs(final),
-        rounds=flood_sweeps,
-        messages=total_messages,
-        trace=trace,
-        phase_times=phase_times,
-    )
+    return run_rounds(AuctionViews, scenario, oracle, constraints, horizon)
 
 
 # ---------------------------------------------------------------------------

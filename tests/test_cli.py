@@ -10,9 +10,10 @@ from taskalloc.cli import (
     EXIT_CONFIG_ERROR,
     EXIT_OK,
     apply_overrides,
+    load_config,
     main,
 )
-from taskalloc.harness import ConfigError
+from taskalloc.harness import ConfigError, run_experiment
 
 
 @pytest.fixture
@@ -110,6 +111,22 @@ class TestTraceCommand:
         output = capsys.readouterr().out
         assert "round" in output
         assert "trace checks passed" in output
+
+    def test_trace_scores_the_instance_run_scores(self, config_file, capsys):
+        sizes = "sizes=[[3, 3], [4, 4]]"
+        result = run_experiment(load_config(config_file, [sizes], 5))
+        (run,) = [r for r in result.metrics
+                  if r.solver == "dgba" and r.n_agents == 4 and r.draw == 1]
+        code = main(["trace", "--config", config_file, "--set", sizes, "--seed", "5",
+                     "--size-index", "1", "--draw", "1"])
+        assert code == EXIT_OK
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[0] == "instance: N=4 M=4 seed=5 draw=1"
+        rows = [line.split()[1:3] for line in lines[2:2 + len(run.utility)]]
+        assert rows == [[f"{u:.6f}", str(m)] for u, m in zip(run.utility, run.messages)]
+        assert lines[2 + len(run.utility)] == (
+            f"final utility {run.final_utility:.6f}, "
+            f"{run.total_messages} messages over {run.rounds} rounds")
 
     def test_bad_size_index(self, config_file):
         code = main(["trace", "--config", config_file, "--size-index", "9"])

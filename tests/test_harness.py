@@ -13,6 +13,7 @@ from taskalloc.harness import (
     random_bound_instance,
     run_bound_instance,
     run_experiment,
+    sample_draw,
     verify_bound_suite,
     write_outputs,
 )
@@ -89,6 +90,18 @@ class TestRunExperiment:
         finals = [r.final_utility for r in res.metrics if r.solver == "dgba"]
         assert agg["mean_final_utility"] == pytest.approx(
             float(np.mean(finals)), abs=1e-12)
+
+
+    def test_sample_draw_leaves_config_as_it_is(self):
+        cfg = small_config(sizes=[(3, 3), (4, 2)])
+        before = cfg.to_dict()
+        world = sample_draw(cfg, 1, 2)
+        assert (world.n_agents, world.n_targets) == (4, 2)
+        assert cfg.to_dict() == before
+
+    def test_sample_draw_rejects_bad_size_index(self):
+        with pytest.raises(ConfigError):
+            sample_draw(small_config(), 1, 0)
 
 
 class TestWriteOutputs:

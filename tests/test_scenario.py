@@ -241,13 +241,16 @@ class TestSampledScenario:
         assert scen.agents[0].fuel == pytest.approx(
             10.0 * float(np.median(estimates)))
 
-    def test_lock_due_inside_final_window(self):
+    def test_assigned_agent_coasts_after_its_deadline(self):
         cfg = ScenarioConfig(n_agents=2, n_targets=2)
         scen = sample_scenario(cfg, np.random.default_rng(4))
         tgt = scen.targets[0]
-        # Advance time to just inside the lock window.
-        scen._round = int((tgt.final_time - 0.5 * tgt.obs_duration) / scen.dt)
-        assert scen.lock_due(1, scen._round)
+        scen._round = int(tgt.final_time / scen.dt) + 1
+        before = scen.agents[0]
+        scen.advance({1: 1}, scen._round)
+        after = scen.agents[0]
+        assert after.velocity.tolist() == before.velocity.tolist()
+        assert after.accrued_cost == before.accrued_cost
 
     def test_cost_row_matches_closed_form(self):
         cfg = ScenarioConfig(n_agents=2, n_targets=3)

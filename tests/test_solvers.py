@@ -20,6 +20,7 @@ from taskalloc.core import (
     make_policy,
 )
 from taskalloc.solvers import (
+    PHASES,
     AgentRuntime,
     BundleState,
     ConfigurationError,
@@ -32,6 +33,7 @@ from taskalloc.solvers import (
     graph_components,
     sequential_greedy,
 )
+from taskalloc.scenario import ScenarioConfig, sample_scenario
 
 P = math.exp(-0.8)
 
@@ -233,6 +235,82 @@ class TestBaselines:
         res_line = auction_baseline(StaticScenario(orc, adjacency=line))
         res_full = auction_baseline(StaticScenario(orc))
         assert res_line.rounds >= res_full.rounds
+
+    def test_auction_rejects_mismatched_oracle(self):
+        other = TableOracle([1.0, 1.0, 1.0], [[0.5] * 3] * 2)
+        with pytest.raises(ConfigurationError):
+            auction_baseline(StaticScenario(two_agent_oracle()), oracle=other)
+
+    def test_auction_rejects_zero_horizon(self):
+        with pytest.raises(ConfigurationError):
+            auction_baseline(StaticScenario(two_agent_oracle()), horizon=0)
+
+    def test_auction_shares_the_dgba_phase_clocks(self):
+        res = auction_baseline(StaticScenario(two_agent_oracle()))
+        assert set(res.phase_times) == set(PHASES)
+
+
+def _sampled(n, draw):
+    world = sample_scenario(ScenarioConfig(n_agents=n, n_targets=n),
+                            np.random.default_rng([11, n, draw]))
+    return world, world.oracle()
+
+
+def _budgeted_line():
+    rng = np.random.default_rng(5)
+    n, m = 6, 4
+    oracle = TableOracle(rng.uniform(1.0, 2.0, size=m), rng.uniform(0.2, 0.9, size=(n, m)))
+    line = np.eye(n, k=1) + np.eye(n, k=-1)
+    costs = rng.uniform(0.5, 1.5, size=(n, m))
+    budgets = rng.uniform(0.6, 1.5, size=n)
+    return StaticScenario(oracle, costs=costs, budgets=budgets, adjacency=line), None
+
+
+# Auction outputs recorded from the hand-written auction loop that the round
+# driver replaced: policy, utility, messages, rounds, then the utility and
+# the messages of every round.
+AUCTION_PINS = [
+    (lambda: _sampled(5, 0),
+     [(1, 3), (2, 2), (3, 4), (4, 5), (5, 3)],
+     2.2472521080944543, 66, 11,
+     [2.188889969212798, 2.188889969212798, 2.2472521080944543],
+     [24, 24, 18]),
+    (lambda: _sampled(10, 1),
+     [(1, 1), (2, 8), (3, 2), (4, 4), (5, 10), (6, 7), (7, 6), (8, 9), (9, 3), (10, 5)],
+     5.861633857924618, 680, 20,
+     [5.734469099304121, 5.734469099304121, 5.816629622661768, 5.816629622661768,
+      5.861633857924618],
+     [136, 136, 136, 136, 136]),
+    (lambda: _sampled(40, 2),
+     [(1, 38), (2, 36), (3, 8), (4, 35), (5, 31), (6, 34), (7, 25), (8, 18), (9, 4),
+      (10, 11), (11, 40), (12, 17), (13, 37), (14, 14), (15, 1), (16, 23), (17, 39),
+      (18, 26), (19, 15), (20, 19), (21, 27), (22, 22), (23, 3), (24, 2), (25, 21),
+      (26, 32), (27, 9), (28, 16), (29, 7), (30, 28), (31, 5), (32, 24), (33, 30),
+      (34, 6), (35, 20), (36, 13), (37, 10), (38, 29), (39, 33), (40, 12)],
+     33.75369193982755, 18582, 39,
+     [28.444155806190643, 28.444155806190643, 33.28824686098303, 33.28824686098303,
+      33.73203653881308, 33.73203653881308, 33.747735381381396, 33.747735381381396,
+      33.75369193982755],
+     [2380, 2370, 1904, 1904, 1428, 1904, 1912, 2390, 2390]),
+    (_budgeted_line,
+     [(2, 2), (4, 4), (5, 3), (6, 1)],
+     4.39327395010503, 230, 23,
+     [4.081387525523201, 4.081387525523201, 4.39327395010503, 4.39327395010503,
+      4.39327395010503],
+     [60, 60, 40, 60, 10]),
+]
+
+
+@pytest.mark.parametrize("make, policy, utility, messages, rounds, series, sent",
+                         AUCTION_PINS, ids=["sat5", "sat10", "sat40", "line"])
+def test_auction_outputs_pinned(make, policy, utility, messages, rounds, series, sent):
+    world, oracle = make()
+    res = auction_baseline(world, oracle=oracle)
+    assert sorted(tuple(el) for el in res.policy) == policy
+    assert repr(res.utility) == repr(utility)
+    assert (res.messages, res.rounds) == (messages, rounds)
+    assert [rec.utility for rec in res.trace] == series
+    assert [rec.messages for rec in res.trace] == sent
 
 
 class TestTraceChecks:

@@ -1,28 +1,35 @@
-"""The two implementations of the protocol views, run side by side.
+"""The implementations of the round driver's views, run side by side.
 
 ``AgentViews`` (per-agent lists and kernels) is the reference;
 ``ArrayViews`` (team-wide N x N arrays) must reproduce it.  Both are driven
-directly, whatever team size ``dgba_run`` would pick them for.
+directly, whatever team size ``dgba_run`` would pick them for.  The
+flooding auction's ``AuctionViews`` must reproduce ``LoopAuction``, the
+same auction written as per-agent loops over dicts and sets.
 """
 
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from taskalloc.core import ModularOracle, TableOracle
-from taskalloc.solvers import AgentViews, ArrayViews, StaticScenario, run_rounds
+from taskalloc.core import GroundElement, ModularOracle, TableOracle
+from taskalloc.solvers import (
+    AgentViews,
+    ArrayViews,
+    StaticScenario,
+    auction_baseline,
+    run_rounds,
+)
 
 
 class DeadlineScenario(StaticScenario):
     """Static utilities and costs; the communication graph cycles through
-    ``graphs`` round by round, and targets become unreachable, and claims
-    on them lock, from given rounds on."""
+    ``graphs`` round by round, and targets become unreachable from given
+    rounds on."""
 
-    def __init__(self, oracle, costs, budgets, graphs, unreachable_from, lock_from):
+    def __init__(self, oracle, costs, budgets, graphs, unreachable_from):
         super().__init__(oracle, costs=costs, budgets=budgets)
         self.graphs = graphs
         self.unreachable_from = unreachable_from
-        self.lock_from = lock_from
         self.round = 0
 
     def adjacency(self):
@@ -33,9 +40,6 @@ class DeadlineScenario(StaticScenario):
 
     def reachable_targets(self, round_index):
         return [round_index < r for r in self.unreachable_from]
-
-    def lock_due(self, target, round_index):
-        return round_index >= self.lock_from[target - 1]
 
 
 def graphs(kind, n, rng):
@@ -67,7 +71,6 @@ def instances(draw):
     budgets = rng.uniform(0.6, 1.5, size=n) if draw(st.booleans()) else None
     kind = draw(st.sampled_from(["complete", "sparse", "disconnected"]))
     return (oracle, costs, budgets, graphs(kind, n, rng),
-            rng.integers(0, 2 * n + 3, size=m).tolist(),
             rng.integers(0, 2 * n + 3, size=m).tolist())
 
 
@@ -101,13 +104,87 @@ def test_phase_kernels_agree_round_by_round(args):
         scenario.advance({}, t)
 
 
-@settings(max_examples=60, deadline=None)
-@given(instances())
-def test_runs_agree(args):
-    ref = run_rounds(AgentViews, DeadlineScenario(*args))
-    got = run_rounds(ArrayViews, DeadlineScenario(*args))
+def assert_same_run(got, ref):
     assert got.policy == ref.policy
     assert repr(got.utility) == repr(ref.utility)
     assert (got.messages, got.rounds) == (ref.messages, ref.rounds)
     assert got.trace == ref.trace
     assert got.per_agent_cost.tolist() == ref.per_agent_cost.tolist()
+
+
+@settings(max_examples=60, deadline=None)
+@given(instances())
+def test_runs_agree(args):
+    assert_same_run(run_rounds(ArrayViews, DeadlineScenario(*args)),
+                    run_rounds(AgentViews, DeadlineScenario(*args)))
+
+
+class LoopAuction:
+    """The flooding auction one agent and one target at a time: bids are
+    ``evaluate_target`` of the single pair, tables are dicts of
+    target -> (bid, -agent) and sets of won targets."""
+
+    def __init__(self, scenario):
+        n = scenario.n_agents
+        self.target = [0] * n
+        self.done = [False] * n
+        self.taken = [set() for _ in range(n)]
+        self.bids = {}
+
+    def self_entries(self):
+        return list(self.target), list(self.done)
+
+    def assign(self, scenario, oracle, round_index):
+        self.bids = {}
+        reachable = scenario.reachable_targets(round_index)
+        for i in range(scenario.n_agents):
+            if self.done[i]:
+                continue
+            costs = scenario.pair_cost_row(i + 1)
+            best_j, best_bid = 0, 0.0
+            for j in range(1, scenario.n_targets + 1):
+                if (j in self.taken[i] or not reachable[j - 1]
+                        or costs[j - 1] > scenario.remaining_budget(i + 1)):
+                    continue
+                v = oracle.evaluate_target(j, frozenset({GroundElement(i + 1, j)}))
+                if v > best_bid:
+                    best_j, best_bid = j, v
+            if best_j == 0:
+                self.done[i] = True
+            else:
+                self.bids[i] = (best_j, best_bid)
+
+    def communicate(self, adjacency):
+        n = len(self.target)
+        table = [{} for _ in range(n)]
+        for i, (j, v) in self.bids.items():
+            table[i][j] = (v, -i)
+        sweeps = 0
+        changed = True
+        while changed:
+            sweeps += 1
+            changed = False
+            sent, heard = [dict(t) for t in table], [set(s) for s in self.taken]
+            for i in range(n):
+                for k in range(n):
+                    if adjacency[i][k] > 0:
+                        for j, entry in sent[k].items():
+                            if j not in table[i] or entry > table[i][j]:
+                                table[i][j] = entry
+                                changed = True
+                        if not heard[k] <= self.taken[i]:
+                            self.taken[i] |= heard[k]
+                            changed = True
+        for i, (j, _v) in self.bids.items():
+            if j not in self.taken[i] and table[i][j][1] == -i:
+                self.target[i] = j
+                self.done[i] = True
+                self.taken[i].add(j)
+        return sweeps * int(np.count_nonzero(np.asarray(adjacency) > 0)), sweeps
+
+
+@settings(max_examples=60, deadline=None)
+@given(instances())
+def test_auction_matches_the_loop_reference(args):
+    assert_same_run(auction_baseline(DeadlineScenario(*args)),
+                    run_rounds(LoopAuction, DeadlineScenario(*args)))
