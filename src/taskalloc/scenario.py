@@ -16,7 +16,7 @@ communication-range rule.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
@@ -65,12 +65,43 @@ def position_oracle(agent_positions: Sequence,
                     target_positions: Sequence,
                     info_values: Sequence[float],
                     decays: Sequence[float]) -> TableOracle:
-    """Freeze the observation utility at the given positions."""
-    probs = [
-        [survival_probability(p, q, lam) for q, lam in zip(target_positions, decays)]
-        for p in agent_positions
-    ]
-    return TableOracle(values=info_values, probs=probs)
+    """Freeze the observation utility at the given positions: entry (i, j)
+    of the table is ``survival_probability`` of agent i for target j."""
+    lam = np.asarray(decays, dtype=float)
+    if (lam <= 0).any():
+        raise ContractViolation("decay factor must be positive")
+    p = np.asarray(agent_positions, dtype=float).reshape(-1, 3)
+    q = np.asarray(target_positions, dtype=float).reshape(-1, 3)
+    exponents = -lam * _row_norms(p[:, None, :] - q[None, :, :])
+    probs = np.fromiter(map(math.exp, exponents.ravel().tolist()),
+                        dtype=float, count=exponents.size)
+    return TableOracle(values=info_values, probs=probs.reshape(exponents.shape))
+
+
+# The world is advanced as arrays, one pass over all bodies per step, and
+# must give the same bits as the per-body helpers below (``step_agent``,
+# ``rendezvous_point``, ``rendezvous_control``, ``survival_probability``).
+# Three numpy forms do not:
+#   - ``np.linalg.norm(x, axis=-1)`` sums the squares in another order than
+#     the 1-D norm, a BLAS dot, and differs in about 12% of rows;
+#     ``_row_norms`` takes the dot of each row through a stacked matmul.
+#   - ``np.exp`` differs from ``math.exp`` in about 5% of cases, so
+#     exponentials are taken per entry with ``math.exp``.
+#   - numpy's ``t ** 2`` differs from Python's in about 0.07% of cases, so
+#     the controller gains are formed from Python floats.
+# The closed form of RK4 under a constant control is not bit-identical to
+# the RK4 arithmetic either, so the steps keep that arithmetic.
+
+def _row_dots(x: np.ndarray) -> np.ndarray:
+    """Squared norm of each row of ``x`` (rows along the last axis), equal
+    bit for bit to ``row @ row`` on that row alone."""
+    return (x[..., None, :] @ x[..., :, None])[..., 0, 0]
+
+
+def _row_norms(x: np.ndarray) -> np.ndarray:
+    """Norm of each row of ``x``, equal bit for bit to ``np.linalg.norm``
+    of that row alone."""
+    return np.sqrt(_row_dots(x))
 
 
 # ---------------------------------------------------------------------------
@@ -196,60 +227,55 @@ def step_target(position, velocity, drag_coeff: float, dt: float) -> tuple[np.nd
     return out[:3], out[3:]
 
 
-def step_dynamics(agents: Sequence[AgentBody], targets: Sequence[TargetBody],
-                  controls: Sequence, dt: float
-                  ) -> tuple[list[AgentBody], list[TargetBody], list[float]]:
-    """Advance every body one step and return fresh states plus the control
+def step_dynamics(agent_states: np.ndarray, controls: np.ndarray,
+                  accrued_cost: np.ndarray, fuel: np.ndarray,
+                  target_states: np.ndarray, drag_coeffs: Sequence[float],
+                  dt: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Advance every body one RK4 step; returns the new agent and target
+    states (rows of position then velocity, N x 6 and M x 6) and the control
     cost charged to each agent.
 
-    Controls are held constant over the step; the cost increment per agent
-    is 0.5 * |u|^2 * dt.  An agent whose cost increment would exceed its
+    Row for row this is ``step_agent`` and ``step_target``.  Controls (N x 3)
+    are held constant over the step; the cost increment per agent is
+    0.5 * |u|^2 * dt.  An agent whose cost increment would exceed its
     remaining fuel coasts instead (u = 0, no charge).
     """
     if dt <= 0:
         raise ContractViolation("dt must be positive")
-    new_agents: list[AgentBody] = []
-    increments: list[float] = []
-    for agent, u in zip(agents, controls):
-        u = np.zeros(3) if u is None else np.asarray(u, float)
-        inc = 0.5 * float(u @ u) * dt
-        if agent.accrued_cost + inc > agent.fuel:
-            u, inc = np.zeros(3), 0.0
-        p, v = step_agent(agent.position, agent.velocity, u, dt)
-        if not (np.all(np.isfinite(p)) and np.all(np.isfinite(v))):
+    u = np.asarray(controls, dtype=float)
+    inc = 0.5 * _row_dots(u) * dt
+    out_of_fuel = accrued_cost + inc > fuel
+    u = np.where(out_of_fuel[:, None], 0.0, u)
+    inc = np.where(out_of_fuel, 0.0, inc)
+    agents = _rk4(agent_states, lambda s: np.concatenate([s[:, 3:], u], axis=1), dt)
+    minus_k = -np.asarray(drag_coeffs, dtype=float)[:, None]
+    targets = _rk4(target_states,
+                   lambda s: np.concatenate([s[:, 3:], minus_k * s[:, 3:]], axis=1), dt)
+    for kind, states in (("agent", agents), ("target", targets)):
+        bad = np.flatnonzero(~np.isfinite(states).all(axis=1))
+        if bad.size:
             raise NumericalBlowupError(
-                f"non-finite agent state after step: p={p}, v={v}, u={u}"
+                f"non-finite {kind} state after step: row {bad[0]} = {states[bad[0]]}"
             )
-        new_agents.append(replace(agent, position=p, velocity=v,
-                                  accrued_cost=agent.accrued_cost + inc))
-        increments.append(inc)
-    new_targets: list[TargetBody] = []
-    for tgt in targets:
-        q, w = step_target(tgt.position, tgt.velocity, tgt.drag_coeff, dt)
-        if not (np.all(np.isfinite(q)) and np.all(np.isfinite(w))):
-            raise NumericalBlowupError(f"non-finite target state after step: q={q}")
-        new_targets.append(replace(tgt, position=q, velocity=w))
-    return new_agents, new_targets, increments
+    return agents, targets, inc
 
 
 # ---------------------------------------------------------------------------
 # Communication graph
 # ---------------------------------------------------------------------------
 
-def build_comm_graph(agents: Sequence[AgentBody], domain_diameter: float) -> np.ndarray:
+def build_comm_graph(positions: np.ndarray, comm_factors: Sequence[float],
+                     domain_diameter: float) -> np.ndarray:
     """Range-limited adjacency: agents are linked when their distance is
     within the smaller of the two communication radii (factor times the
     domain diameter), which keeps the graph symmetric."""
     if domain_diameter <= 0:
         raise ContractViolation("domain diameter must be positive")
-    n = len(agents)
-    adj = np.zeros((n, n))
-    for i in range(n):
-        for k in range(i + 1, n):
-            reach = min(agents[i].comm_factor, agents[k].comm_factor) * domain_diameter
-            d = np.linalg.norm(agents[i].position - agents[k].position)
-            if d <= reach:
-                adj[i, k] = adj[k, i] = 1.0
+    p = np.asarray(positions, dtype=float).reshape(-1, 3)
+    factors = np.asarray(comm_factors, dtype=float)
+    reach = np.minimum(factors[:, None], factors[None, :]) * domain_diameter
+    adj = (_row_norms(p[:, None, :] - p[None, :, :]) <= reach).astype(float)
+    np.fill_diagonal(adj, 0.0)
     return adj
 
 
@@ -388,8 +414,7 @@ def sample_scenario(config: ScenarioConfig, rng: np.random.Generator) -> "Satell
         budget = float(config.fuel)
     else:
         budget = config.fuel_median_factor * float(np.median(scenario.pair_costs()))
-    for a in scenario.agents:
-        a.fuel = budget
+    scenario.fuel[:] = budget
     return scenario
 
 
@@ -401,23 +426,41 @@ class SatelliteScenario(AllocationScenario):
     assigned agents fly the rendezvous law toward their target's
     observation circle until its rendezvous deadline, and coast after it,
     when out of fuel, or when unassigned.
+
+    The world is held as arrays, agent i and target j in row i - 1 and
+    j - 1: ``agent_states`` and ``target_states`` (position then velocity
+    per row), the agents' ``comm_factors``, ``fuel`` and ``accrued_cost``,
+    and the targets' fixed parameters.  Each step is one array pass over
+    all bodies with the arithmetic of the per-body helpers.
     """
 
     def __init__(self, agents: Sequence[AgentBody], targets: Sequence[TargetBody],
                  config: ScenarioConfig):
-        self.agents = list(agents)
-        self.targets = list(targets)
         self.config = config
-        self.n_agents = len(self.agents)
-        self.n_targets = len(self.targets)
-        max_end = max(t.end_time for t in self.targets)
-        self.dt = max_end / config.n_steps
+        self.n_agents = len(agents)
+        self.n_targets = len(targets)
+        self.agent_states = np.array(
+            [np.concatenate([a.position, a.velocity]) for a in agents]
+        ).reshape(-1, 6)
+        self.comm_factors = np.array([a.comm_factor for a in agents], dtype=float)
+        self.fuel = np.array([a.fuel for a in agents], dtype=float)
+        self.accrued_cost = np.array([a.accrued_cost for a in agents], dtype=float)
+        self.target_states = np.array(
+            [np.concatenate([t.position, t.velocity]) for t in targets]
+        ).reshape(-1, 6)
+        self.info_values = [t.info_value for t in targets]
+        self.decays = [t.decay for t in targets]
+        self.drag_coeffs = [t.drag_coeff for t in targets]
+        self.obs_radii = np.array([t.obs_radius for t in targets], dtype=float)
+        # Python floats: the controller gains are formed from them.
+        self.final_times = [float(t.final_time) for t in targets]
+        self.dt = max(t.end_time for t in targets) / config.n_steps
         self._round = 0
         self._costs = None
         self._cost_round = -1
         self._loiter_costs = np.array([
             loiter_cost(config.orbit_speed, t.obs_radius, t.obs_duration)
-            for t in self.targets
+            for t in targets
         ])
 
     # -- solver-facing surface -------------------------------------------
@@ -427,12 +470,8 @@ class SatelliteScenario(AllocationScenario):
         return self._round * self.dt
 
     def oracle(self) -> TableOracle:
-        return position_oracle(
-            [a.position for a in self.agents],
-            [t.position for t in self.targets],
-            [t.info_value for t in self.targets],
-            [t.decay for t in self.targets],
-        )
+        return position_oracle(self.agent_states[:, :3], self.target_states[:, :3],
+                               self.info_values, self.decays)
 
     def pair_costs(self) -> np.ndarray:
         """Every pair's closed-form effort estimate at the current round,
@@ -443,18 +482,11 @@ class SatelliteScenario(AllocationScenario):
         return self._costs
 
     def _cost_matrix(self) -> np.ndarray:
-        now = self.time
-        q_hat = np.empty((self.n_targets, 3))
-        w_hat = np.empty((self.n_targets, 3))
-        tau = np.empty(self.n_targets)
-        radius = np.empty(self.n_targets)
-        for k, tgt in enumerate(self.targets):
-            tau[k] = tgt.final_time - now
-            q_hat[k], w_hat[k] = predict_target(tgt, tau[k])
-            radius[k] = tgt.obs_radius
+        q_hat, w_hat, tau = self._predicted_targets()
+        radius = self.obs_radii
         # Agents along axis 0, targets along axis 1, space along axis 2.
-        p = np.array([a.position for a in self.agents]).reshape(-1, 1, 3)
-        v = np.array([a.velocity for a in self.agents]).reshape(-1, 1, 3)
+        p = self.agent_states[:, None, :3]
+        v = self.agent_states[:, None, 3:]
         offset = p - q_hat
         norm = np.linalg.norm(offset, axis=2)
         safe = np.where(norm < 1e-12, 1.0, norm)
@@ -473,40 +505,72 @@ class SatelliteScenario(AllocationScenario):
         return np.where(tau <= self.dt, math.inf, costs)
 
     def remaining_budget(self, agent: int) -> float:
-        body = self.agents[agent - 1]
-        return body.fuel - body.accrued_cost
+        return float(self.fuel[agent - 1] - self.accrued_cost[agent - 1])
 
     def adjacency(self) -> np.ndarray:
-        return build_comm_graph(self.agents, self.config.domain_diameter)
+        return build_comm_graph(self.agent_states[:, :3], self.comm_factors,
+                                self.config.domain_diameter)
 
     def reachable_targets(self, round_index: int) -> list[bool]:
         now = self.time
-        return [t.final_time - now > self.dt for t in self.targets]
+        return [final - now > self.dt for final in self.final_times]
 
     def agent_costs(self, policy: Policy) -> np.ndarray:
-        return np.array([a.accrued_cost for a in self.agents])
+        return self.accrued_cost.copy()
 
     def default_horizon(self) -> int:
         return self.config.n_steps
 
     def advance(self, assignments: dict[int, int], round_index: int) -> None:
-        controls = [self._control(i + 1, assignments.get(i + 1))
-                    for i in range(self.n_agents)]
-        self.agents, self.targets, _ = step_dynamics(
-            self.agents, self.targets, controls, self.dt
+        self.agent_states, self.target_states, inc = step_dynamics(
+            self.agent_states, self._controls(assignments), self.accrued_cost,
+            self.fuel, self.target_states, self.drag_coeffs, self.dt,
         )
+        self.accrued_cost = self.accrued_cost + inc
         self._round += 1
 
     # -- internals --------------------------------------------------------
 
-    def _control(self, agent_id: int, target_id: Optional[int]) -> np.ndarray:
-        """Rendezvous acceleration of an assigned agent before its target's
-        rendezvous deadline; zero, so the agent coasts, otherwise."""
+    def _predicted_targets(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Every target's state propagated to its rendezvous deadline, as
+        ``predict_target`` computes it, and the time left to the deadline."""
         now = self.time
-        if target_id is None or now >= self.targets[target_id - 1].final_time:
-            return np.zeros(3)
-        body = self.agents[agent_id - 1]
-        tgt = self.targets[target_id - 1]
-        r_hat, v_hat = rendezvous_point(body.position, tgt, now)
-        return rendezvous_control(body.position, body.velocity,
-                                  r_hat, v_hat, now, tgt.final_time)
+        horizon = [final - now for final in self.final_times]
+        decay = [math.exp(-k * h) if k > 0 else 1.0
+                 for k, h in zip(self.drag_coeffs, horizon)]
+        q, w = self.target_states[:, :3], self.target_states[:, 3:]
+        k = np.array(self.drag_coeffs)[:, None]
+        tau = np.array(horizon)
+        decay = np.array(decay)[:, None]
+        pos = np.where(k > 0, q + w * (1.0 - decay) / np.where(k > 0, k, 1.0),
+                       q + w * tau[:, None])
+        return pos, w * decay, tau
+
+    def _controls(self, assignments: dict[int, int]) -> np.ndarray:
+        """Rendezvous acceleration (N x 3) of each assigned agent before its
+        target's rendezvous deadline, as ``rendezvous_point`` and
+        ``rendezvous_control`` compute it; zero, so the agent coasts,
+        otherwise."""
+        controls = np.zeros((self.n_agents, 3))
+        now = self.time
+        pairs = [(i - 1, j - 1) for i, j in assignments.items()
+                 if now < self.final_times[j - 1]]
+        if not pairs:
+            return controls
+        agents, targets = np.array(pairs).T
+        q_hat, w_hat, _ = self._predicted_targets()
+        q_hat, w_hat = q_hat[targets], w_hat[targets]
+        p = self.agent_states[agents, :3]
+        v = self.agent_states[agents, 3:]
+        offset = p - q_hat
+        norm = _row_norms(offset)
+        centred = norm < 1e-12
+        offset[centred] = [1.0, 0.0, 0.0]
+        norm[centred] = 1.0
+        r_hat = q_hat + self.obs_radii[targets, None] * offset / norm[:, None]
+        tau = [max(self.final_times[j] - now, 1e-6) for j in targets.tolist()]
+        gain_v = np.array([4.0 / t for t in tau])[:, None]
+        gain_p = np.array([6.0 / t ** 2 for t in tau])[:, None]
+        tau = np.array(tau)[:, None]
+        controls[agents] = gain_v * (w_hat - v) + gain_p * (r_hat - p - w_hat * tau)
+        return controls

@@ -579,16 +579,18 @@ class AuctionViews:
 # The full protocol run
 # ---------------------------------------------------------------------------
 
-def _round_groups(oracle: UtilityOracle, before: Policy,
+def _round_groups(oracle: UtilityOracle, before: Policy, before_utility: float,
                   newly: list[tuple[int, int, float]],
                   components: list[int]) -> tuple[DecisionGroup, ...]:
+    """Newly finalized agents grouped by component; ``before_utility`` is
+    ``oracle.evaluate(before)``."""
     groups: dict[int, list[tuple[int, int, float]]] = {}
     for agent, target, delta in newly:
         groups.setdefault(components[agent - 1], []).append((agent, target, delta))
     out = []
     for members in groups.values():
         added = frozenset(GroundElement(a, t) for a, t, _ in members)
-        inc = oracle.evaluate(before | added) - oracle.evaluate(before)
+        inc = oracle.evaluate(before | added) - before_utility
         out.append(DecisionGroup(
             agents=tuple(a for a, _, _ in members),
             targets=tuple(t for _, t, _ in members),
@@ -703,13 +705,16 @@ def run_rounds(views_type, scenario: AllocationScenario,
             if done[k] and not done_before[k] and j != 0
         ]
         utility = oracle.evaluate(policy)
+        # Evaluated again each round: without a fixed oracle the previous
+        # round's utility was scored by another snapshot.
+        before_utility = oracle.evaluate(before)
         per_agent_cost = scenario.agent_costs(policy)
         trace.append(RoundRecord(
             round=t,
             policy=policy,
             newly_finalized=tuple(newly),
-            groups=_round_groups(oracle, before, newly, components),
-            increment=utility - oracle.evaluate(before),
+            groups=_round_groups(oracle, before, before_utility, newly, components),
+            increment=utility - before_utility,
             utility=utility,
             messages=round_messages,
             cumulative_messages=total_messages,

@@ -8,6 +8,7 @@ import pytest
 
 from taskalloc.harness import (
     ConfigError,
+    _run_one,
     ExperimentConfig,
     measure_scaling,
     random_bound_instance,
@@ -91,6 +92,20 @@ class TestRunExperiment:
         assert agg["mean_final_utility"] == pytest.approx(
             float(np.mean(finals)), abs=1e-12)
 
+
+    def test_centralized_solvers_report_planned_pair_costs(self):
+        cfg = small_config(solvers=["greedy", "exact"])
+        res = run_experiment(cfg)
+        for run in res.metrics:
+            base = sample_draw(cfg, 0, run.draw)
+            result, _wall = _run_one(run.solver, base, base.oracle(), None)
+            assert result.policy
+            planned = [0.0] * base.n_agents
+            for el in result.policy:
+                planned[el.agent - 1] = base.pair_cost(el.agent, el.target)
+            assert run.per_agent_cost == planned
+        for name in ("greedy", "exact"):
+            assert res.aggregates[f"{name}/N3M3"]["mean_total_cost"] > 0.0
 
     def test_sample_draw_leaves_config_as_it_is(self):
         cfg = small_config(sizes=[(3, 3), (4, 2)])

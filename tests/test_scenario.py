@@ -8,6 +8,7 @@ import pytest
 from taskalloc.core import ContractViolation, make_policy
 from taskalloc.scenario import (
     AgentBody,
+    SatelliteScenario,
     ScenarioConfig,
     TargetBody,
     build_comm_graph,
@@ -107,19 +108,16 @@ class TestDynamics:
         assert vel == pytest.approx(v, abs=1e-4)
 
     def test_fuel_exhausted_agent_coasts(self):
-        agent = AgentBody(position=np.zeros(3), velocity=np.zeros(3),
-                          comm_factor=0.3, fuel=1e-9)
-        tgt = make_target([5, 0, 0])
         out_agents, _, increments = step_dynamics(
-            [agent], [tgt], [np.array([10.0, 0, 0])], dt=0.1)
-        assert increments == [0.0]
-        assert np.allclose(out_agents[0].position, 0.0)
+            np.zeros((1, 6)), np.array([[10.0, 0, 0]]), np.zeros(1),
+            np.array([1e-9]), np.array([[5.0, 0, 0, 0, 0, 0]]), [0.0], dt=0.1)
+        assert increments.tolist() == [0.0]
+        assert np.allclose(out_agents[0, :3], 0.0)
 
     def test_rejects_nonpositive_dt(self):
-        agent = AgentBody(position=np.zeros(3), velocity=np.zeros(3),
-                          comm_factor=0.3, fuel=1.0)
         with pytest.raises(ContractViolation):
-            step_dynamics([agent], [], [np.zeros(3)], dt=0.0)
+            step_dynamics(np.zeros((1, 6)), np.zeros((1, 3)), np.zeros(1),
+                          np.ones(1), np.zeros((0, 6)), [], dt=0.0)
 
 
 class TestRendezvousController:
@@ -196,23 +194,18 @@ class TestPairCosts:
 
 class TestCommGraph:
     def test_within_range_linked(self):
-        a = AgentBody(np.zeros(3), np.zeros(3), comm_factor=0.5, fuel=1.0)
-        b = AgentBody(np.array([1.0, 0, 0]), np.zeros(3),
-                      comm_factor=0.5, fuel=1.0)
-        adj = build_comm_graph([a, b], domain_diameter=4.0)
+        adj = build_comm_graph([[0.0, 0, 0], [1.0, 0, 0]], [0.5, 0.5],
+                               domain_diameter=4.0)
         assert adj[0, 1] == adj[1, 0] == 1.0
 
     def test_min_factor_rule(self):
         # The weaker radio decides: factor 0.1 * diameter 4 = 0.4 < distance.
-        a = AgentBody(np.zeros(3), np.zeros(3), comm_factor=0.9, fuel=1.0)
-        b = AgentBody(np.array([1.0, 0, 0]), np.zeros(3),
-                      comm_factor=0.1, fuel=1.0)
-        adj = build_comm_graph([a, b], domain_diameter=4.0)
+        adj = build_comm_graph([[0.0, 0, 0], [1.0, 0, 0]], [0.9, 0.1],
+                               domain_diameter=4.0)
         assert adj[0, 1] == 0.0
 
     def test_zero_diagonal(self):
-        a = AgentBody(np.zeros(3), np.zeros(3), comm_factor=0.5, fuel=1.0)
-        adj = build_comm_graph([a, a], domain_diameter=4.0)
+        adj = build_comm_graph(np.zeros((2, 3)), [0.5, 0.5], domain_diameter=4.0)
         assert np.all(np.diag(adj) == 0)
 
 
@@ -221,8 +214,7 @@ class TestSampledScenario:
         cfg = ScenarioConfig(n_agents=3, n_targets=3)
         s1 = sample_scenario(cfg, np.random.default_rng(11))
         s2 = sample_scenario(cfg, np.random.default_rng(11))
-        for a1, a2 in zip(s1.agents, s2.agents):
-            assert np.array_equal(a1.position, a2.position)
+        assert np.array_equal(s1.agent_states, s2.agent_states)
         assert s1.pair_cost(1, 1) == s2.pair_cost(1, 1)
 
     def test_oracle_tracks_positions(self):
@@ -238,26 +230,30 @@ class TestSampledScenario:
         scen = sample_scenario(cfg, np.random.default_rng(8))
         estimates = [scen.pair_cost(i, j)
                      for i in (1, 2, 3) for j in (1, 2, 3)]
-        assert scen.agents[0].fuel == pytest.approx(
+        assert scen.fuel[0] == pytest.approx(
             10.0 * float(np.median(estimates)))
 
     def test_assigned_agent_coasts_after_its_deadline(self):
         cfg = ScenarioConfig(n_agents=2, n_targets=2)
         scen = sample_scenario(cfg, np.random.default_rng(4))
-        tgt = scen.targets[0]
-        scen._round = int(tgt.final_time / scen.dt) + 1
-        before = scen.agents[0]
+        scen._round = int(scen.final_times[0] / scen.dt) + 1
+        before = scen.agent_states[0].copy(), scen.accrued_cost[0]
         scen.advance({1: 1}, scen._round)
-        after = scen.agents[0]
-        assert after.velocity.tolist() == before.velocity.tolist()
-        assert after.accrued_cost == before.accrued_cost
+        assert scen.agent_states[0, 3:].tolist() == before[0][3:].tolist()
+        assert scen.accrued_cost[0] == before[1]
 
     def test_cost_row_matches_closed_form(self):
         cfg = ScenarioConfig(n_agents=2, n_targets=3)
-        scen = sample_scenario(cfg, np.random.default_rng(21))
+        body = AgentBody(position=[0.5, 1.0, 2.0], velocity=[0.1, -0.2, 0.05],
+                         comm_factor=0.3, fuel=math.inf)
+        targets = [make_target([4.0, 3.0, 1.0], velocity=[0.2, -0.1, 0.05],
+                               drag=0.05, end_time=19.5),
+                   make_target([1.0, 5.0, 2.0], drag=0.05, end_time=19.2,
+                               obs_radius=1.1),
+                   make_target([0.5, 1.0, 2.0], end_time=19.8)]
+        scen = SatelliteScenario([body, body], targets, cfg)
         row = scen.pair_cost_row(1)
-        body = scen.agents[0]
-        for j, tgt in enumerate(scen.targets, start=1):
+        for j, tgt in enumerate(targets, start=1):
             r_hat, v_hat = rendezvous_point(body.position, tgt, 0.0)
             expected = minimum_effort_cost(
                 body.position, body.velocity, r_hat, v_hat, tgt.final_time
