@@ -41,8 +41,6 @@ class GroundElement(NamedTuple):
 # required set semantics (unordered, no duplicates) and hashability.
 Policy = FrozenSet[GroundElement]
 
-EMPTY_POLICY: Policy = frozenset()
-
 
 def make_policy(pairs: Iterable[Tuple[int, int]]) -> Policy:
     return frozenset(GroundElement(a, t) for a, t in pairs)
@@ -121,7 +119,6 @@ class CurvatureReport:
     kappa_e: float
     witness: Optional[Tuple[Policy, GroundElement, GroundElement]]
     skipped_pairs: int
-    exhaustive: bool = True
 
 
 def estimate_elemental_curvature(oracle: UtilityOracle,

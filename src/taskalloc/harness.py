@@ -4,16 +4,17 @@ scaling measurement, and artifact output.
 Every random draw is seeded by a counter-based split of the master seed
 (master, size index, draw index), so draws are reproducible individually
 and their execution order is irrelevant.  Within a draw all solvers run on
-deep copies of the identical sampled instance and score against the same
-utility oracle frozen at the initial positions, which keeps the comparison
-paired and the recorded utility series non-decreasing for the bundle
-protocol.
+the identical sampled instance (the distributed ones on deep copies) and
+score against the utility oracle it gives at its initial positions, which
+keeps the comparison paired and the recorded utility series non-decreasing
+for the bundle protocol.
 """
 
 from __future__ import annotations
 
 import copy
 import csv
+import functools
 import json
 import math
 import os
@@ -40,13 +41,9 @@ from .core import (
 from .scenario import SatelliteScenario, ScenarioConfig, sample_scenario
 from .solvers import (
     EXACT_SEARCH_CAP,
-    AgentRuntime,
-    BundleState,
+    AgentViews,
     StaticScenario,
     auction_baseline,
-    available_targets,
-    dgba_assignment_phase,
-    dgba_communication_phase,
     dgba_run,
     exact_oracle,
     sequential_greedy,
@@ -182,44 +179,39 @@ def sample_draw(config: ExperimentConfig, size_index: int, draw: int) -> Satelli
                            np.random.default_rng([config.seed, size_index, draw]))
 
 
-def _static_constraints(base: SatelliteScenario):
-    n, m = base.n_agents, base.n_targets
-    costs = [base.pair_cost_row(i) for i in range(1, n + 1)]
-    budgets = [base.remaining_budget(i) for i in range(1, n + 1)]
+def _allocation_constraints(costs, budgets) -> CompositeConstraint:
+    """The system allocations are solved under: one target per agent, one
+    agent per target, and each agent's pair costs within its budget."""
+    n, m = np.shape(costs)
     return CompositeConstraint([
         PartitionConstraint(n, m),
         ConflictFreeConstraint(n, m),
         BudgetConstraint(budgets, costs),
-    ]), costs
+    ])
 
 
-def _run_one(name: str, base: SatelliteScenario, oracle: TableOracle,
-             horizon: Optional[int]):
-    """Run one solver on a fresh copy of the instance; returns the solver
-    result plus the wall time of the call."""
-    if name == "dgba":
+def _run_one(name: str, base: SatelliteScenario, horizon: Optional[int]):
+    """Run one solver on the instance, the distributed ones on a fresh copy
+    of it; returns the solver result plus the wall time of the call."""
+    if name in ("dgba", "auction"):
+        # Resolved at call time, so wrappers set on this module apply.
+        solver = dgba_run if name == "dgba" else auction_baseline
         world = copy.deepcopy(base)
         start = time.perf_counter()
-        result = dgba_run(world, oracle=oracle, horizon=horizon)
+        result = solver(world, horizon=horizon)
         return result, time.perf_counter() - start
-    if name == "auction":
-        world = copy.deepcopy(base)
-        start = time.perf_counter()
-        result = auction_baseline(world, oracle=oracle, horizon=horizon)
-        return result, time.perf_counter() - start
-    constraints, costs = _static_constraints(base)
-    start = time.perf_counter()
-    if name == "greedy":
-        result = sequential_greedy(oracle, constraints)
-    elif name == "exact":
-        result = exact_oracle(oracle, constraints)
-    else:
+    if name not in ("greedy", "exact"):
         raise ConfigError(f"unknown solver {name!r}")
+    costs = base.pair_costs()
+    budgets = [base.remaining_budget(i) for i in range(1, base.n_agents + 1)]
+    solver = sequential_greedy if name == "greedy" else exact_oracle
+    start = time.perf_counter()
+    result = solver(base.oracle(), _allocation_constraints(costs, budgets))
     wall = time.perf_counter() - start
     # The centralized solvers fly nothing: report the planned t = 0 pair
     # costs their budget constraint was checked against.
     for el in result.policy:
-        result.per_agent_cost[el.agent - 1] += costs[el.agent - 1][el.target - 1]
+        result.per_agent_cost[el.agent - 1] += costs[el.agent - 1, el.target - 1]
     return result, wall
 
 
@@ -245,11 +237,10 @@ def _metrics_from(name: str, draw: int, base: SatelliteScenario,
     )
 
 
-def _certify(base: SatelliteScenario, oracle: TableOracle,
-             dgba_utility: float, exact_utility: float) -> Optional[BoundCertificate]:
-    n, m = base.n_agents, base.n_targets
-    if n * m > CURVATURE_GROUND_CAP:
-        return None
+def _certify(oracle: TableOracle, costs, achieved: float,
+             optimal: float) -> BoundCertificate:
+    """``achieved`` against the optimum, certified with the oracle's
+    exhaustive elemental curvature and the q of the pair costs."""
     try:
         kappa = estimate_elemental_curvature(
             oracle, oracle.ground_set(), cap=CURVATURE_GROUND_CAP
@@ -258,18 +249,18 @@ def _certify(base: SatelliteScenario, oracle: TableOracle,
         # No well-defined curvature ratio on this ground set; certify
         # against the most conservative value.
         kappa = 1.0
-    costs = [base.pair_cost_row(i) for i in range(1, n + 1)]
     q = estimate_q(costs).q
-    return bound_certificate(dgba_utility, exact_utility, kappa, q, n)
+    return bound_certificate(achieved, optimal, kappa, q, oracle.n_agents)
 
 
+@functools.cache
 def _warm_up() -> None:
-    """Exercise both solver code paths once so first-call interpreter and
-    array-library setup does not land in the first timed draw."""
+    """Exercise both solver code paths once per process, so first-call
+    interpreter and array-library setup does not land in a timed draw."""
     rng = np.random.default_rng(0)
     tiny = sample_scenario(ScenarioConfig(n_agents=2, n_targets=2), rng)
-    dgba_run(copy.deepcopy(tiny), oracle=tiny.oracle())
-    auction_baseline(copy.deepcopy(tiny), oracle=tiny.oracle())
+    dgba_run(copy.deepcopy(tiny))
+    auction_baseline(copy.deepcopy(tiny))
 
 
 def run_experiment(config: ExperimentConfig) -> ExperimentResult:
@@ -284,11 +275,10 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
     for size_index, (n, m) in enumerate(config.sizes):
         for draw in range(config.draws):
             base = sample_draw(config, size_index, draw)
-            oracle = base.oracle()
             draw_results: dict[str, RunMetrics] = {}
             for name in config.solvers:
                 try:
-                    result, wall = _run_one(name, base, oracle, config.horizon)
+                    result, wall = _run_one(name, base, config.horizon)
                     draw_results[name] = _metrics_from(name, draw, base, result, wall)
                 except Exception as exc:  # recorded, not fatal
                     errors.append({
@@ -297,9 +287,10 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
                         "draw": draw,
                         "message": f"{type(exc).__name__}: {exc}",
                     })
-            if "dgba" in draw_results and "exact" in draw_results:
+            if ("dgba" in draw_results and "exact" in draw_results
+                    and n * m <= CURVATURE_GROUND_CAP):
                 draw_results["dgba"].certificate = _certify(
-                    base, oracle,
+                    base.oracle(), base.pair_costs().tolist(),
                     draw_results["dgba"].final_utility,
                     draw_results["exact"].final_utility,
                 )
@@ -451,20 +442,14 @@ def random_bound_instance(seed: int, max_size: int = 4) -> BoundInstance:
     values = rng.uniform(2.0, 2.5, size=m)
     costs = rng.uniform(0.5, 1.5, size=(n, m))
     budgets = rng.uniform(0.6, 1.5, size=n)
-    oracle = TableOracle(values, probs)
-    constraints = CompositeConstraint([
-        PartitionConstraint(n, m),
-        ConflictFreeConstraint(n, m),
-        BudgetConstraint(budgets, costs),
-    ])
     return BoundInstance(
         seed=seed,
         n_agents=n,
         n_targets=m,
-        oracle=oracle,
+        oracle=TableOracle(values, probs),
         costs=costs.tolist(),
         budgets=budgets.tolist(),
-        constraints=constraints,
+        constraints=_allocation_constraints(costs, budgets),
     )
 
 
@@ -488,14 +473,7 @@ def run_bound_instance(inst: BoundInstance) -> BoundCertificate:
     scen = StaticScenario(inst.oracle, costs=inst.costs, budgets=inst.budgets)
     achieved = dgba_run(scen, constraints=inst.constraints).utility
     optimal = exact_oracle(inst.oracle, inst.constraints).utility
-    try:
-        kappa = estimate_elemental_curvature(
-            inst.oracle, inst.oracle.ground_set(), cap=CURVATURE_GROUND_CAP
-        ).kappa_e
-    except DegenerateOracleError:
-        kappa = 1.0
-    q = estimate_q(inst.costs).q
-    return bound_certificate(achieved, optimal, kappa, q, inst.n_agents)
+    return _certify(inst.oracle, inst.costs, achieved, optimal)
 
 
 def verify_bound_suite(n_instances: int = 100, master_seed: int = 0) -> BoundSuiteReport:
@@ -548,23 +526,19 @@ class ScalingReport:
 def _time_one_round(oracle: TableOracle, adjacency: np.ndarray,
                     rounds: int) -> float:
     """Mean wall time of one assignment-plus-communication round of the
-    per-agent reference kernels (``AgentViews``), measured on fresh bundles
+    per-agent reference kernels (``AgentViews``), measured on fresh views
     so every repetition does the same work.
 
     The array round that ``dgba_run`` uses for larger teams is not timed:
     it costs about the same at every grid size, so the fit below has
     nothing to explain there."""
     scen = StaticScenario(oracle, adjacency=adjacency)
-    n = oracle.n_agents
     total = 0.0
     for _ in range(rounds):
-        agents = [AgentRuntime(id=i + 1, bundle=BundleState.empty(n))
-                  for i in range(n)]
+        views = AgentViews(scen)
         start = time.perf_counter()
-        for agent in agents:
-            avail = available_targets(scen, agent, 0)
-            dgba_assignment_phase(agent, oracle, avail)
-        dgba_communication_phase([a.bundle for a in agents], adjacency)
+        views.assign(scen, oracle, 0)
+        views.communicate(adjacency)
         total += time.perf_counter() - start
     return total / rounds
 

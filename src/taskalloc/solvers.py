@@ -32,7 +32,7 @@ import math
 import time
 from dataclasses import dataclass, field
 from itertools import chain
-from typing import Iterable, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -111,7 +111,6 @@ class RoundRecord:
     increment: float
     utility: float
     messages: int
-    cumulative_messages: int
     cumulative_cost: float
 
 
@@ -604,7 +603,6 @@ PHASES = ("assignment", "communication", "implementation", "components", "bookke
 
 
 def dgba_run(scenario: AllocationScenario,
-             oracle: Optional[UtilityOracle] = None,
              constraints: Optional[IndependenceSystem] = None,
              horizon: Optional[int] = None) -> SolverResult:
     """Run the distributed bundles protocol to completion.
@@ -613,36 +611,39 @@ def dgba_run(scenario: AllocationScenario,
     implementation (world dynamics and a fresh adjacency).  The run stops
     once every agent is finalized.
 
-    When no explicit oracle is given, the scenario's oracle is re-sampled at
-    the start of every round and that frozen snapshot is used for the whole
-    round (bids, trace deltas and the utility series), so the per-round
-    increment identities hold even while the world moves underneath.
+    Bids, trace deltas and the utility series all use the scenario's
+    oracle as it is when the run starts, so the per-round increment
+    identities hold even while the world moves underneath.
 
     Teams of ``ARRAY_VIEWS_MIN_AGENTS`` or more keep their views as arrays
     (``ArrayViews``), smaller ones per agent (``AgentViews``); the results
     are the same either way.
     """
     views = ArrayViews if scenario.n_agents >= ARRAY_VIEWS_MIN_AGENTS else AgentViews
-    return run_rounds(views, scenario, oracle, constraints, horizon)
+    return run_rounds(views, scenario, constraints, horizon)
 
 
 def run_rounds(views_type, scenario: AllocationScenario,
-               oracle: Optional[UtilityOracle] = None,
                constraints: Optional[IndependenceSystem] = None,
                horizon: Optional[int] = None) -> SolverResult:
     """The round driver of both distributed solvers, over the given views
     type: ``AgentViews`` or ``ArrayViews`` for ``dgba_run``,
-    ``AuctionViews`` for ``auction_baseline``.
+    ``AuctionViews`` for ``auction_baseline``.  The scenario's oracle is
+    read once, before round 0, and scores every round.
 
     A views type does phase I in ``assign`` and phase II in
     ``communicate``, which returns the messages sent and the exchanges
     made; ``rounds`` counts the exchanges.  ``phase_times`` holds seconds
-    per phase: the three protocol phases,
-    ``components`` (labelling the communication graph, done again only when
-    it changes) and ``bookkeeping`` (trace records, utilities and costs).
+    per phase: the three protocol phases (``implementation`` includes the
+    oracle read), ``components`` (labelling the communication graph, done
+    again only when it changes) and ``bookkeeping`` (trace records,
+    utilities and costs).
     """
-    fixed_oracle = oracle
-    oracle = fixed_oracle if fixed_oracle is not None else scenario.oracle()
+    clock = time.perf_counter
+    phase_times = dict.fromkeys(PHASES, 0.0)
+    tick = clock()
+    oracle = scenario.oracle()
+    phase_times["implementation"] += clock() - tick
     if constraints is not None and (
         constraints.n_agents != scenario.n_agents
         or constraints.n_targets != scenario.n_targets
@@ -655,20 +656,17 @@ def run_rounds(views_type, scenario: AllocationScenario,
     if horizon < 1:
         raise ConfigurationError("horizon must be at least 1")
 
-    clock = time.perf_counter
-    phase_times = dict.fromkeys(PHASES, 0.0)
     views = views_type(scenario)
     done = views.self_entries()[1]
     trace: list[RoundRecord] = []
     total_messages = 0
     protocol_rounds = 0
     policy = frozenset()
+    utility = 0.0
     graph = components = None
 
     for t in range(horizon):
         tick = clock()
-        if fixed_oracle is None:
-            oracle = scenario.oracle()
         adjacency = scenario.adjacency()
         tock = clock()
         phase_times["implementation"] += tock - tick
@@ -677,7 +675,7 @@ def run_rounds(views_type, scenario: AllocationScenario,
             graph = np.array(adjacency)
         tick = clock()
         phase_times["components"] += tick - tock
-        before, done_before = policy, done
+        before, before_utility, done_before = policy, utility, done
         round_messages = 0
 
         if not all(done):
@@ -705,9 +703,6 @@ def run_rounds(views_type, scenario: AllocationScenario,
             if done[k] and not done_before[k] and j != 0
         ]
         utility = oracle.evaluate(policy)
-        # Evaluated again each round: without a fixed oracle the previous
-        # round's utility was scored by another snapshot.
-        before_utility = oracle.evaluate(before)
         per_agent_cost = scenario.agent_costs(policy)
         trace.append(RoundRecord(
             round=t,
@@ -717,7 +712,6 @@ def run_rounds(views_type, scenario: AllocationScenario,
             increment=utility - before_utility,
             utility=utility,
             messages=round_messages,
-            cumulative_messages=total_messages,
             cumulative_cost=float(np.sum(per_agent_cost)),
         ))
         phase_times["bookkeeping"] += clock() - tock
@@ -745,14 +739,12 @@ def run_rounds(views_type, scenario: AllocationScenario,
 # ---------------------------------------------------------------------------
 
 def sequential_greedy(oracle: UtilityOracle,
-                      constraints: IndependenceSystem,
-                      ground: Optional[Iterable[GroundElement]] = None) -> SolverResult:
+                      constraints: IndependenceSystem) -> SolverResult:
     """Centralized greedy: repeatedly add the feasible pair of globally
     maximum marginal gain until no feasible pair improves the utility.
-    Ties break lexicographically on (agent, target)."""
-    if ground is None:
-        ground = oracle.ground_set()
-    candidates = sorted(set(ground))
+    Ties break lexicographically on (agent, target), the order of
+    ``oracle.ground_set()``."""
+    candidates = oracle.ground_set()
     policy: Policy = frozenset()
     while True:
         best_el, best_gain = None, 0.0
@@ -777,16 +769,13 @@ def sequential_greedy(oracle: UtilityOracle,
 
 
 def exact_oracle(oracle: UtilityOracle,
-                 constraints: IndependenceSystem,
-                 n_agents: Optional[int] = None,
-                 n_targets: Optional[int] = None) -> SolverResult:
+                 constraints: IndependenceSystem) -> SolverResult:
     """Brute-force optimum over every agent-to-target-or-none mapping.
 
     Deterministic: mappings are scanned in lexicographic order and only a
     strictly better utility replaces the incumbent.
     """
-    n = n_agents if n_agents is not None else oracle.n_agents
-    m = n_targets if n_targets is not None else oracle.n_targets
+    n, m = oracle.n_agents, oracle.n_targets
     if (m + 1) ** n > EXACT_SEARCH_CAP:
         raise SizeLimitExceeded(
             f"({m} + 1) ** {n} mappings exceed the exact-search cap"
@@ -822,7 +811,6 @@ def exact_oracle(oracle: UtilityOracle,
 
 
 def auction_baseline(scenario: AllocationScenario,
-                     oracle: Optional[UtilityOracle] = None,
                      constraints: Optional[IndependenceSystem] = None,
                      horizon: Optional[int] = None) -> SolverResult:
     """Simplified flooding auction used as a communication-cost yardstick.
@@ -836,7 +824,7 @@ def auction_baseline(scenario: AllocationScenario,
     over ``AuctionViews``).  ``rounds`` counts flooding sweeps, so it grows
     with graph diameter.
     """
-    return run_rounds(AuctionViews, scenario, oracle, constraints, horizon)
+    return run_rounds(AuctionViews, scenario, constraints, horizon)
 
 
 # ---------------------------------------------------------------------------

@@ -98,7 +98,7 @@ class TestRunExperiment:
         res = run_experiment(cfg)
         for run in res.metrics:
             base = sample_draw(cfg, 0, run.draw)
-            result, _wall = _run_one(run.solver, base, base.oracle(), None)
+            result, _wall = _run_one(run.solver, base, None)
             assert result.policy
             planned = [0.0] * base.n_agents
             for el in result.policy:

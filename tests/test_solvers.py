@@ -237,9 +237,12 @@ class TestBaselines:
         assert res_line.rounds >= res_full.rounds
 
     def test_auction_rejects_mismatched_oracle(self):
-        other = TableOracle([1.0, 1.0, 1.0], [[0.5] * 3] * 2)
+        class MisshapenScenario(StaticScenario):
+            def oracle(self):
+                return TableOracle([1.0, 1.0, 1.0], [[0.5] * 3] * 2)
+
         with pytest.raises(ConfigurationError):
-            auction_baseline(StaticScenario(two_agent_oracle()), oracle=other)
+            auction_baseline(MisshapenScenario(two_agent_oracle()))
 
     def test_auction_rejects_zero_horizon(self):
         with pytest.raises(ConfigurationError):
@@ -251,9 +254,8 @@ class TestBaselines:
 
 
 def _sampled(n, draw):
-    world = sample_scenario(ScenarioConfig(n_agents=n, n_targets=n),
-                            np.random.default_rng([11, n, draw]))
-    return world, world.oracle()
+    return sample_scenario(ScenarioConfig(n_agents=n, n_targets=n),
+                           np.random.default_rng([11, n, draw]))
 
 
 def _budgeted_line():
@@ -263,7 +265,7 @@ def _budgeted_line():
     line = np.eye(n, k=1) + np.eye(n, k=-1)
     costs = rng.uniform(0.5, 1.5, size=(n, m))
     budgets = rng.uniform(0.6, 1.5, size=n)
-    return StaticScenario(oracle, costs=costs, budgets=budgets, adjacency=line), None
+    return StaticScenario(oracle, costs=costs, budgets=budgets, adjacency=line)
 
 
 # Auction outputs recorded from the hand-written auction loop that the round
@@ -301,16 +303,61 @@ AUCTION_PINS = [
 ]
 
 
-@pytest.mark.parametrize("make, policy, utility, messages, rounds, series, sent",
-                         AUCTION_PINS, ids=["sat5", "sat10", "sat40", "line"])
-def test_auction_outputs_pinned(make, policy, utility, messages, rounds, series, sent):
-    world, oracle = make()
-    res = auction_baseline(world, oracle=oracle)
+def assert_pinned(res, policy, utility, messages, rounds, series, sent):
     assert sorted(tuple(el) for el in res.policy) == policy
     assert repr(res.utility) == repr(utility)
     assert (res.messages, res.rounds) == (messages, rounds)
     assert [rec.utility for rec in res.trace] == series
     assert [rec.messages for rec in res.trace] == sent
+
+
+@pytest.mark.parametrize("make, policy, utility, messages, rounds, series, sent",
+                         AUCTION_PINS, ids=["sat5", "sat10", "sat40", "line"])
+def test_auction_outputs_pinned(make, policy, utility, messages, rounds, series, sent):
+    assert_pinned(auction_baseline(make()), policy, utility, messages, rounds, series, sent)
+
+
+# DGBA outputs on the AUCTION_PINS instances, recorded when the run's oracle
+# was passed in from outside, frozen at t = 0.
+DGBA_PINS = [
+    ([(1, 3), (2, 2), (3, 4), (4, 5), (5, 3)],
+     2.2472521080944543, 12, 2,
+     [2.188889969212798, 2.2472521080944543],
+     [6, 6]),
+    ([(1, 4), (2, 5), (3, 2), (4, 4), (5, 10), (6, 7), (7, 6), (8, 9), (9, 3), (10, 5)],
+     5.872245491072486, 68, 2,
+     [5.734469099304121, 5.872245491072486],
+     [34, 34]),
+    ([(1, 38), (2, 36), (3, 8), (4, 35), (5, 31), (6, 34), (7, 25), (8, 18), (9, 4),
+      (10, 11), (11, 40), (12, 17), (13, 37), (14, 40), (15, 1), (16, 23), (17, 39),
+      (18, 26), (19, 15), (20, 19), (21, 27), (22, 22), (23, 3), (24, 2), (25, 21),
+      (26, 32), (27, 9), (28, 16), (29, 7), (30, 28), (31, 5), (32, 24), (33, 30),
+      (34, 6), (35, 9), (36, 13), (37, 21), (38, 29), (39, 33), (40, 12)],
+     34.003036127891484, 1426, 3,
+     [28.444155806190643, 33.385969093511434, 34.003036127891484],
+     [476, 474, 476]),
+    ([(1, 4), (2, 2), (4, 1), (5, 3), (6, 1)],
+     4.657393839462168, 20, 2,
+     [4.081387525523201, 4.657393839462168],
+     [10, 10]),
+]
+
+
+@pytest.mark.parametrize("make, pins", zip([p[0] for p in AUCTION_PINS], DGBA_PINS),
+                         ids=["sat5", "sat10", "sat40", "line"])
+def test_dgba_outputs_pinned(make, pins):
+    assert_pinned(dgba_run(make()), *pins)
+
+
+@pytest.mark.parametrize("solver", [dgba_run, auction_baseline])
+def test_moving_world_is_scored_by_its_start_oracle(solver):
+    world = _sampled(40, 2)
+    start = world.oracle()
+    res = solver(world)
+    assert len(res.trace) >= 2
+    assert world.oracle().probs != start.probs  # the world did move
+    for rec in res.trace:
+        assert rec.utility == start.evaluate(rec.policy)
 
 
 class TestTraceChecks:
