@@ -60,7 +60,9 @@ class ConflictFreeConstraint(IndependenceSystem):
 
 
 class BudgetConstraint(IndependenceSystem):
-    """Per-agent sum of pair costs must stay within the agent's budget."""
+    """Per-agent sum of pair costs must stay within the agent's budget.  A
+    pair of infinite cost (one the world cannot serve) is never within
+    budget, not even an infinite one."""
 
     def __init__(self, budgets: Sequence[float], costs: Sequence[Sequence[float]]):
         self.budgets = [float(b) for b in budgets]
@@ -82,7 +84,7 @@ class BudgetConstraint(IndependenceSystem):
         spent = [0.0] * self.n_agents
         for el in policy:
             spent[el.agent - 1] += self.pair_cost(el.agent, el.target)
-        return all(spent[i] <= self.budgets[i] for i in range(self.n_agents))
+        return all(s <= b and s < math.inf for s, b in zip(spent, self.budgets))
 
 
 class CompositeConstraint(IndependenceSystem):
@@ -118,20 +120,22 @@ class QEstimate:
 
 
 def estimate_q(costs: Sequence[Sequence[float]]) -> QEstimate:
-    """q = ceil(1 + max cost / min cost) with the witnessing extreme pairs."""
-    c_max = -math.inf
-    c_min = math.inf
-    argmax = argmin = (0, 0)
-    for i, row in enumerate(costs, start=1):
-        for j, c in enumerate(row, start=1):
-            if c <= 0:
-                raise ContractViolation(f"cost for pair ({i}, {j}) must be positive")
-            if c > c_max:
-                c_max, argmax = c, (i, j)
-            if c < c_min:
-                c_min, argmin = c, (i, j)
-    if not math.isfinite(c_max):
+    """q = ceil(1 + max cost / min cost) over the finite costs, with the
+    first pairs (in row-major order) that attain the extremes.  A pair of
+    infinite cost is in no independent set, so it is left out; a table with
+    no finite cost gives q = 1, with NaN extremes and (0, 0) witnesses."""
+    pairs = [(c, (i, j)) for i, row in enumerate(costs, start=1)
+             for j, c in enumerate(row, start=1)]
+    if not pairs:
         raise ContractViolation("cost table is empty")
+    for c, (i, j) in pairs:
+        if c <= 0:
+            raise ContractViolation(f"cost for pair ({i}, {j}) must be positive")
+    finite = [pair for pair in pairs if pair[0] < math.inf]
+    if not finite:
+        return QEstimate(q=1, c_max=math.nan, c_min=math.nan, argmax=(0, 0), argmin=(0, 0))
+    c_max, argmax = max(finite, key=lambda pair: pair[0])
+    c_min, argmin = min(finite, key=lambda pair: pair[0])
     q = math.ceil(1.0 + c_max / c_min)
     return QEstimate(q=q, c_max=c_max, c_min=c_min, argmax=argmax, argmin=argmin)
 

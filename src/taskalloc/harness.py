@@ -203,10 +203,9 @@ def _run_one(name: str, base: SatelliteScenario, horizon: Optional[int]):
     if name not in ("greedy", "exact"):
         raise ConfigError(f"unknown solver {name!r}")
     costs = base.pair_costs()
-    budgets = [base.remaining_budget(i) for i in range(1, base.n_agents + 1)]
     solver = sequential_greedy if name == "greedy" else exact_oracle
     start = time.perf_counter()
-    result = solver(base.oracle(), _allocation_constraints(costs, budgets))
+    result = solver(base.oracle(), _allocation_constraints(costs, base.budgets()))
     wall = time.perf_counter() - start
     # The centralized solvers fly nothing: report the planned t = 0 pair
     # costs their budget constraint was checked against.
@@ -535,9 +534,9 @@ def _time_one_round(oracle: TableOracle, adjacency: np.ndarray,
     scen = StaticScenario(oracle, adjacency=adjacency)
     total = 0.0
     for _ in range(rounds):
-        views = AgentViews(scen)
+        views = AgentViews(scen, oracle)
         start = time.perf_counter()
-        views.assign(scen, oracle, 0)
+        views.assign()
         views.communicate(adjacency)
         total += time.perf_counter() - start
     return total / rounds

@@ -475,7 +475,10 @@ class SatelliteScenario(AllocationScenario):
 
     def pair_costs(self) -> np.ndarray:
         """Every pair's closed-form effort estimate at the current round,
-        vectorized over agents and targets and cached for the round."""
+        vectorized over agents and targets and cached for the round.  A
+        target whose rendezvous deadline is at most one step away
+        (``final - now <= dt``) can no longer be served: its column is all
+        infinite."""
         if self._cost_round != self._round:
             self._costs = self._cost_matrix()
             self._cost_round = self._round
@@ -504,16 +507,13 @@ class SatelliteScenario(AllocationScenario):
                        + np.sum(b * b, axis=2) * t1 ** 3 / 3.0) + self._loiter_costs
         return np.where(tau <= self.dt, math.inf, costs)
 
-    def remaining_budget(self, agent: int) -> float:
-        return float(self.fuel[agent - 1] - self.accrued_cost[agent - 1])
+    def budgets(self) -> np.ndarray:
+        """Fuel not yet spent, per agent."""
+        return self.fuel - self.accrued_cost
 
     def adjacency(self) -> np.ndarray:
         return build_comm_graph(self.agent_states[:, :3], self.comm_factors,
                                 self.config.domain_diameter)
-
-    def reachable_targets(self, round_index: int) -> list[bool]:
-        now = self.time
-        return [final - now > self.dt for final in self.final_times]
 
     def agent_costs(self, policy: Policy) -> np.ndarray:
         return self.accrued_cost.copy()
@@ -521,9 +521,9 @@ class SatelliteScenario(AllocationScenario):
     def default_horizon(self) -> int:
         return self.config.n_steps
 
-    def advance(self, assignments: dict[int, int], round_index: int) -> None:
+    def advance(self, claims: Sequence[int]) -> None:
         self.agent_states, self.target_states, inc = step_dynamics(
-            self.agent_states, self._controls(assignments), self.accrued_cost,
+            self.agent_states, self._controls(claims), self.accrued_cost,
             self.fuel, self.target_states, self.drag_coeffs, self.dt,
         )
         self.accrued_cost = self.accrued_cost + inc
@@ -546,15 +546,16 @@ class SatelliteScenario(AllocationScenario):
                        q + w * tau[:, None])
         return pos, w * decay, tau
 
-    def _controls(self, assignments: dict[int, int]) -> np.ndarray:
-        """Rendezvous acceleration (N x 3) of each assigned agent before its
-        target's rendezvous deadline, as ``rendezvous_point`` and
+    def _controls(self, claims: Sequence[int]) -> np.ndarray:
+        """Rendezvous acceleration (N x 3) of each agent with a claim (agent
+        k + 1 on target ``claims[k]``, 0 = none) before its target's
+        rendezvous deadline, as ``rendezvous_point`` and
         ``rendezvous_control`` compute it; zero, so the agent coasts,
         otherwise."""
         controls = np.zeros((self.n_agents, 3))
         now = self.time
-        pairs = [(i - 1, j - 1) for i, j in assignments.items()
-                 if now < self.final_times[j - 1]]
+        pairs = [(i, j - 1) for i, j in enumerate(claims)
+                 if j != 0 and now < self.final_times[j - 1]]
         if not pairs:
             return controls
         agents, targets = np.array(pairs).T

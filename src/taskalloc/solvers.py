@@ -31,7 +31,7 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass, field
-from itertools import chain
+from itertools import chain, product
 from typing import Optional, Sequence
 
 import numpy as np
@@ -87,7 +87,7 @@ class AgentRuntime:
 
     id: int  # 1-based
     bundle: BundleState
-    remaining_budget: float = math.inf
+    budget: float  # at the start of the run
 
 
 @dataclass
@@ -129,8 +129,10 @@ class AllocationScenario:
     """World the solvers operate in.
 
     Static instances freeze everything; the satellite scenario advances
-    real dynamics in phase III.  Costs exposed here are the frozen
-    estimates used for budget feasibility during allocation.
+    real dynamics in phase III.  The solvers read the world through one
+    cost query, ``pair_costs``, and one budget query, ``budgets``.  A pair
+    the world cannot serve (in the satellite world, one whose rendezvous
+    deadline has passed) costs infinity.
     """
 
     n_agents: int
@@ -144,26 +146,21 @@ class AllocationScenario:
         [i - 1, j - 1].  The one cost query a scenario implements."""
         raise NotImplementedError
 
-    def pair_cost(self, agent: int, target: int) -> float:
-        return float(self.pair_costs()[agent - 1, target - 1])
-
     def pair_cost_row(self, agent: int) -> list[float]:
         """All pair costs of one agent, indexable by target - 1."""
         return self.pair_costs()[agent - 1].tolist()
 
-    def remaining_budget(self, agent: int) -> float:
-        return math.inf
+    def budgets(self) -> np.ndarray:
+        """Each agent's remaining budget as an N-vector.  The one budget
+        query a scenario implements."""
+        raise NotImplementedError
 
     def adjacency(self) -> np.ndarray:
         raise NotImplementedError
 
-    def reachable_targets(self, round_index: int) -> list[bool]:
-        """Per target, whether its rendezvous deadline can still be met, by
-        any agent, in this round."""
-        return [True] * self.n_targets
-
-    def advance(self, assignments: dict[int, int], round_index: int) -> None:
-        """Advance world dynamics one step (no-op for static worlds)."""
+    def advance(self, claims: Sequence[int]) -> None:
+        """Advance world dynamics one step, agent k + 1 flying toward
+        target ``claims[k]`` (0 = none); a no-op for static worlds."""
 
     def agent_costs(self, policy: Policy) -> np.ndarray:
         """Per agent, the pair costs of its pairs in the policy, summed in
@@ -179,7 +176,8 @@ class AllocationScenario:
 
 
 class StaticScenario(AllocationScenario):
-    """Frozen positions: fixed oracle, cost table, and communication graph."""
+    """Frozen positions: fixed oracle, cost table, budgets (all infinite
+    unless given) and communication graph."""
 
     def __init__(self, oracle: UtilityOracle,
                  costs: Optional[Sequence[Sequence[float]]] = None,
@@ -190,7 +188,8 @@ class StaticScenario(AllocationScenario):
         self._oracle = oracle
         self._costs = (np.zeros((self.n_agents, self.n_targets)) if costs is None
                        else np.asarray(costs, dtype=float))
-        self._budgets = None if budgets is None else np.asarray(budgets, dtype=float)
+        self._budgets = (np.full(self.n_agents, math.inf) if budgets is None
+                         else np.asarray(budgets, dtype=float))
         if adjacency is None:
             adjacency = np.ones((self.n_agents, self.n_agents)) - np.eye(self.n_agents)
         self._adjacency = np.asarray(adjacency, dtype=float)
@@ -201,10 +200,8 @@ class StaticScenario(AllocationScenario):
     def pair_costs(self) -> np.ndarray:
         return self._costs
 
-    def remaining_budget(self, agent: int) -> float:
-        if self._budgets is None:
-            return math.inf
-        return float(self._budgets[agent - 1])
+    def budgets(self) -> np.ndarray:
+        return self._budgets
 
     def adjacency(self) -> np.ndarray:
         return self._adjacency
@@ -223,24 +220,21 @@ def local_view_policy(bundle: BundleState, self_id: int) -> Policy:
     )
 
 
-def available_targets(scenario: AllocationScenario, agent: AgentRuntime,
-                      round_index: int) -> list[int]:
-    """Targets an agent may still bid on: unclaimed in its view, affordable,
-    and with a still-reachable rendezvous deadline."""
+def allowed_pairs(costs: np.ndarray, budgets: np.ndarray) -> np.ndarray:
+    """The allowed-pair rule over rows of agents: a pair may be taken when
+    its cost is finite and at most the agent's budget.  The finiteness test
+    is needed: under an infinite budget ``inf <= inf`` holds."""
+    return (costs <= budgets[:, None]) & np.isfinite(costs)
+
+
+def available_targets(scenario: AllocationScenario, agent: AgentRuntime) -> list[int]:
+    """Targets an agent may still bid on: unclaimed in its view, and allowed
+    by the rule of ``allowed_pairs`` (finite cost, within its budget)."""
     bundle = agent.bundle
     claimed = {int(j) for i, j in enumerate(bundle.w) if j != 0 and i + 1 != agent.id}
     costs = scenario.pair_cost_row(agent.id)
-    reachable = scenario.reachable_targets(round_index)
-    out = []
-    for j in range(1, scenario.n_targets + 1):
-        if j in claimed:
-            continue
-        if costs[j - 1] > agent.remaining_budget:
-            continue
-        if not reachable[j - 1]:
-            continue
-        out.append(j)
-    return out
+    return [j for j, c in enumerate(costs, start=1)
+            if j not in claimed and c <= agent.budget and c < math.inf]
 
 
 def dgba_assignment_phase(agent: AgentRuntime, oracle: UtilityOracle,
@@ -375,16 +369,23 @@ def graph_components(adjacency: np.ndarray) -> list[int]:
 # Views: DGBA's two exact implementations, and the auction's state
 # ---------------------------------------------------------------------------
 
+def _pair_table(n: int, m: int, value) -> np.ndarray:
+    """N x M array of ``value(GroundElement(i, j))``, pair (i, j) at
+    [i - 1, j - 1]."""
+    return np.array([[value(GroundElement(i, j)) for j in range(1, m + 1)]
+                     for i in range(1, n + 1)], dtype=float).reshape(n, m)
+
+
 class AgentViews:
     """Per-agent views: one ``BundleState`` per agent, updated by the
     per-agent phase kernels above.  The reference implementation."""
 
-    def __init__(self, scenario: AllocationScenario):
+    def __init__(self, scenario: AllocationScenario, oracle: UtilityOracle):
+        self.scenario, self.oracle = scenario, oracle
         n = scenario.n_agents
         self.agents = [
-            AgentRuntime(id=i + 1, bundle=BundleState.empty(n),
-                         remaining_budget=scenario.remaining_budget(i + 1))
-            for i in range(n)
+            AgentRuntime(id=i + 1, bundle=BundleState.empty(n), budget=budget)
+            for i, budget in enumerate(scenario.budgets().tolist())
         ]
 
     def self_entries(self) -> tuple[list[int], list[bool]]:
@@ -392,15 +393,14 @@ class AgentViews:
         return ([int(a.bundle.w[a.id - 1]) for a in self.agents],
                 [bool(a.bundle.f[a.id - 1]) for a in self.agents])
 
-    def assign(self, scenario: AllocationScenario, oracle: UtilityOracle,
-               round_index: int) -> None:
+    def assign(self) -> None:
         """Phase I.  Finalized agents skip the candidate scan entirely;
         agents with nothing available finalize with an empty claim."""
         for agent in self.agents:
             if agent.bundle.f[agent.id - 1]:
                 continue
-            avail = available_targets(scenario, agent, round_index)
-            if not dgba_assignment_phase(agent, oracle, avail):
+            avail = available_targets(self.scenario, agent)
+            if not dgba_assignment_phase(agent, self.oracle, avail):
                 agent.bundle.f[agent.id - 1] = 1
 
     def communicate(self, adjacency: np.ndarray) -> tuple[int, int]:
@@ -419,19 +419,26 @@ class ArrayViews:
     with the same results as ``AgentViews``, bids included to the last
     bit."""
 
-    def __init__(self, scenario: AllocationScenario):
-        n = scenario.n_agents
+    def __init__(self, scenario: AllocationScenario, oracle: UtilityOracle):
+        self.scenario = scenario
+        n, m = scenario.n_agents, scenario.n_targets
         self.w = np.zeros((n, n), dtype=np.int32)
         self.b = np.zeros((n, n))
         self.f = np.zeros((n, n), dtype=bool)
-        self.budgets = np.array(
-            [scenario.remaining_budget(i + 1) for i in range(n)], dtype=float)
+        self.budgets = scenario.budgets()
+        # Bid of each pair.  No one else holds an available target in the
+        # agent's view, so its marginal gain is the gain on the empty
+        # policy: for a TableOracle value * prob, the product
+        # marginal_gains_for_agent forms.
+        if isinstance(oracle, TableOracle):
+            self.gains = np.asarray(oracle.values) * oracle.prob_table
+        else:
+            self.gains = _pair_table(n, m, lambda el: marginal_gain(oracle, frozenset(), el))
 
     def self_entries(self) -> tuple[list[int], list[bool]]:
         return self.w.diagonal().tolist(), self.f.diagonal().tolist()
 
-    def assign(self, scenario: AllocationScenario, oracle: UtilityOracle,
-               round_index: int) -> None:
+    def assign(self) -> None:
         """Phase I with the rules of ``AgentViews.assign``."""
         rows = np.flatnonzero(~self.f.diagonal())
         if rows.size == 0:
@@ -440,11 +447,10 @@ class ArrayViews:
         # Targets other agents hold in each view; column 0 collects "none".
         held = self.w[rows]
         held[r, rows] = 0
-        claimed = np.zeros((rows.size, scenario.n_targets + 1), dtype=bool)
+        claimed = np.zeros((rows.size, self.scenario.n_targets + 1), dtype=bool)
         claimed[r[:, None], held] = True
         avail = ~claimed[:, 1:]
-        avail &= ~(scenario.pair_costs()[rows] > self.budgets[rows, None])
-        avail &= scenario.reachable_targets(round_index)
+        avail &= allowed_pairs(self.scenario.pair_costs()[rows], self.budgets[rows])
         has_option = avail.any(axis=1)
         idle = rows[~has_option]
         self.w[idle, idle] = 0
@@ -453,22 +459,10 @@ class ArrayViews:
         rows, avail = rows[has_option], avail[has_option]
         if rows.size == 0:
             return
-        if isinstance(oracle, TableOracle):
-            # No one else holds an available target in the agent's view, so
-            # its miss factor is 1 and the marginal gain is value * prob,
-            # the product marginal_gains_for_agent forms.
-            gains = np.where(avail, np.asarray(oracle.values) * oracle.prob_table[rows],
-                             -np.inf)
-            best = gains.argmax(axis=1)  # first maximum: lowest target id
-            self.w[rows, rows] = best + 1
-            self.b[rows, rows] = gains[np.arange(rows.size), best]
-        else:
-            for k, targets in zip(rows.tolist(), avail):
-                agent = AgentRuntime(id=k + 1, bundle=BundleState(
-                    self.w[k].tolist(), self.b[k].tolist(), self.f[k].tolist()))
-                dgba_assignment_phase(agent, oracle, (np.flatnonzero(targets) + 1).tolist())
-                self.w[k, k] = agent.bundle.w[k]
-                self.b[k, k] = agent.bundle.b[k]
+        gains = np.where(avail, self.gains[rows], -np.inf)
+        best = gains.argmax(axis=1)  # first maximum: lowest target id
+        self.w[rows, rows] = best + 1
+        self.b[rows, rows] = gains[np.arange(rows.size), best]
 
     def communicate(self, adjacency: np.ndarray) -> tuple[int, int]:
         """Phase II with the rules of ``dgba_communication_phase``."""
@@ -501,38 +495,36 @@ class AuctionViews:
     through the flooding, so disconnected components can duplicate
     targets."""
 
-    def __init__(self, scenario: AllocationScenario):
-        n = scenario.n_agents
+    def __init__(self, scenario: AllocationScenario, oracle: UtilityOracle):
+        self.scenario = scenario
+        n, m = scenario.n_agents, scenario.n_targets
         self.target = np.zeros(n, dtype=np.intp)
         self.done = np.zeros(n, dtype=bool)
-        self.taken = np.zeros((n, scenario.n_targets), dtype=bool)
-        self.budgets = np.array(
-            [scenario.remaining_budget(i + 1) for i in range(n)], dtype=float)
+        self.taken = np.zeros((n, m), dtype=bool)
+        self.budgets = scenario.budgets()
+        # Standalone utility of each pair: evaluate_target of the pair
+        # alone, for a TableOracle value * (1 - (1 - prob)).
+        if isinstance(oracle, TableOracle):
+            self.alone = np.asarray(oracle.values) * (1.0 - (1.0 - oracle.prob_table))
+        else:
+            self.alone = _pair_table(
+                n, m, lambda el: oracle.evaluate_target(el.target, frozenset({el})))
         # This round's bids, as bidder, target index and rank.
         self.bidders = self.bid_targets = self.ranks = np.zeros(0, dtype=np.intp)
 
     def self_entries(self) -> tuple[list[int], list[bool]]:
         return self.target.tolist(), self.done.tolist()
 
-    def assign(self, scenario: AllocationScenario, oracle: UtilityOracle,
-               round_index: int) -> None:
+    def assign(self) -> None:
         """Bidding.  Every agent not done bids its best standalone utility
         (the pair's utility on its own, ignoring what the allocation
         already covers; ties to the lowest target id) on a target it has
-        not heard is won, that it can afford and that is reachable.  An
-        agent with no positive bid is done, with no target."""
+        not heard is won and that ``allowed_pairs`` allows.  An agent with
+        no positive bid is done, with no target."""
         rows = np.flatnonzero(~self.done)
         ok = ~self.taken[rows]
-        ok &= ~(scenario.pair_costs()[rows] > self.budgets[rows, None])
-        ok &= scenario.reachable_targets(round_index)
-        if isinstance(oracle, TableOracle):
-            # evaluate_target of a single pair: value * (1 - (1 - prob)).
-            alone = np.asarray(oracle.values) * (1.0 - (1.0 - oracle.prob_table[rows]))
-        else:
-            alone = np.array([[oracle.evaluate_target(j, frozenset({GroundElement(k + 1, j)}))
-                               for j in range(1, scenario.n_targets + 1)]
-                              for k in rows.tolist()])
-        bids = np.where(ok, alone, 0.0)
+        ok &= allowed_pairs(self.scenario.pair_costs()[rows], self.budgets[rows])
+        bids = np.where(ok, self.alone[rows], 0.0)
         best = bids.argmax(axis=1)  # first maximum: lowest target id
         bid = bids[np.arange(rows.size), best]
         placed = bid > 0.0
@@ -631,10 +623,17 @@ def run_rounds(views_type, scenario: AllocationScenario,
     ``AuctionViews`` for ``auction_baseline``.  The scenario's oracle is
     read once, before round 0, and scores every round.
 
-    A views type does phase I in ``assign`` and phase II in
-    ``communicate``, which returns the messages sent and the exchanges
-    made; ``rounds`` counts the exchanges.  ``phase_times`` holds seconds
-    per phase: the three protocol phases (``implementation`` includes the
+    The views protocol: ``views_type(scenario, oracle)`` is built once,
+    before round 0; it reads ``scenario.budgets()`` there and may tabulate
+    its bids.  Each round ``assign()`` does phase I on the round's pair
+    costs, under the rule of ``allowed_pairs``; ``communicate(adjacency)``
+    does phase II and returns the messages sent and the exchanges made
+    (``rounds`` counts the exchanges); ``self_entries()`` gives each
+    agent's claim (0 = none), which phase III passes to
+    ``scenario.advance``, and whether it is done.
+
+    ``phase_times`` holds seconds per phase: the three protocol phases
+    (``assignment`` includes building the views, ``implementation`` the
     oracle read), ``components`` (labelling the communication graph, done
     again only when it changes) and ``bookkeeping`` (trace records,
     utilities and costs).
@@ -656,8 +655,10 @@ def run_rounds(views_type, scenario: AllocationScenario,
     if horizon < 1:
         raise ConfigurationError("horizon must be at least 1")
 
-    views = views_type(scenario)
+    tick = clock()
+    views = views_type(scenario, oracle)
     done = views.self_entries()[1]
+    phase_times["assignment"] += clock() - tick
     trace: list[RoundRecord] = []
     total_messages = 0
     protocol_rounds = 0
@@ -679,7 +680,7 @@ def run_rounds(views_type, scenario: AllocationScenario,
         round_messages = 0
 
         if not all(done):
-            views.assign(scenario, oracle, t)  # Phase I
+            views.assign()  # Phase I
             tock = clock()
             phase_times["assignment"] += tock - tick
             round_messages, exchanges = views.communicate(adjacency)  # Phase II
@@ -690,7 +691,7 @@ def run_rounds(views_type, scenario: AllocationScenario,
 
         # Phase III: world dynamics.
         claims, done = views.self_entries()
-        scenario.advance({k + 1: j for k, j in enumerate(claims) if j != 0}, t)
+        scenario.advance(claims)
         tock = clock()
         phase_times["implementation"] += tock - tick
 
@@ -782,25 +783,14 @@ def exact_oracle(oracle: UtilityOracle,
         )
     best_policy: Policy = frozenset()
     best_utility = 0.0
-    assignment = [0] * n
-    while True:
+    for assignment in product(range(m + 1), repeat=n):
         policy = frozenset(
-            GroundElement(i + 1, assignment[i])
-            for i in range(n)
-            if assignment[i] != 0
+            GroundElement(i, j) for i, j in enumerate(assignment, start=1) if j != 0
         )
         if constraints.is_independent(policy):
             u = oracle.evaluate(policy)
             if u > best_utility:
                 best_policy, best_utility = policy, u
-        # Lexicographic increment over base-(m + 1) digits.
-        k = n - 1
-        while k >= 0 and assignment[k] == m:
-            assignment[k] = 0
-            k -= 1
-        if k < 0:
-            break
-        assignment[k] += 1
     return SolverResult(
         policy=best_policy,
         utility=best_utility,

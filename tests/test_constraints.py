@@ -58,6 +58,12 @@ class TestBudgetConstraint:
         with pytest.raises(ContractViolation):
             BudgetConstraint([1.0], [[0.0]])
 
+    def test_infinite_cost_never_within_budget(self):
+        c = BudgetConstraint([math.inf, math.inf], [[math.inf, 1.0], [1.0, 1.0]])
+        assert not c.is_independent(make_policy([(1, 1)]))
+        assert not c.is_independent(make_policy([(1, 1), (2, 2)]))
+        assert c.is_independent(make_policy([(1, 2), (2, 1)]))
+
     def test_rejects_negative_budget(self):
         with pytest.raises(ContractViolation):
             BudgetConstraint([-0.5], [[1.0]])
@@ -99,6 +105,14 @@ class TestEstimateQ:
     def test_rejects_empty_table(self):
         with pytest.raises(ContractViolation):
             estimate_q([])
+
+    def test_infinite_costs_left_out(self):
+        est = estimate_q([[math.inf, 2.0], [0.5, math.inf]])
+        assert est.q == math.ceil(1.0 + 2.0 / 0.5)
+        assert est.argmax == (1, 2) and est.argmin == (2, 1)
+
+    def test_no_finite_cost_gives_q_one(self):
+        assert estimate_q([[math.inf, math.inf]]).q == 1
 
 
 class TestVerifyQProperty:

@@ -102,10 +102,21 @@ class TestRunExperiment:
             assert result.policy
             planned = [0.0] * base.n_agents
             for el in result.policy:
-                planned[el.agent - 1] = base.pair_cost(el.agent, el.target)
+                planned[el.agent - 1] = base.pair_costs()[el.agent - 1, el.target - 1]
             assert run.per_agent_cost == planned
         for name in ("greedy", "exact"):
             assert res.aggregates[f"{name}/N3M3"]["mean_total_cost"] > 0.0
+
+    def test_certifies_a_draw_with_unservable_pairs(self):
+        # One step spans every deadline, so every pair costs infinity and
+        # the fuel (10x the median cost) is infinite too.
+        cfg = small_config(draws=1, sizes=[(2, 2)], solvers=["dgba", "exact"])
+        cfg.scenario.n_steps = 1
+        res = run_experiment(cfg)
+        assert not res.errors
+        dgba, exact = res.metrics
+        assert dgba.final_utility == exact.final_utility == 0.0
+        assert dgba.certificate.half_bound_holds
 
     def test_sample_draw_leaves_config_as_it_is(self):
         cfg = small_config(sizes=[(3, 3), (4, 2)])

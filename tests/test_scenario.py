@@ -215,21 +215,21 @@ class TestSampledScenario:
         s1 = sample_scenario(cfg, np.random.default_rng(11))
         s2 = sample_scenario(cfg, np.random.default_rng(11))
         assert np.array_equal(s1.agent_states, s2.agent_states)
-        assert s1.pair_cost(1, 1) == s2.pair_cost(1, 1)
+        assert s1.pair_costs()[0, 0] == s2.pair_costs()[0, 0]
 
     def test_oracle_tracks_positions(self):
         cfg = ScenarioConfig(n_agents=2, n_targets=2)
         scen = sample_scenario(cfg, np.random.default_rng(4))
         before = scen.oracle().evaluate(make_policy([(1, 1)]))
-        scen.advance({1: 1}, 0)
+        scen.advance([1, 0])
         after = scen.oracle().evaluate(make_policy([(1, 1)]))
         assert before != after  # the world moved
 
     def test_budget_set_from_median_pair_cost(self):
         cfg = ScenarioConfig(n_agents=3, n_targets=3, fuel_median_factor=10.0)
         scen = sample_scenario(cfg, np.random.default_rng(8))
-        estimates = [scen.pair_cost(i, j)
-                     for i in (1, 2, 3) for j in (1, 2, 3)]
+        estimates = [scen.pair_costs()[i, j]
+                     for i in (0, 1, 2) for j in (0, 1, 2)]
         assert scen.fuel[0] == pytest.approx(
             10.0 * float(np.median(estimates)))
 
@@ -238,7 +238,7 @@ class TestSampledScenario:
         scen = sample_scenario(cfg, np.random.default_rng(4))
         scen._round = int(scen.final_times[0] / scen.dt) + 1
         before = scen.agent_states[0].copy(), scen.accrued_cost[0]
-        scen.advance({1: 1}, scen._round)
+        scen.advance([1, 0])
         assert scen.agent_states[0, 3:].tolist() == before[0][3:].tolist()
         assert scen.accrued_cost[0] == before[1]
 

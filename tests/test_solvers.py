@@ -144,6 +144,20 @@ class TestBudgetsAndConstraints:
         res = dgba_run(scen)
         assert all(el.agent != 1 for el in res.policy)
 
+    @pytest.mark.parametrize("solver", [dgba_run, auction_baseline])
+    @pytest.mark.parametrize("n", [2, 9])
+    def test_infinite_cost_pair_never_taken_without_budget(self, solver, n):
+        # Each agent's best pair costs infinity; no budget bars it.
+        if n == 2:
+            orc = TableOracle([2.0, 1.0], [[0.9, 0.5], [0.4, 0.3]])
+        else:
+            orc = TableOracle(np.ones(n), np.random.default_rng(3).uniform(0.1, 0.9, (n, n)))
+        costs = np.ones((n, n))
+        costs[np.arange(n), orc.prob_table.argmax(axis=1)] = math.inf
+        res = solver(StaticScenario(orc, costs=costs))
+        assert res.policy
+        assert all(costs[el.agent - 1, el.target - 1] < math.inf for el in res.policy)
+
     def test_result_checked_against_constraints(self):
         constraints = CompositeConstraint([
             PartitionConstraint(2, 2), ConflictFreeConstraint(2, 2),

@@ -7,6 +7,8 @@ flooding auction's ``AuctionViews`` must reproduce ``LoopAuction``, the
 same auction written as per-agent loops over dicts and sets.
 """
 
+import math
+
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -24,22 +26,24 @@ from taskalloc.solvers import (
 class DeadlineScenario(StaticScenario):
     """Static utilities and costs; the communication graph cycles through
     ``graphs`` round by round, and targets become unreachable from given
-    rounds on."""
+    rounds on: their cost columns are infinite from then."""
 
     def __init__(self, oracle, costs, budgets, graphs, unreachable_from):
         super().__init__(oracle, costs=costs, budgets=budgets)
         self.graphs = graphs
-        self.unreachable_from = unreachable_from
+        self.unreachable_from = np.asarray(unreachable_from)
         self.round = 0
 
     def adjacency(self):
         return self.graphs[self.round % len(self.graphs)]
 
-    def advance(self, assignments, round_index):
-        self.round += 1
+    def pair_costs(self):
+        costs = super().pair_costs().copy()
+        costs[:, self.unreachable_from <= self.round] = math.inf
+        return costs
 
-    def reachable_targets(self, round_index):
-        return [round_index < r for r in self.unreachable_from]
+    def advance(self, claims):
+        self.round += 1
 
 
 def graphs(kind, n, rng):
@@ -76,8 +80,9 @@ def instances(draw):
 
 def assert_same_views(agent, array):
     """Equal views, bids to the last bit: an available target has no other
-    holder in the view, so for a TableOracle both forms compute its gain as
-    value * prob; other oracles go through the same per-agent kernel."""
+    holder in the view, so the array form's bid table (value * prob for a
+    TableOracle, the marginal gain on the empty policy otherwise) gives the
+    gain the per-agent kernel computes on the agent's view."""
     bundles = [a.bundle for a in agent.agents]
     assert array.w.tolist() == [[int(v) for v in x.w] for x in bundles]
     assert array.b.tolist() == [list(x.b) for x in bundles]
@@ -89,10 +94,10 @@ def assert_same_views(agent, array):
 def test_phase_kernels_agree_round_by_round(args):
     scenario = DeadlineScenario(*args)
     oracle = scenario.oracle()
-    agent, array = AgentViews(scenario), ArrayViews(scenario)
-    for t in range(scenario.default_horizon()):
-        agent.assign(scenario, oracle, t)
-        array.assign(scenario, oracle, t)
+    agent, array = AgentViews(scenario, oracle), ArrayViews(scenario, oracle)
+    for _ in range(scenario.default_horizon()):
+        agent.assign()
+        array.assign()
         assert_same_views(agent, array)
         adjacency = scenario.adjacency()
         assert agent.communicate(adjacency) == array.communicate(adjacency)
@@ -101,7 +106,7 @@ def test_phase_kernels_agree_round_by_round(args):
         assert array.self_entries() == (claims, done)
         if all(done):
             break
-        scenario.advance({}, t)
+        scenario.advance(claims)
 
 
 def assert_same_run(got, ref):
@@ -122,10 +127,13 @@ def test_runs_agree(args):
 class LoopAuction:
     """The flooding auction one agent and one target at a time: bids are
     ``evaluate_target`` of the single pair, tables are dicts of
-    target -> (bid, -agent) and sets of won targets."""
+    target -> (bid, -agent) and sets of won targets.  A pair is allowed
+    when its cost is finite and within the agent's budget at the start."""
 
-    def __init__(self, scenario):
+    def __init__(self, scenario, oracle):
         n = scenario.n_agents
+        self.scenario, self.oracle = scenario, oracle
+        self.budgets = scenario.budgets().tolist()
         self.target = [0] * n
         self.done = [False] * n
         self.taken = [set() for _ in range(n)]
@@ -134,17 +142,17 @@ class LoopAuction:
     def self_entries(self):
         return list(self.target), list(self.done)
 
-    def assign(self, scenario, oracle, round_index):
+    def assign(self):
+        scenario, oracle = self.scenario, self.oracle
         self.bids = {}
-        reachable = scenario.reachable_targets(round_index)
         for i in range(scenario.n_agents):
             if self.done[i]:
                 continue
             costs = scenario.pair_cost_row(i + 1)
             best_j, best_bid = 0, 0.0
             for j in range(1, scenario.n_targets + 1):
-                if (j in self.taken[i] or not reachable[j - 1]
-                        or costs[j - 1] > scenario.remaining_budget(i + 1)):
+                if (j in self.taken[i] or not math.isfinite(costs[j - 1])
+                        or costs[j - 1] > self.budgets[i]):
                     continue
                 v = oracle.evaluate_target(j, frozenset({GroundElement(i + 1, j)}))
                 if v > best_bid:

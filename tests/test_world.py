@@ -24,6 +24,7 @@ from taskalloc.scenario import (
     predict_target,
     rendezvous_control,
     rendezvous_point,
+    sample_scenario,
     step_agent,
     step_target,
     survival_probability,
@@ -111,7 +112,7 @@ def run_both(agents, targets, config, schedule):
 
 def continue_both(scen, ref, schedule):
     for assignments in schedule:
-        scen.advance(assignments, scen._round)
+        scen.advance([assignments.get(i, 0) for i in range(1, scen.n_agents + 1)])
         ref.advance(assignments)
         assert_same_world(scen, ref)
 
@@ -168,7 +169,7 @@ def test_agent_out_of_fuel_coasts():
     config = ScenarioConfig(n_steps=20)
     probe = SatelliteScenario([AgentBody(np.zeros(3), np.zeros(3), 0.3, math.inf)],
                               [tgt], config)
-    probe.advance({1: 1}, 0)
+    probe.advance([1])
     # Fuel for exactly the first step's charge.
     agent = AgentBody(np.zeros(3), np.zeros(3), 0.3, fuel=probe.accrued_cost[0])
     scen, ref = run_both([agent], [tgt], config, [{1: 1}])
@@ -237,3 +238,20 @@ def test_empty_assignment_moves_everything_freely():
     agents, targets = random_bodies(rng, 6, 4)
     scen, _ref = run_both(agents, targets, ScenarioConfig(n_steps=50), [{}] * 3)
     assert scen.accrued_cost.tolist() == [0.0] * 6
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(1, 12), st.integers(1, 12), st.integers(0, 2 ** 32 - 1),
+       st.sampled_from([4, 12, 40]), st.sampled_from([None, math.inf]))
+def test_past_deadline_columns_cost_infinity(n, m, seed, n_steps, fuel):
+    # Deadlines spread over the horizon and few steps, so the run crosses
+    # them; infinite fuel leaves the infinite costs as the only bar.
+    config = ScenarioConfig(n_agents=n, n_targets=m, n_steps=n_steps,
+                            end_time_range=(3.0, 20.0), fuel=fuel)
+    rng = np.random.default_rng(seed)
+    scen = sample_scenario(config, rng)
+    for claims in random_schedule(rng, n, m, steps=n_steps + 1):
+        passed = [final - scen.time <= scen.dt for final in scen.final_times]
+        assert np.isinf(scen.pair_costs()).tolist() == [passed] * n
+        assert scen.budgets().tolist() == (scen.fuel - scen.accrued_cost).tolist()
+        scen.advance([claims.get(i, 0) for i in range(1, n + 1)])
