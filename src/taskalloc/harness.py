@@ -46,6 +46,7 @@ from .solvers import (
     auction_baseline,
     dgba_run,
     exact_oracle,
+    graph_components,
     sequential_greedy,
 )
 
@@ -252,6 +253,16 @@ def _certify(oracle: TableOracle, costs, achieved: float,
     return bound_certificate(achieved, optimal, kappa, q, oracle.n_agents)
 
 
+def _error(solver: str, size, draw: int, exc: Exception, prefix: str = "") -> dict:
+    """One entry of ``ExperimentResult.errors``."""
+    return {
+        "solver": solver,
+        "size": list(size),
+        "draw": draw,
+        "message": f"{prefix}{type(exc).__name__}: {exc}",
+    }
+
+
 @functools.cache
 def _warm_up() -> None:
     """Exercise both solver code paths once per process, so first-call
@@ -265,8 +276,9 @@ def _warm_up() -> None:
 def run_experiment(config: ExperimentConfig) -> ExperimentResult:
     """Run every configured solver on identical instances, draw by draw.
 
-    A solver failure on one draw is recorded and skipped; the experiment
-    fails outright only if every single run failed.
+    A solver failure on one draw is recorded and skipped; a certification
+    failure is recorded and the draw kept without a certificate.  The
+    experiment fails outright only if every single run failed.
     """
     _warm_up()
     metrics: list[RunMetrics] = []
@@ -280,19 +292,17 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
                     result, wall = _run_one(name, base, config.horizon)
                     draw_results[name] = _metrics_from(name, draw, base, result, wall)
                 except Exception as exc:  # recorded, not fatal
-                    errors.append({
-                        "solver": name,
-                        "size": [n, m],
-                        "draw": draw,
-                        "message": f"{type(exc).__name__}: {exc}",
-                    })
+                    errors.append(_error(name, (n, m), draw, exc))
             if ("dgba" in draw_results and "exact" in draw_results
                     and n * m <= CURVATURE_GROUND_CAP):
-                draw_results["dgba"].certificate = _certify(
-                    base.oracle(), base.pair_costs().tolist(),
-                    draw_results["dgba"].final_utility,
-                    draw_results["exact"].final_utility,
-                )
+                try:
+                    draw_results["dgba"].certificate = _certify(
+                        base.oracle(), base.pair_costs().tolist(),
+                        draw_results["dgba"].final_utility,
+                        draw_results["exact"].final_utility,
+                    )
+                except Exception as exc:  # the draw keeps its metrics
+                    errors.append(_error("dgba", (n, m), draw, exc, "certificate: "))
             metrics.extend(draw_results[name] for name in config.solvers
                            if name in draw_results)
     if not metrics:
@@ -532,12 +542,13 @@ def _time_one_round(oracle: TableOracle, adjacency: np.ndarray,
     it costs about the same at every grid size, so the fit below has
     nothing to explain there."""
     scen = StaticScenario(oracle, adjacency=adjacency)
+    components = graph_components(adjacency)
     total = 0.0
     for _ in range(rounds):
         views = AgentViews(scen, oracle)
         start = time.perf_counter()
         views.assign()
-        views.communicate(adjacency)
+        views.communicate(adjacency, components)
         total += time.perf_counter() - start
     return total / rounds
 

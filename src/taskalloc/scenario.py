@@ -373,7 +373,9 @@ class ScenarioConfig:
     info_value_range: tuple[float, float] = (2.0, 2.5)
     n_steps: int = 2000
     orbit_speed: float = 0.5
-    fuel: Optional[float] = None       # None: 10x the median initial pair cost
+    # None: 10x the median finite initial pair cost, or 0 if no pair cost is
+    # finite (no pair can be served then).
+    fuel: Optional[float] = None
     fuel_median_factor: float = 10.0
 
     @property
@@ -413,7 +415,10 @@ def sample_scenario(config: ScenarioConfig, rng: np.random.Generator) -> "Satell
     if config.fuel is not None:
         budget = float(config.fuel)
     else:
-        budget = config.fuel_median_factor * float(np.median(scenario.pair_costs()))
+        costs = scenario.pair_costs()
+        finite = costs[np.isfinite(costs)]
+        budget = (config.fuel_median_factor * float(np.median(finite))
+                  if finite.size else 0.0)
     scenario.fuel[:] = budget
     return scenario
 

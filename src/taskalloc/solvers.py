@@ -340,7 +340,8 @@ def dgba_communication_phase(bundles: Sequence[BundleState],
 
 
 def graph_components(adjacency: np.ndarray) -> list[int]:
-    """Connected-component label per agent (labels are arbitrary ints).
+    """Connected-component label per agent: 0, 1, ... in the order of each
+    component's lowest agent, every label in use.
 
     Each visited agent scans only the agents not labelled yet, so a dense
     graph costs O(N) scans after the first rather than O(N^2)."""
@@ -403,7 +404,8 @@ class AgentViews:
             if not dgba_assignment_phase(agent, self.oracle, avail):
                 agent.bundle.f[agent.id - 1] = 1
 
-    def communicate(self, adjacency: np.ndarray) -> tuple[int, int]:
+    def communicate(self, adjacency: np.ndarray,
+                    components: Sequence[int]) -> tuple[int, int]:
         """Phase II, one exchange; returns the messages sent and 1."""
         bundles, messages = dgba_communication_phase(
             [a.bundle for a in self.agents], adjacency)
@@ -464,7 +466,8 @@ class ArrayViews:
         self.w[rows, rows] = best + 1
         self.b[rows, rows] = gains[np.arange(rows.size), best]
 
-    def communicate(self, adjacency: np.ndarray) -> tuple[int, int]:
+    def communicate(self, adjacency: np.ndarray,
+                    components: Sequence[int]) -> tuple[int, int]:
         """Phase II with the rules of ``dgba_communication_phase``."""
         n = len(self.w)
         linked = _check_adjacency(adjacency, n) > 0
@@ -534,31 +537,48 @@ class AuctionViews:
         self.ranks = np.empty(placed.sum(), dtype=np.intp)
         self.ranks[np.argsort(-bid[placed], kind="stable")] = np.arange(self.ranks.size)
 
-    def communicate(self, adjacency: np.ndarray) -> tuple[int, int]:
+    def communicate(self, adjacency: np.ndarray,
+                    components: Sequence[int]) -> tuple[int, int]:
         """Flooding.  Each sweep sends every agent's tables over every edge
         and keeps, per agent and target, the best bid heard and whether the
         target is heard to be won; sweeps repeat until no table changes.
         Each bidder whose own table then names it top bidder on a target
         not heard to be won wins it.  Returns the messages sent and the
-        sweeps made."""
+        sweeps made.
+
+        The sweeps are not run one by one.  After k sweeps an agent's entry
+        is the minimum over its k-hop ball, so on a symmetric graph the
+        tables settle on each entry's minimum over the agent's component
+        (``components`` labels them as ``graph_components`` does).  They
+        settle after D sweeps, D being the largest hop distance from an
+        agent to the nearest agent that starts with that minimum; one more
+        sweep sees no change, so the loop made D + 1 sweeps.  D is found by
+        growing the set of entries that hold their final value one hop at a
+        time."""
         n, m = self.taken.shape
         linked = _check_adjacency(adjacency, n) > 0
-        around = [np.flatnonzero(row) for row in linked | np.eye(n, dtype=bool)]
         # Per agent: the best bid rank heard per target (n = none), then per
         # target 0 if heard to be won, else 1.  A sweep keeps the minimum of
         # each entry over the agent and its neighbours.
         tables = np.hstack([np.full((n, m), n), ~self.taken])
         tables[self.bidders, self.bid_targets] = self.ranks
-        sweeps = 0
-        while True:
+        labels = np.asarray(components)
+        order = np.argsort(labels, kind="stable")
+        starts = np.searchsorted(labels[order], np.arange(labels.max() + 1))
+        final = np.minimum.reduceat(tables[order], starts, axis=0)[labels]
+        # Only the columns some agent does not yet hold take part.
+        know = tables == final
+        know = know[:, ~know.all(axis=0)].astype(float)
+        reach = (linked | np.eye(n, dtype=bool)).astype(float)
+        sweeps = 1
+        while not know.all():
+            if sweeps > n:  # every hop distance in a component is below n
+                raise ContractViolation("component labels do not match the graph")
+            know = ((reach @ know) > 0).astype(float)
             sweeps += 1
-            flooded = np.array([tables[k].min(axis=0) for k in around])
-            if np.array_equal(flooded, tables):
-                break
-            tables = flooded
-        self.taken = tables[:, m:] == 0
+        self.taken = final[:, m:] == 0
         bids = self.bidders, self.bid_targets
-        won = (tables[bids] == self.ranks) & ~self.taken[bids]
+        won = (final[bids] == self.ranks) & ~self.taken[bids]
         winners, targets = self.bidders[won], self.bid_targets[won]
         self.target[winners] = targets + 1
         self.done[winners] = True
@@ -569,6 +589,26 @@ class AuctionViews:
 # ---------------------------------------------------------------------------
 # The full protocol run
 # ---------------------------------------------------------------------------
+
+def _finalized_deltas(oracle: UtilityOracle, before: Policy,
+                      pairs: list[GroundElement]) -> list[tuple[int, int, float]]:
+    """(agent, target, marginal gain on ``before``) of each newly finalized
+    pair.  For a ``TableOracle``, a pair whose target has no holder in
+    ``before`` gains ``value * (1 - (1 - prob))``: the bits of
+    ``marginal_gain``, whose subtracted term is ``value * 0.0`` there, with
+    no copy of the policy.  Every other pair goes through
+    ``marginal_gain``, so its factors still multiply in the policy's
+    iteration order."""
+    if not isinstance(oracle, TableOracle):
+        return [(el.agent, el.target, marginal_gain(oracle, before, el)) for el in pairs]
+    held = {el.target for el in before}
+    values, probs = oracle.values, oracle.probs
+    return [
+        (i, j, marginal_gain(oracle, before, GroundElement(i, j)) if j in held
+         else max(0.0, values[j - 1] * (1.0 - (1.0 - probs[i - 1][j - 1]))))
+        for i, j in pairs
+    ]
+
 
 def _round_groups(oracle: UtilityOracle, before: Policy, before_utility: float,
                   newly: list[tuple[int, int, float]],
@@ -626,9 +666,11 @@ def run_rounds(views_type, scenario: AllocationScenario,
     The views protocol: ``views_type(scenario, oracle)`` is built once,
     before round 0; it reads ``scenario.budgets()`` there and may tabulate
     its bids.  Each round ``assign()`` does phase I on the round's pair
-    costs, under the rule of ``allowed_pairs``; ``communicate(adjacency)``
-    does phase II and returns the messages sent and the exchanges made
-    (``rounds`` counts the exchanges); ``self_entries()`` gives each
+    costs, under the rule of ``allowed_pairs``; ``communicate(adjacency,
+    components)`` does phase II over the round's graph, whose component
+    label per agent the driver passes along (only the auction reads them),
+    and returns the messages sent and the exchanges made (``rounds``
+    counts the exchanges); ``self_entries()`` gives each
     agent's claim (0 = none), which phase III passes to
     ``scenario.advance``, and whether it is done.
 
@@ -683,7 +725,7 @@ def run_rounds(views_type, scenario: AllocationScenario,
             views.assign()  # Phase I
             tock = clock()
             phase_times["assignment"] += tock - tick
-            round_messages, exchanges = views.communicate(adjacency)  # Phase II
+            round_messages, exchanges = views.communicate(adjacency, components)  # Phase II
             total_messages += round_messages
             protocol_rounds += exchanges
             tick = clock()
@@ -698,11 +740,10 @@ def run_rounds(views_type, scenario: AllocationScenario,
         policy = frozenset(
             GroundElement(k + 1, j) for k, j in enumerate(claims) if done[k] and j != 0
         )
-        newly = [
-            (k + 1, j, marginal_gain(oracle, before, GroundElement(k + 1, j)))
-            for k, j in enumerate(claims)
+        newly = _finalized_deltas(oracle, before, [
+            GroundElement(k + 1, j) for k, j in enumerate(claims)
             if done[k] and not done_before[k] and j != 0
-        ]
+        ])
         utility = oracle.evaluate(policy)
         per_agent_cost = scenario.agent_costs(policy)
         trace.append(RoundRecord(

@@ -6,6 +6,7 @@ import json
 import numpy as np
 import pytest
 
+from taskalloc import harness
 from taskalloc.harness import (
     ConfigError,
     _run_one,
@@ -109,7 +110,7 @@ class TestRunExperiment:
 
     def test_certifies_a_draw_with_unservable_pairs(self):
         # One step spans every deadline, so every pair costs infinity and
-        # the fuel (10x the median cost) is infinite too.
+        # no agent has fuel.
         cfg = small_config(draws=1, sizes=[(2, 2)], solvers=["dgba", "exact"])
         cfg.scenario.n_steps = 1
         res = run_experiment(cfg)
@@ -117,6 +118,21 @@ class TestRunExperiment:
         dgba, exact = res.metrics
         assert dgba.final_utility == exact.final_utility == 0.0
         assert dgba.certificate.half_bound_holds
+
+    def test_certification_failure_is_a_draw_error(self, monkeypatch):
+        def fail(*args):
+            raise ValueError("no certificate")
+
+        monkeypatch.setattr(harness, "_certify", fail)
+        res = run_experiment(small_config(draws=2, solvers=["dgba", "exact"]))
+        assert res.errors == [
+            {"solver": "dgba", "size": [3, 3], "draw": draw,
+             "message": "certificate: ValueError: no certificate"}
+            for draw in (0, 1)
+        ]
+        assert [(r.solver, r.draw) for r in res.metrics] == [
+            ("dgba", 0), ("exact", 0), ("dgba", 1), ("exact", 1)]
+        assert all(r.certificate is None for r in res.metrics)
 
     def test_sample_draw_leaves_config_as_it_is(self):
         cfg = small_config(sizes=[(3, 3), (4, 2)])

@@ -233,6 +233,24 @@ class TestSampledScenario:
         assert scen.fuel[0] == pytest.approx(
             10.0 * float(np.median(estimates)))
 
+    def test_budget_from_the_finite_pair_costs_only(self):
+        # Two steps span half the deadlines: half the pair costs are
+        # infinite, and so is the median over all of them.
+        cfg = ScenarioConfig(n_agents=3, n_targets=4, n_steps=2,
+                             end_time_range=(5.0, 30.0))
+        scen = sample_scenario(cfg, np.random.default_rng(4))
+        costs = scen.pair_costs()
+        finite = costs[np.isfinite(costs)]
+        assert 0 < finite.size <= costs.size / 2
+        assert scen.fuel.tolist() == [10.0 * float(np.median(finite))] * 3
+
+    def test_no_budget_when_no_pair_cost_is_finite(self):
+        # One step spans every deadline.
+        cfg = ScenarioConfig(n_agents=2, n_targets=2, n_steps=1)
+        scen = sample_scenario(cfg, np.random.default_rng(4))
+        assert np.isinf(scen.pair_costs()).all()
+        assert scen.fuel.tolist() == [0.0, 0.0]
+
     def test_assigned_agent_coasts_after_its_deadline(self):
         cfg = ScenarioConfig(n_agents=2, n_targets=2)
         scen = sample_scenario(cfg, np.random.default_rng(4))

@@ -13,12 +13,14 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from taskalloc.core import GroundElement, ModularOracle, TableOracle
+from taskalloc.core import GroundElement, ModularOracle, TableOracle, marginal_gain
 from taskalloc.solvers import (
     AgentViews,
     ArrayViews,
+    AuctionViews,
     StaticScenario,
     auction_baseline,
+    graph_components,
     run_rounds,
 )
 
@@ -51,6 +53,16 @@ def graphs(kind, n, rng):
         return [np.ones((n, n)) - np.eye(n)]
     if kind == "disconnected":
         return [np.zeros((n, n))]
+    if kind in ("path", "ring"):
+        # Long diameter: flooding needs up to n sweeps to settle.
+        order = rng.permutation(n)
+        ends = list(zip(order[:-1], order[1:]))
+        if kind == "ring" and n > 2:
+            ends.append((order[-1], order[0]))
+        adjacency = np.zeros((n, n))
+        for a, b in ends:
+            adjacency[a, b] = adjacency[b, a] = 1.0
+        return [adjacency]
     # Sparse and changing: stale views make agents yield to finalized claims.
     out = []
     for density in rng.uniform(0.05, 0.5, size=3):
@@ -73,7 +85,7 @@ def instances(draw):
         oracle = ModularOracle(probs.tolist())
     costs = rng.uniform(0.5, 1.5, size=(n, m))
     budgets = rng.uniform(0.6, 1.5, size=n) if draw(st.booleans()) else None
-    kind = draw(st.sampled_from(["complete", "sparse", "disconnected"]))
+    kind = draw(st.sampled_from(["complete", "sparse", "disconnected", "path", "ring"]))
     return (oracle, costs, budgets, graphs(kind, n, rng),
             rng.integers(0, 2 * n + 3, size=m).tolist())
 
@@ -100,7 +112,9 @@ def test_phase_kernels_agree_round_by_round(args):
         array.assign()
         assert_same_views(agent, array)
         adjacency = scenario.adjacency()
-        assert agent.communicate(adjacency) == array.communicate(adjacency)
+        components = graph_components(adjacency)
+        assert (agent.communicate(adjacency, components)
+                == array.communicate(adjacency, components))
         assert_same_views(agent, array)
         claims, done = agent.self_entries()
         assert array.self_entries() == (claims, done)
@@ -122,6 +136,20 @@ def assert_same_run(got, ref):
 def test_runs_agree(args):
     assert_same_run(run_rounds(ArrayViews, DeadlineScenario(*args)),
                     run_rounds(AgentViews, DeadlineScenario(*args)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(instances())
+def test_trace_deltas_are_marginal_gains_to_the_bit(args):
+    scenario = DeadlineScenario(*args)
+    oracle = scenario.oracle()
+    for views_type in (AgentViews, AuctionViews):
+        before = frozenset()
+        for record in run_rounds(views_type, DeadlineScenario(*args)).trace:
+            assert [repr(d) for _i, _j, d in record.newly_finalized] == [
+                repr(marginal_gain(oracle, before, GroundElement(i, j)))
+                for i, j, _d in record.newly_finalized]
+            before = record.policy
 
 
 class LoopAuction:
@@ -162,7 +190,7 @@ class LoopAuction:
             else:
                 self.bids[i] = (best_j, best_bid)
 
-    def communicate(self, adjacency):
+    def communicate(self, adjacency, components):
         n = len(self.target)
         table = [{} for _ in range(n)]
         for i, (j, v) in self.bids.items():
@@ -196,3 +224,55 @@ class LoopAuction:
 def test_auction_matches_the_loop_reference(args):
     assert_same_run(auction_baseline(DeadlineScenario(*args)),
                     run_rounds(LoopAuction, DeadlineScenario(*args)))
+
+
+def settle(adjacency, bidders):
+    """One auction round on a single target that only ``bidders`` value:
+    (messages, sweeps) and the won targets of ``AuctionViews``, checked
+    against ``LoopAuction``."""
+    n = len(adjacency)
+    probs = [[1.0 if i in bidders else 0.0] for i in range(n)]
+    scenario = StaticScenario(TableOracle([1.0], probs), adjacency=adjacency)
+    out = []
+    for views_type in (AuctionViews, LoopAuction):
+        views = views_type(scenario, scenario.oracle())
+        views.assign()
+        counts = views.communicate(adjacency, graph_components(adjacency))
+        out.append((counts, views.self_entries()[0]))
+    assert out[0] == out[1]
+    return out[0]
+
+
+def path(n):
+    adjacency = np.zeros((n, n))
+    for k in range(n - 1):
+        adjacency[k, k + 1] = adjacency[k + 1, k] = 1.0
+    return adjacency
+
+
+def test_flooding_a_path_from_one_end_takes_one_sweep_per_agent():
+    for n in (1, 2, 5, 12):
+        (messages, sweeps), won = settle(path(n), {0})
+        assert (messages, sweeps) == (n * 2 * (n - 1), n)
+        assert won == [1] + [0] * (n - 1)
+
+
+def test_flooding_a_star_from_its_centre_takes_two_sweeps():
+    n = 7
+    adjacency = np.zeros((n, n))
+    adjacency[0, 1:] = adjacency[1:, 0] = 1.0
+    (messages, sweeps), won = settle(adjacency, {0})
+    assert (messages, sweeps) == (2 * 2 * (n - 1), 2)
+    assert won == [1] + [0] * (n - 1)
+
+
+def test_flooding_disjoint_components_settles_at_the_deeper_one():
+    # A 5-path bid on from one end (4 hops) beside a 3-path bid on from
+    # its middle (1 hop): the deeper component sets the sweep count, and
+    # each component's bidder wins the target for itself.
+    adjacency = np.zeros((8, 8))
+    adjacency[:5, :5] = path(5)
+    adjacency[5:, 5:] = path(3)
+    (messages, sweeps), won = settle(adjacency, {0, 6})
+    assert (messages, sweeps) == (5 * 2 * (4 + 2), 5)
+    assert won == [1, 0, 0, 0, 0, 0, 1, 0]
