@@ -378,40 +378,70 @@ class ScenarioConfig:
     fuel: Optional[float] = None
     fuel_median_factor: float = 10.0
 
+    def __post_init__(self):
+        if not self.n_steps >= 1:
+            raise ContractViolation("n_steps must be at least 1")
+        if not 0 < self.box_side < math.inf:
+            raise ContractViolation("box_side must be positive and finite")
+        if not 0 <= self.initial_speed < math.inf:
+            raise ContractViolation("initial_speed must be nonnegative and finite")
+        if not self.decay > 0:
+            raise ContractViolation("decay factor must be positive")
+        for name in ("end_time_range", "obs_duration_range",
+                     "obs_radius_range", "info_value_range"):
+            bounds = getattr(self, name)
+            if (len(bounds) != 2
+                    or not -math.inf < bounds[0] <= bounds[1] < math.inf):
+                raise ContractViolation(
+                    f"{name} must be two finite bounds, low <= high; got {bounds!r}")
+        if not self.obs_radius_range[0] > 0:
+            raise ContractViolation("observation radius must be positive")
+
     @property
     def domain_diameter(self) -> float:
         return self.box_side * math.sqrt(3.0)
 
 
+def _uniform(u: np.ndarray, lo: float, hi: float) -> np.ndarray:
+    """``u`` (draws in [0, 1)) scaled to [lo, hi) as ``Generator.uniform``
+    scales them, to the bit."""
+    return lo + (hi - lo) * u
+
+
 def sample_scenario(config: ScenarioConfig, rng: np.random.Generator) -> "SatelliteScenario":
     """Draw a random instance: uniform positions in the box, uniform small
-    velocities, per-target parameters from the configured intervals."""
-    def uniform3(lo, hi):
-        return rng.uniform(lo, hi, size=3)
+    velocities, per-target parameters from the configured intervals.
 
-    agents = [
-        AgentBody(
-            position=uniform3(0.0, config.box_side),
-            velocity=uniform3(-config.initial_speed, config.initial_speed),
-            comm_factor=config.comm_factor,
-            fuel=math.inf,
-        )
-        for _ in range(config.n_agents)
-    ]
-    targets = [
-        TargetBody(
-            position=uniform3(0.0, config.box_side),
-            velocity=uniform3(-config.initial_speed, config.initial_speed),
-            info_value=float(rng.uniform(*config.info_value_range)),
-            decay=config.decay,
-            end_time=float(rng.uniform(*config.end_time_range)),
-            obs_duration=float(rng.uniform(*config.obs_duration_range)),
-            obs_radius=float(rng.uniform(*config.obs_radius_range)),
-            drag_coeff=config.drag_coeff,
-        )
-        for _ in range(config.n_targets)
-    ]
-    scenario = SatelliteScenario(agents, targets, config)
+    The draw order is that of drawing body by body with ``rng.uniform``, so
+    each seed keeps its world to the bit: each agent's position then
+    velocity, then each target's position, velocity, information value,
+    window end, observation duration and radius.  One ``rng.random`` array
+    per kind of body holds the draws, and ``_uniform`` scales them as
+    ``rng.uniform`` would.  ``ScenarioConfig`` has already rejected the
+    reversed and non-finite intervals ``rng.uniform`` would reject.
+    """
+    n, m = config.n_agents, config.n_targets
+    speed = config.initial_speed
+    u = rng.random((n, 6))
+    agent_states = np.concatenate([_uniform(u[:, :3], 0.0, config.box_side),
+                                   _uniform(u[:, 3:], -speed, speed)], axis=1)
+    u = rng.random((m, 10))
+    target_states = np.concatenate([_uniform(u[:, :3], 0.0, config.box_side),
+                                    _uniform(u[:, 3:6], -speed, speed)], axis=1)
+    scenario = SatelliteScenario.from_arrays(
+        config,
+        agent_states=agent_states,
+        comm_factors=np.full(n, config.comm_factor, dtype=float),
+        fuel=np.full(n, math.inf),
+        accrued_cost=np.zeros(n),
+        target_states=target_states,
+        info_values=_uniform(u[:, 6], *config.info_value_range).tolist(),
+        decays=[config.decay] * m,
+        drag_coeffs=[config.drag_coeff] * m,
+        end_times=_uniform(u[:, 7], *config.end_time_range).tolist(),
+        obs_durations=_uniform(u[:, 8], *config.obs_duration_range).tolist(),
+        obs_radii=_uniform(u[:, 9], *config.obs_radius_range).tolist(),
+    )
     if config.fuel is not None:
         budget = float(config.fuel)
     else:
@@ -427,7 +457,9 @@ class SatelliteScenario(AllocationScenario):
     """Live world the solvers allocate in.
 
     The utility oracle and pair-cost estimates are snapshots of the current
-    round (costs are cached per round); phase III advances the dynamics:
+    round (a row query computes only the rows asked for; the full matrix
+    and the targets' predicted states are cached per round); phase III
+    advances the dynamics:
     assigned agents fly the rendezvous law toward their target's
     observation circle until its rendezvous deadline, and coast after it,
     when out of fuel, or when unassigned.
@@ -436,37 +468,73 @@ class SatelliteScenario(AllocationScenario):
     j - 1: ``agent_states`` and ``target_states`` (position then velocity
     per row), the agents' ``comm_factors``, ``fuel`` and ``accrued_cost``,
     and the targets' fixed parameters.  Each step is one array pass over
-    all bodies with the arithmetic of the per-body helpers.
+    all bodies with the arithmetic of the per-body helpers.  The world is
+    built from bodies, or with ``from_arrays`` from its rows.
     """
 
     def __init__(self, agents: Sequence[AgentBody], targets: Sequence[TargetBody],
                  config: ScenarioConfig):
+        self._init_world(
+            config,
+            agent_states=[np.concatenate([a.position, a.velocity]) for a in agents],
+            comm_factors=[a.comm_factor for a in agents],
+            fuel=[a.fuel for a in agents],
+            accrued_cost=[a.accrued_cost for a in agents],
+            target_states=[np.concatenate([t.position, t.velocity]) for t in targets],
+            info_values=[t.info_value for t in targets],
+            decays=[t.decay for t in targets],
+            drag_coeffs=[t.drag_coeff for t in targets],
+            end_times=[t.end_time for t in targets],
+            obs_durations=[t.obs_duration for t in targets],
+            obs_radii=[t.obs_radius for t in targets],
+        )
+
+    @classmethod
+    def from_arrays(cls, config: ScenarioConfig, **world) -> "SatelliteScenario":
+        """The world from its rows, with the keywords of ``_init_world``."""
+        scenario = cls.__new__(cls)
+        scenario._init_world(config, **world)
+        return scenario
+
+    def _init_world(self, config: ScenarioConfig, *, agent_states, comm_factors,
+                    fuel, accrued_cost, target_states, info_values, decays,
+                    drag_coeffs, end_times, obs_durations, obs_radii) -> None:
+        """Agent rows: state (position then velocity), communication factor,
+        fuel and the fuel spent.  Target rows: state, information value,
+        decay, drag, window end, observation duration and radius.  Per-target
+        scalars are taken as sequences of Python floats."""
+        final_times = [float(end - duration)
+                       for end, duration in zip(end_times, obs_durations)]
+        if any(final <= 0 for final in final_times):
+            raise ContractViolation("observation window closes before it opens")
+        if any(radius <= 0 for radius in obs_radii):
+            raise ContractViolation("observation radius must be positive")
         self.config = config
-        self.n_agents = len(agents)
-        self.n_targets = len(targets)
-        self.agent_states = np.array(
-            [np.concatenate([a.position, a.velocity]) for a in agents]
-        ).reshape(-1, 6)
-        self.comm_factors = np.array([a.comm_factor for a in agents], dtype=float)
-        self.fuel = np.array([a.fuel for a in agents], dtype=float)
-        self.accrued_cost = np.array([a.accrued_cost for a in agents], dtype=float)
-        self.target_states = np.array(
-            [np.concatenate([t.position, t.velocity]) for t in targets]
-        ).reshape(-1, 6)
-        self.info_values = [t.info_value for t in targets]
-        self.decays = [t.decay for t in targets]
-        self.drag_coeffs = [t.drag_coeff for t in targets]
-        self.obs_radii = np.array([t.obs_radius for t in targets], dtype=float)
+        self.agent_states = np.array(agent_states, dtype=float).reshape(-1, 6)
+        self.target_states = np.array(target_states, dtype=float).reshape(-1, 6)
+        self.n_agents = len(self.agent_states)
+        self.n_targets = len(self.target_states)
+        self.comm_factors = np.array(comm_factors, dtype=float)
+        self.fuel = np.array(fuel, dtype=float)
+        self.accrued_cost = np.array(accrued_cost, dtype=float)
+        self.info_values = list(info_values)
+        self.decays = list(decays)
+        self.drag_coeffs = list(drag_coeffs)
+        self.obs_radii = np.array(obs_radii, dtype=float)
         # Python floats: the controller gains are formed from them.
-        self.final_times = [float(t.final_time) for t in targets]
-        self.dt = max(t.end_time for t in targets) / config.n_steps
+        self.final_times = final_times
+        self.dt = max(end_times) / config.n_steps
+        self._loiter_costs = np.array([
+            loiter_cost(config.orbit_speed, radius, duration)
+            for radius, duration in zip(obs_radii, obs_durations)
+        ])
+        # Per-round caches: the full cost matrix, and the targets predicted
+        # to their deadlines; each is current when its round is ``_round``.
         self._round = 0
         self._costs = None
         self._cost_round = -1
-        self._loiter_costs = np.array([
-            loiter_cost(config.orbit_speed, t.obs_radius, t.obs_duration)
-            for t in targets
-        ])
+        self._predicted = None
+        self._predicted_round = -1
 
     # -- solver-facing surface -------------------------------------------
 
@@ -478,23 +546,31 @@ class SatelliteScenario(AllocationScenario):
         return position_oracle(self.agent_states[:, :3], self.target_states[:, :3],
                                self.info_values, self.decays)
 
-    def pair_costs(self) -> np.ndarray:
-        """Every pair's closed-form effort estimate at the current round,
-        vectorized over agents and targets and cached for the round.  A
-        target whose rendezvous deadline is at most one step away
-        (``final - now <= dt``) can no longer be served: its column is all
-        infinite."""
-        if self._cost_round != self._round:
-            self._costs = self._cost_matrix()
-            self._cost_round = self._round
+    def pair_costs(self, agents: Optional[np.ndarray] = None) -> np.ndarray:
+        """The closed-form effort estimates of the current round, vectorized
+        over agents and targets: the rows of ``agents`` (0-based), or every
+        row when it is None.  A target whose rendezvous deadline is at most
+        one step away (``final - now <= dt``) can no longer be served: its
+        column is all infinite.
+
+        A query for every row is cached for the round and serves the row
+        queries after it.  Without that cache only the asked rows are
+        computed; each row's arithmetic is its own, so they are the same
+        bits as the matching rows of the full matrix."""
+        if self._cost_round == self._round:
+            return self._costs if agents is None else self._costs[agents]
+        if agents is not None:
+            return self._cost_matrix(self.agent_states[agents])
+        self._costs = self._cost_matrix(self.agent_states)
+        self._cost_round = self._round
         return self._costs
 
-    def _cost_matrix(self) -> np.ndarray:
+    def _cost_matrix(self, agent_states: np.ndarray) -> np.ndarray:
         q_hat, w_hat, tau = self._predicted_targets()
         radius = self.obs_radii
         # Agents along axis 0, targets along axis 1, space along axis 2.
-        p = self.agent_states[:, None, :3]
-        v = self.agent_states[:, None, 3:]
+        p = agent_states[:, None, :3]
+        v = agent_states[:, None, 3:]
         offset = p - q_hat
         norm = np.linalg.norm(offset, axis=2)
         safe = np.where(norm < 1e-12, 1.0, norm)
@@ -538,7 +614,16 @@ class SatelliteScenario(AllocationScenario):
 
     def _predicted_targets(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Every target's state propagated to its rendezvous deadline, as
-        ``predict_target`` computes it, and the time left to the deadline."""
+        ``predict_target`` computes it, and the time left to the deadline;
+        computed once per round, as read-only arrays."""
+        if self._predicted_round != self._round:
+            self._predicted = self._predict_targets()
+            for array in self._predicted:
+                array.flags.writeable = False
+            self._predicted_round = self._round
+        return self._predicted
+
+    def _predict_targets(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         now = self.time
         horizon = [final - now for final in self.final_times]
         decay = [math.exp(-k * h) if k > 0 else 1.0

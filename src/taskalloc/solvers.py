@@ -132,7 +132,9 @@ class AllocationScenario:
     real dynamics in phase III.  The solvers read the world through one
     cost query, ``pair_costs``, and one budget query, ``budgets``.  A pair
     the world cannot serve (in the satellite world, one whose rendezvous
-    deadline has passed) costs infinity.
+    deadline has passed) costs infinity.  The round-by-round views ask
+    ``pair_costs`` for the rows of the agents still bidding only, and the
+    satellite world computes only the rows it is asked for.
     """
 
     n_agents: int
@@ -141,9 +143,11 @@ class AllocationScenario:
     def oracle(self) -> UtilityOracle:
         raise NotImplementedError
 
-    def pair_costs(self) -> np.ndarray:
+    def pair_costs(self, agents: Optional[np.ndarray] = None) -> np.ndarray:
         """Every pair cost as an N x M array, agent i and target j at
-        [i - 1, j - 1].  The one cost query a scenario implements."""
+        [i - 1, j - 1]; with ``agents``, an array of 0-based agent indices,
+        only their rows, in that order.  The one cost query a scenario
+        implements."""
         raise NotImplementedError
 
     def pair_cost_row(self, agent: int) -> list[float]:
@@ -197,8 +201,8 @@ class StaticScenario(AllocationScenario):
     def oracle(self) -> UtilityOracle:
         return self._oracle
 
-    def pair_costs(self) -> np.ndarray:
-        return self._costs
+    def pair_costs(self, agents: Optional[np.ndarray] = None) -> np.ndarray:
+        return self._costs if agents is None else self._costs[agents]
 
     def budgets(self) -> np.ndarray:
         return self._budgets
@@ -452,7 +456,7 @@ class ArrayViews:
         claimed = np.zeros((rows.size, self.scenario.n_targets + 1), dtype=bool)
         claimed[r[:, None], held] = True
         avail = ~claimed[:, 1:]
-        avail &= allowed_pairs(self.scenario.pair_costs()[rows], self.budgets[rows])
+        avail &= allowed_pairs(self.scenario.pair_costs(rows), self.budgets[rows])
         has_option = avail.any(axis=1)
         idle = rows[~has_option]
         self.w[idle, idle] = 0
@@ -526,7 +530,7 @@ class AuctionViews:
         no positive bid is done, with no target."""
         rows = np.flatnonzero(~self.done)
         ok = ~self.taken[rows]
-        ok &= allowed_pairs(self.scenario.pair_costs()[rows], self.budgets[rows])
+        ok &= allowed_pairs(self.scenario.pair_costs(rows), self.budgets[rows])
         bids = np.where(ok, self.alone[rows], 0.0)
         best = bids.argmax(axis=1)  # first maximum: lowest target id
         bid = bids[np.arange(rows.size), best]

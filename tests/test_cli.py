@@ -91,6 +91,22 @@ class TestRunCommand:
         code = main(["run", "--config", str(bad)])
         assert code == EXIT_CONFIG_ERROR
 
+    @pytest.mark.parametrize("override", [
+        "scenario.n_steps=0",
+        "scenario.end_time_range=[3, 2]",
+        "scenario.box_side=0",
+        "scenario.initial_speed=-0.1",
+        "scenario.lambda=0",
+        "scenario.obs_radius_range=[0, 1]",
+        "scenario.info_value_range=[2, .inf]",
+    ])
+    def test_malformed_scenario_setting(self, config_file, tmp_path, capsys, override):
+        code = main(["run", "--config", config_file, "--output-dir", str(tmp_path / "x"),
+                     "--set", "draws=1", "--set", override])
+        assert code == EXIT_CONFIG_ERROR
+        assert "configuration error" in capsys.readouterr().err
+        assert not (tmp_path / "x").exists()
+
 
 class TestVerifyBoundsCommand:
     def test_default_suite_passes(self, capsys):

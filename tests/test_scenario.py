@@ -209,6 +209,36 @@ class TestCommGraph:
         assert np.all(np.diag(adj) == 0)
 
 
+class TestScenarioConfig:
+    @pytest.mark.parametrize("overrides", [
+        {"n_steps": 0},
+        {"box_side": 0.0},
+        {"box_side": math.inf},
+        {"initial_speed": -0.1},
+        {"decay": 0.0},
+        {"decay": math.nan},
+        {"end_time_range": (3.0, 2.0)},
+        {"obs_duration_range": (2.0, math.inf)},
+        {"info_value_range": (math.nan, 2.0)},
+        {"obs_radius_range": (0.0, 1.0)},
+        {"obs_radius_range": (1.0,)},
+    ])
+    def test_malformed_setting_rejected(self, overrides):
+        with pytest.raises(ContractViolation):
+            ScenarioConfig(**overrides)
+
+    def test_degenerate_intervals_accepted(self):
+        cfg = ScenarioConfig(initial_speed=0.0, obs_radius_range=(1.0, 1.0))
+        scen = sample_scenario(cfg, np.random.default_rng(3))
+        assert (scen.agent_states[:, 3:] == 0.0).all()
+        assert scen.obs_radii.tolist() == [1.0] * cfg.n_targets
+
+    def test_window_closing_before_it_opens_rejected_at_sampling(self):
+        cfg = ScenarioConfig(end_time_range=(1.0, 1.5), obs_duration_range=(2.0, 2.5))
+        with pytest.raises(ContractViolation, match="window closes"):
+            sample_scenario(cfg, np.random.default_rng(0))
+
+
 class TestSampledScenario:
     def test_reproducible_from_seed(self):
         cfg = ScenarioConfig(n_agents=3, n_targets=3)

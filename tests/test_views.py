@@ -39,8 +39,8 @@ class DeadlineScenario(StaticScenario):
     def adjacency(self):
         return self.graphs[self.round % len(self.graphs)]
 
-    def pair_costs(self):
-        costs = super().pair_costs().copy()
+    def pair_costs(self, agents=None):
+        costs = super().pair_costs(agents).copy()
         costs[:, self.unreachable_from <= self.round] = math.inf
         return costs
 

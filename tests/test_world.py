@@ -255,3 +255,130 @@ def test_past_deadline_columns_cost_infinity(n, m, seed, n_steps, fuel):
         assert np.isinf(scen.pair_costs()).tolist() == [passed] * n
         assert scen.budgets().tolist() == (scen.fuel - scen.accrued_cost).tolist()
         scen.advance([claims.get(i, 0) for i in range(1, n + 1)])
+
+
+def same_bits(a, b):
+    a, b = np.asarray(a), np.asarray(b)
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+def uncached_costs(scen):
+    """The full cost matrix of the world as it stands, from a copy with its
+    per-round caches dropped."""
+    fresh = copy.deepcopy(scen)
+    fresh._costs = fresh._predicted = None
+    fresh._cost_round = fresh._predicted_round = -1
+    return fresh.pair_costs()
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(1, 40), st.integers(1, 40), st.integers(0, 2 ** 32 - 1),
+       st.sampled_from([4, 12, 2000]))
+def test_cost_rows_are_the_rows_of_the_full_matrix(n, m, seed, n_steps):
+    # Every round caches the full matrix; on odd rounds rows are asked for
+    # before that as well.  The reference is computed without the caches,
+    # so a row served from the round before fails.
+    config = ScenarioConfig(n_agents=n, n_targets=m, n_steps=n_steps,
+                            end_time_range=(3.0, 20.0))
+    rng = np.random.default_rng(seed)
+    scen = sample_scenario(config, rng)  # caches round 0 for the fuel
+    for step, claims in enumerate(random_schedule(rng, n, m, steps=6)):
+        full = uncached_costs(scen)
+        subsets = [np.arange(0), np.arange(n),
+                   np.sort(rng.permutation(n)[:rng.integers(1, n + 1)]),
+                   rng.integers(0, n, size=3)]
+        if step % 2:
+            for rows in subsets:
+                assert same_bits(scen.pair_costs(rows), full[rows])
+        assert same_bits(scen.pair_costs(), full)
+        for rows in subsets:
+            assert same_bits(scen.pair_costs(rows), full[rows])
+        scen.advance([claims.get(i, 0) for i in range(1, n + 1)])
+
+
+@settings(max_examples=20, deadline=None)
+@given(st.integers(1, 12), st.integers(1, 12), st.integers(0, 2 ** 32 - 1),
+       st.sampled_from([4, 40, 2000]))
+def test_predicted_targets_follow_the_moved_world(n, m, seed, n_steps):
+    config = ScenarioConfig(n_agents=n, n_targets=m, n_steps=n_steps,
+                            end_time_range=(3.0, 20.0))
+    rng = np.random.default_rng(seed)
+    scen = sample_scenario(config, rng)
+    for claims in random_schedule(rng, n, m, steps=4):
+        scen._predicted_targets()  # cached for the round about to end
+        scen.advance([claims.get(i, 0) for i in range(1, n + 1)])
+        q_hat, w_hat, tau = scen._predicted_targets()
+        for j, final in enumerate(scen.final_times):
+            body = TargetBody(position=scen.target_states[j, :3],
+                              velocity=scen.target_states[j, 3:],
+                              info_value=scen.info_values[j], decay=scen.decays[j],
+                              end_time=final, obs_duration=0.0,
+                              obs_radius=scen.obs_radii[j],
+                              drag_coeff=scen.drag_coeffs[j])
+            q, w = predict_target(body, final - scen.time)
+            assert q_hat[j].tolist() == q.tolist()
+            assert w_hat[j].tolist() == w.tolist()
+            assert tau[j] == final - scen.time
+
+
+def body_sample(config, rng):
+    """``sample_scenario`` as it was written body by body: each agent's
+    position and velocity, then each target's position, velocity,
+    information value, window end, observation duration and radius, each
+    drawn with ``rng.uniform``."""
+    def uniform3(lo, hi):
+        return rng.uniform(lo, hi, size=3)
+
+    agents = [
+        AgentBody(position=uniform3(0.0, config.box_side),
+                  velocity=uniform3(-config.initial_speed, config.initial_speed),
+                  comm_factor=config.comm_factor, fuel=math.inf)
+        for _ in range(config.n_agents)
+    ]
+    targets = [
+        TargetBody(position=uniform3(0.0, config.box_side),
+                   velocity=uniform3(-config.initial_speed, config.initial_speed),
+                   info_value=float(rng.uniform(*config.info_value_range)),
+                   decay=config.decay,
+                   end_time=float(rng.uniform(*config.end_time_range)),
+                   obs_duration=float(rng.uniform(*config.obs_duration_range)),
+                   obs_radius=float(rng.uniform(*config.obs_radius_range)),
+                   drag_coeff=config.drag_coeff)
+        for _ in range(config.n_targets)
+    ]
+    scen = SatelliteScenario(agents, targets, config)
+    if config.fuel is not None:
+        scen.fuel[:] = float(config.fuel)
+    else:
+        costs = scen.pair_costs()
+        finite = costs[np.isfinite(costs)]
+        scen.fuel[:] = (config.fuel_median_factor * float(np.median(finite))
+                        if finite.size else 0.0)
+    return scen
+
+
+SAMPLED_CONFIGS = [
+    {},
+    {"n_steps": 2, "end_time_range": (5.0, 30.0)},
+    {"box_side": 2.5, "initial_speed": 0.0, "fuel": 3.0, "comm_factor": 0.6},
+    {"decay": 1.3, "drag_coeff": 0.0, "obs_radius_range": (0.5, 0.5),
+     "info_value_range": (1.0, 4.0), "obs_duration_range": (0.0, 3.0)},
+]
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(1, 40), st.integers(1, 40), st.integers(0, 2 ** 32 - 1),
+       st.sampled_from(SAMPLED_CONFIGS))
+def test_sampler_draws_the_body_by_body_world(n, m, seed, overrides):
+    config = ScenarioConfig(n_agents=n, n_targets=m, **overrides)
+    rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+    scen, ref = sample_scenario(config, rng), body_sample(config, ref_rng)
+    for name in ("agent_states", "target_states", "comm_factors", "fuel",
+                 "accrued_cost", "obs_radii", "_loiter_costs"):
+        assert same_bits(getattr(scen, name), getattr(ref, name)), name
+    for name in ("final_times", "info_values", "decays", "drag_coeffs", "dt"):
+        assert same_bits(getattr(scen, name), getattr(ref, name)), name
+    assert (scen.n_agents, scen.n_targets) == (ref.n_agents, ref.n_targets)
+    assert same_bits(scen.pair_costs(), ref.pair_costs())
+    # Both took the same number of draws from the stream.
+    assert rng.random() == ref_rng.random()
