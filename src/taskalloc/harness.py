@@ -17,6 +17,7 @@ import csv
 import functools
 import json
 import math
+import numbers
 import os
 import time
 from dataclasses import asdict, dataclass, field, fields, replace
@@ -60,10 +61,19 @@ KNOWN_SOLVERS = ("dgba", "auction", "greedy", "exact")
 # Aliases accepted in config files for scenario parameters whose natural
 # symbol is not a valid field name.
 _SCENARIO_ALIASES = {"lambda": "decay", "phi": "comm_factor"}
+_SIZE_KEYS = ("n_agents", "n_targets")  # scenario fields ``sizes`` sets per draw
 
 # Exhaustive curvature estimation is only attempted up to this many ground
 # elements (2^n subsets are scanned).
 CURVATURE_GROUND_CAP = 16
+
+BOUND_INSTANCE_MAX_SIZE = 4  # agents, and targets, of a random bound instance
+
+
+def _check_count(name: str, value, least: int) -> None:
+    """A count or seed must be an integer, not a boolean, of at least ``least``."""
+    if not isinstance(value, numbers.Integral) or isinstance(value, bool) or value < least:
+        raise ConfigError(f"{name} must be an integer of at least {least}; got {value!r}")
 
 
 @dataclass
@@ -78,8 +88,10 @@ class ExperimentConfig:
     scenario: ScenarioConfig = field(default_factory=ScenarioConfig)
 
     def __post_init__(self):
-        if self.draws < 1:
-            raise ConfigError("draws must be at least 1")
+        _check_count("seed", self.seed, 0)
+        _check_count("draws", self.draws, 1)
+        if self.horizon is not None:
+            _check_count("horizon", self.horizon, 1)
         if not self.sizes:
             raise ConfigError("at least one (agents, targets) size is required")
         self.sizes = [tuple(int(v) for v in s) for s in self.sizes]
@@ -111,6 +123,8 @@ class ExperimentConfig:
         valid = {f.name for f in fields(ScenarioConfig)}
         for key, value in scen_raw.items():
             name = _SCENARIO_ALIASES.get(key, key)
+            if name in _SIZE_KEYS:
+                raise ConfigError(f"scenario key {key!r} is set per size by 'sizes'")
             if name not in valid:
                 raise ConfigError(f"unknown scenario key {key!r}")
             if name.endswith("_range"):
@@ -133,10 +147,9 @@ class ExperimentConfig:
     def to_dict(self) -> dict:
         out = asdict(self)
         out["sizes"] = [list(s) for s in self.sizes]
-        scen = out["scenario"]
-        for key in list(scen):
-            if isinstance(scen[key], tuple):
-                scen[key] = list(scen[key])
+        out["scenario"] = {key: list(value) if isinstance(value, tuple) else value
+                           for key, value in out["scenario"].items()
+                           if key not in _SIZE_KEYS}
         return out
 
 
@@ -175,6 +188,7 @@ def sample_draw(config: ExperimentConfig, size_index: int, draw: int) -> Satelli
     draw).  ``config`` is left as it is."""
     if not 0 <= size_index < len(config.sizes):
         raise ConfigError(f"size index {size_index} out of range")
+    _check_count("draw", draw, 0)
     n, m = config.sizes[size_index]
     return sample_scenario(replace(config.scenario, n_agents=n, n_targets=m),
                            np.random.default_rng([config.seed, size_index, draw]))
@@ -435,7 +449,7 @@ class BoundInstance:
     constraints: CompositeConstraint
 
 
-def random_bound_instance(seed: int, max_size: int = 4) -> BoundInstance:
+def random_bound_instance(seed: int) -> BoundInstance:
     """Small random coverage instance with a complete communication graph.
 
     Success probabilities are distance-derived and bounded away from zero,
@@ -445,8 +459,8 @@ def random_bound_instance(seed: int, max_size: int = 4) -> BoundInstance:
     brute-force optimum is taken over the same system.
     """
     rng = np.random.default_rng(seed)
-    n = int(rng.integers(1, max_size + 1))
-    m = int(rng.integers(1, max_size + 1))
+    n = int(rng.integers(1, BOUND_INSTANCE_MAX_SIZE + 1))
+    m = int(rng.integers(1, BOUND_INSTANCE_MAX_SIZE + 1))
     probs = np.exp(-0.8 * rng.uniform(0.2, 2.0, size=(n, m)))
     values = rng.uniform(2.0, 2.5, size=m)
     costs = rng.uniform(0.5, 1.5, size=(n, m))
@@ -488,6 +502,8 @@ def run_bound_instance(inst: BoundInstance) -> BoundCertificate:
 def verify_bound_suite(n_instances: int = 100, master_seed: int = 0) -> BoundSuiteReport:
     """Randomized suite checking the three greedy performance bounds with
     the exact optimum on every instance."""
+    _check_count("instances", n_instances, 1)
+    _check_count("seed", master_seed, 0)
     half = curv = qsys = 0
     worst = math.inf
     violations = []
@@ -557,6 +573,10 @@ def measure_scaling(sizes: Sequence = SCALING_GRID, rounds: int = 50,
                     seed: int = 0) -> ScalingReport:
     """Fit the mean per-round time of the per-agent reference round to
     a + b*N^2 + c*N*M (see ``_time_one_round``)."""
+    _check_count("rounds", rounds, 1)
+    _check_count("seed", seed, 0)
+    if any(n < 1 or m < 1 for n, m in sizes):
+        raise ConfigError(f"grid sizes must be at least 1x1; got {list(sizes)}")
     rng = np.random.default_rng(seed)
     means = []
     for n, m in sizes:

@@ -29,6 +29,12 @@ class NumericalBlowupError(RuntimeError):
     """Integration produced a non-finite state."""
 
 
+ORBIT_SPEED = 0.5          # of the circular orbit held while observing
+FUEL_MEDIAN_FACTOR = 10.0  # unset fuel: this times the median finite pair cost
+MIN_TIME_TO_GO = 1e-6      # controller floor: keeps the gains finite
+CENTRE_EPS = 1e-12         # an agent this near a target's centre aims along x
+
+
 # ---------------------------------------------------------------------------
 # Utility model
 # ---------------------------------------------------------------------------
@@ -175,7 +181,7 @@ def rendezvous_point(agent_pos, target: TargetBody,
     q_hat, w_hat = predict_target(target, target.final_time - time_now)
     offset = np.asarray(agent_pos, float) - q_hat
     norm = np.linalg.norm(offset)
-    if norm < 1e-12:
+    if norm < CENTRE_EPS:
         offset, norm = np.array([1.0, 0.0, 0.0]), 1.0
     return q_hat + target.obs_radius * offset / norm, w_hat
 
@@ -185,16 +191,15 @@ def rendezvous_point(agent_pos, target: TargetBody,
 # ---------------------------------------------------------------------------
 
 def rendezvous_control(position, velocity, point, point_velocity,
-                       time_now: float, deadline: float,
-                       min_horizon: float = 1e-6) -> np.ndarray:
+                       time_now: float, deadline: float) -> np.ndarray:
     """Minimum-effort acceleration steering to (point, point_velocity) by
-    the deadline.  The time-to-go is floored at ``min_horizon`` so the
+    the deadline.  The time-to-go is floored at ``MIN_TIME_TO_GO`` so the
     gains stay finite as the deadline is reached."""
     p = np.asarray(position, float)
     v = np.asarray(velocity, float)
     r_hat = np.asarray(point, float)
     v_hat = np.asarray(point_velocity, float)
-    tau = max(deadline - time_now, min_horizon)
+    tau = max(deadline - time_now, MIN_TIME_TO_GO)
     return 4.0 / tau * (v_hat - v) + 6.0 / tau ** 2 * (r_hat - p - v_hat * tau)
 
 
@@ -324,7 +329,7 @@ class PairCost:
 
 
 def estimate_pair_cost(agent: AgentBody, target: TargetBody, time_now: float,
-                       dt: float, orbit_speed: float = 0.5) -> PairCost:
+                       dt: float) -> PairCost:
     """Simulate the agent alone under the rendezvous controller to the
     target's deadline and integrate the control effort on the dt grid,
     then add the loiter effort through the end of the window.
@@ -347,7 +352,7 @@ def estimate_pair_cost(agent: AgentBody, target: TargetBody, time_now: float,
         p, v = step_agent(p, v, u, h)
         t += h
     return PairCost(maneuver=cost,
-                    loiter=loiter_cost(orbit_speed, target.obs_radius,
+                    loiter=loiter_cost(ORBIT_SPEED, target.obs_radius,
                                        target.obs_duration),
                     feasible=True)
 
@@ -372,11 +377,9 @@ class ScenarioConfig:
     obs_radius_range: tuple[float, float] = (1.0, 1.15)
     info_value_range: tuple[float, float] = (2.0, 2.5)
     n_steps: int = 2000
-    orbit_speed: float = 0.5
-    # None: 10x the median finite initial pair cost, or 0 if no pair cost is
-    # finite (no pair can be served then).
+    # None: FUEL_MEDIAN_FACTOR times the median finite initial pair cost, or
+    # 0 if no pair cost is finite (no pair can be served then).
     fuel: Optional[float] = None
-    fuel_median_factor: float = 10.0
 
     def __post_init__(self):
         if not self.n_steps >= 1:
@@ -428,7 +431,7 @@ def sample_scenario(config: ScenarioConfig, rng: np.random.Generator) -> "Satell
     u = rng.random((m, 10))
     target_states = np.concatenate([_uniform(u[:, :3], 0.0, config.box_side),
                                     _uniform(u[:, 3:6], -speed, speed)], axis=1)
-    scenario = SatelliteScenario.from_arrays(
+    scenario = SatelliteScenario(
         config,
         agent_states=agent_states,
         comm_factors=np.full(n, config.comm_factor, dtype=float),
@@ -447,7 +450,7 @@ def sample_scenario(config: ScenarioConfig, rng: np.random.Generator) -> "Satell
     else:
         costs = scenario.pair_costs()
         finite = costs[np.isfinite(costs)]
-        budget = (config.fuel_median_factor * float(np.median(finite))
+        budget = (FUEL_MEDIAN_FACTOR * float(np.median(finite))
                   if finite.size else 0.0)
     scenario.fuel[:] = budget
     return scenario
@@ -458,47 +461,23 @@ class SatelliteScenario(AllocationScenario):
 
     The utility oracle and pair-cost estimates are snapshots of the current
     round (a row query computes only the rows asked for; the full matrix
-    and the targets' predicted states are cached per round); phase III
-    advances the dynamics:
-    assigned agents fly the rendezvous law toward their target's
-    observation circle until its rendezvous deadline, and coast after it,
-    when out of fuel, or when unassigned.
+    and the targets' predicted states are cached until ``advance``); phase
+    III advances the dynamics: assigned agents fly the rendezvous law toward
+    their target's observation circle until its rendezvous deadline, and
+    coast after it, when out of fuel, or when unassigned.
 
     The world is held as arrays, agent i and target j in row i - 1 and
     j - 1: ``agent_states`` and ``target_states`` (position then velocity
     per row), the agents' ``comm_factors``, ``fuel`` and ``accrued_cost``,
     and the targets' fixed parameters.  Each step is one array pass over
     all bodies with the arithmetic of the per-body helpers.  The world is
-    built from bodies, or with ``from_arrays`` from its rows.
+    built from these rows by keyword; ``AgentBody`` and ``TargetBody`` serve
+    the per-body helpers only.
     """
 
-    def __init__(self, agents: Sequence[AgentBody], targets: Sequence[TargetBody],
-                 config: ScenarioConfig):
-        self._init_world(
-            config,
-            agent_states=[np.concatenate([a.position, a.velocity]) for a in agents],
-            comm_factors=[a.comm_factor for a in agents],
-            fuel=[a.fuel for a in agents],
-            accrued_cost=[a.accrued_cost for a in agents],
-            target_states=[np.concatenate([t.position, t.velocity]) for t in targets],
-            info_values=[t.info_value for t in targets],
-            decays=[t.decay for t in targets],
-            drag_coeffs=[t.drag_coeff for t in targets],
-            end_times=[t.end_time for t in targets],
-            obs_durations=[t.obs_duration for t in targets],
-            obs_radii=[t.obs_radius for t in targets],
-        )
-
-    @classmethod
-    def from_arrays(cls, config: ScenarioConfig, **world) -> "SatelliteScenario":
-        """The world from its rows, with the keywords of ``_init_world``."""
-        scenario = cls.__new__(cls)
-        scenario._init_world(config, **world)
-        return scenario
-
-    def _init_world(self, config: ScenarioConfig, *, agent_states, comm_factors,
-                    fuel, accrued_cost, target_states, info_values, decays,
-                    drag_coeffs, end_times, obs_durations, obs_radii) -> None:
+    def __init__(self, config: ScenarioConfig, *, agent_states, comm_factors,
+                 fuel, accrued_cost, target_states, info_values, decays,
+                 drag_coeffs, end_times, obs_durations, obs_radii):
         """Agent rows: state (position then velocity), communication factor,
         fuel and the fuel spent.  Target rows: state, information value,
         decay, drag, window end, observation duration and radius.  Per-target
@@ -525,16 +504,13 @@ class SatelliteScenario(AllocationScenario):
         self.final_times = final_times
         self.dt = max(end_times) / config.n_steps
         self._loiter_costs = np.array([
-            loiter_cost(config.orbit_speed, radius, duration)
+            loiter_cost(ORBIT_SPEED, radius, duration)
             for radius, duration in zip(obs_radii, obs_durations)
         ])
-        # Per-round caches: the full cost matrix, and the targets predicted
-        # to their deadlines; each is current when its round is ``_round``.
         self._round = 0
-        self._costs = None
-        self._cost_round = -1
-        self._predicted = None
-        self._predicted_round = -1
+        # The round's full cost matrix and its targets predicted to their
+        # deadlines, computed on first use; ``advance`` drops both.
+        self._costs = self._predicted = None
 
     # -- solver-facing surface -------------------------------------------
 
@@ -557,12 +533,11 @@ class SatelliteScenario(AllocationScenario):
         queries after it.  Without that cache only the asked rows are
         computed; each row's arithmetic is its own, so they are the same
         bits as the matching rows of the full matrix."""
-        if self._cost_round == self._round:
+        if self._costs is not None:
             return self._costs if agents is None else self._costs[agents]
         if agents is not None:
             return self._cost_matrix(self.agent_states[agents])
         self._costs = self._cost_matrix(self.agent_states)
-        self._cost_round = self._round
         return self._costs
 
     def _cost_matrix(self, agent_states: np.ndarray) -> np.ndarray:
@@ -573,8 +548,9 @@ class SatelliteScenario(AllocationScenario):
         v = agent_states[:, None, 3:]
         offset = p - q_hat
         norm = np.linalg.norm(offset, axis=2)
-        safe = np.where(norm < 1e-12, 1.0, norm)
-        unit = np.where(norm[..., None] < 1e-12,
+        centred = norm < CENTRE_EPS
+        safe = np.where(centred, 1.0, norm)
+        unit = np.where(centred[..., None],
                         np.array([1.0, 0.0, 0.0]), offset / safe[..., None])
         r_hat = q_hat + radius[:, None] * unit
         t_ok = np.maximum(tau, 1e-12)[:, None]
@@ -609,6 +585,7 @@ class SatelliteScenario(AllocationScenario):
         )
         self.accrued_cost = self.accrued_cost + inc
         self._round += 1
+        self._costs = self._predicted = None
 
     # -- internals --------------------------------------------------------
 
@@ -616,25 +593,21 @@ class SatelliteScenario(AllocationScenario):
         """Every target's state propagated to its rendezvous deadline, as
         ``predict_target`` computes it, and the time left to the deadline;
         computed once per round, as read-only arrays."""
-        if self._predicted_round != self._round:
-            self._predicted = self._predict_targets()
+        if self._predicted is None:
+            now = self.time
+            horizon = [final - now for final in self.final_times]
+            decay = [math.exp(-k * h) if k > 0 else 1.0
+                     for k, h in zip(self.drag_coeffs, horizon)]
+            q, w = self.target_states[:, :3], self.target_states[:, 3:]
+            k = np.array(self.drag_coeffs)[:, None]
+            tau = np.array(horizon)
+            decay = np.array(decay)[:, None]
+            pos = np.where(k > 0, q + w * (1.0 - decay) / np.where(k > 0, k, 1.0),
+                           q + w * tau[:, None])
+            self._predicted = pos, w * decay, tau
             for array in self._predicted:
                 array.flags.writeable = False
-            self._predicted_round = self._round
         return self._predicted
-
-    def _predict_targets(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        now = self.time
-        horizon = [final - now for final in self.final_times]
-        decay = [math.exp(-k * h) if k > 0 else 1.0
-                 for k, h in zip(self.drag_coeffs, horizon)]
-        q, w = self.target_states[:, :3], self.target_states[:, 3:]
-        k = np.array(self.drag_coeffs)[:, None]
-        tau = np.array(horizon)
-        decay = np.array(decay)[:, None]
-        pos = np.where(k > 0, q + w * (1.0 - decay) / np.where(k > 0, k, 1.0),
-                       q + w * tau[:, None])
-        return pos, w * decay, tau
 
     def _controls(self, claims: Sequence[int]) -> np.ndarray:
         """Rendezvous acceleration (N x 3) of each agent with a claim (agent
@@ -655,11 +628,11 @@ class SatelliteScenario(AllocationScenario):
         v = self.agent_states[agents, 3:]
         offset = p - q_hat
         norm = _row_norms(offset)
-        centred = norm < 1e-12
+        centred = norm < CENTRE_EPS
         offset[centred] = [1.0, 0.0, 0.0]
         norm[centred] = 1.0
         r_hat = q_hat + self.obs_radii[targets, None] * offset / norm[:, None]
-        tau = [max(self.final_times[j] - now, 1e-6) for j in targets.tolist()]
+        tau = [max(self.final_times[j] - now, MIN_TIME_TO_GO) for j in targets.tolist()]
         gain_v = np.array([4.0 / t for t in tau])[:, None]
         gain_p = np.array([6.0 / t ** 2 for t in tau])[:, None]
         tau = np.array(tau)[:, None]

@@ -107,6 +107,46 @@ class TestRunCommand:
         assert "configuration error" in capsys.readouterr().err
         assert not (tmp_path / "x").exists()
 
+    @pytest.mark.parametrize("args", [
+        ["--set", "horizon=0"],
+        ["--set", "horizon=2.5"],
+        ["--seed", "-1"],
+        ["--set", "seed=1.5"],
+        ["--set", "draws=1.5"],
+        ["--set", "draws=true"],
+        ["--set", "scenario.n_agents=7"],
+        ["--set", "scenario.n_targets=7"],
+    ], ids=" ".join)
+    def test_malformed_run_setting(self, config_file, tmp_path, capsys, args):
+        code = main(["run", "--config", config_file, "--output-dir", str(tmp_path / "x"),
+                     *args])
+        assert code == EXIT_CONFIG_ERROR
+        assert "configuration error" in capsys.readouterr().err
+        assert not (tmp_path / "x").exists()
+
+    @pytest.mark.parametrize("key", ["n_agents", "n_targets"])
+    def test_team_size_setting_names_sizes(self, config_file, capsys, key):
+        code = main(["trace", "--config", config_file, "--set", f"scenario.{key}=7"])
+        assert code == EXIT_CONFIG_ERROR
+        assert "'sizes'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ["scaling", "--grid", "3x3", "--rounds", "0"],
+    ["scaling", "--grid", "3x3", "--rounds", "-2"],
+    ["scaling", "--grid", "0x5", "--rounds", "3"],
+    ["scaling", "--grid", "3x3", "--seed", "-1"],
+    ["verify-bounds", "--instances", "0"],
+    ["verify-bounds", "--instances", "-3"],
+    ["verify-bounds", "--instances", "2", "--seed", "-1"],
+    ["trace", "--draw", "-1"],
+], ids=" ".join)
+def test_bad_count_is_a_configuration_error(argv, capsys):
+    assert main(argv) == EXIT_CONFIG_ERROR
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert "configuration error" in out.err
+
 
 class TestVerifyBoundsCommand:
     def test_default_suite_passes(self, capsys):

@@ -65,6 +65,24 @@ class TestExperimentConfig:
         with pytest.raises(ConfigError):
             small_config(sizes=[(30, 30)], solvers=["exact"])
 
+    @pytest.mark.parametrize("overrides", [
+        {"horizon": 0},
+        {"horizon": 2.5},
+        {"horizon": True},
+        {"seed": -1},
+        {"seed": 1.5},
+        {"draws": 0},
+        {"draws": 1.5},
+        {"draws": True},
+    ])
+    def test_malformed_setting_rejected(self, overrides):
+        with pytest.raises(ConfigError):
+            small_config(**overrides)
+
+    def test_dict_leaves_team_size_to_sizes(self):
+        scen = small_config(sizes=[(3, 3), (4, 2)]).to_dict()["scenario"]
+        assert "n_agents" not in scen and "n_targets" not in scen
+
 
 class TestRunExperiment:
     def test_all_solvers_report_all_draws(self):

@@ -284,19 +284,30 @@ def _budgeted_line():
 
 # Auction outputs recorded from the hand-written auction loop that the round
 # driver replaced: policy, utility, messages, rounds, then the utility and
-# the messages of every round.
+# the messages of every round.  Then the cumulative cost of every round and
+# the final cost per agent, recorded from the same runs before the
+# satellite world had one constructor.
 AUCTION_PINS = [
     (lambda: _sampled(5, 0),
      [(1, 3), (2, 2), (3, 4), (4, 5), (5, 3)],
      2.2472521080944543, 66, 11,
      [2.188889969212798, 2.188889969212798, 2.2472521080944543],
-     [24, 24, 18]),
+     [24, 24, 18],
+     [3.6455564344164535e-05, 7.283008976525062e-05, 0.00016391554091759006],
+     [7.480960482570931e-05, 5.4791862274920205e-05, 2.561241152725967e-05,
+      6.723804471911563e-06, 1.9778578177893e-06]),
     (lambda: _sampled(10, 1),
      [(1, 1), (2, 8), (3, 2), (4, 4), (5, 10), (6, 7), (7, 6), (8, 9), (9, 3), (10, 5)],
      5.861633857924618, 680, 20,
      [5.734469099304121, 5.734469099304121, 5.816629622661768, 5.816629622661768,
       5.861633857924618],
-     [136, 136, 136, 136, 136]),
+     [136, 136, 136, 136, 136],
+     [0.00012955620302122932, 0.00025873411499377616, 0.0004584044524210839,
+      0.0006575462286289803, 0.000895812303383092],
+     [0.0002121583014260471, 3.965231923071851e-05, 3.209646031999958e-05,
+      1.604120842186043e-05, 6.591627399256019e-05, 4.9782486405531445e-05,
+      9.717310488401425e-05, 0.0001235258313257071, 0.00015915516507941893,
+      0.0001003111522972346]),
     (lambda: _sampled(40, 2),
      [(1, 38), (2, 36), (3, 8), (4, 35), (5, 31), (6, 34), (7, 25), (8, 18), (9, 4),
       (10, 11), (11, 40), (12, 17), (13, 37), (14, 14), (15, 1), (16, 23), (17, 39),
@@ -307,41 +318,72 @@ AUCTION_PINS = [
      [28.444155806190643, 28.444155806190643, 33.28824686098303, 33.28824686098303,
       33.73203653881308, 33.73203653881308, 33.747735381381396, 33.747735381381396,
       33.75369193982755],
-     [2380, 2370, 1904, 1904, 1428, 1904, 1912, 2390, 2390]),
+     [2380, 2370, 1904, 1904, 1428, 1904, 1912, 2390, 2390],
+     [0.00028642108027889017, 0.0005721644811237864, 0.001043945195064572,
+      0.0015146436200211963, 0.002034305861106544, 0.002552779009600837,
+      0.0031298172938874474, 0.00370553003962108, 0.004459671383108533],
+     [7.654701571094308e-05, 9.923656845467497e-05, 8.605280285272035e-05,
+      3.406726922684624e-05, 4.1449440974918686e-05, 1.058593411036943e-05,
+      0.00014807482538445592, 9.935560045329959e-05, 5.996928994136265e-05,
+      4.143756468472208e-05, 7.150953946274785e-05, 2.610476552750676e-05,
+      4.941379289934652e-05, 0.00017975196938192293, 0.00017166171046397125,
+      0.0003592060181558121, 0.0001741446891332683, 0.00020930249835112558,
+      0.00019245388439292823, 7.741100073567143e-05, 8.823725158881441e-05,
+      0.00017376324955317384, 5.880887131474453e-05, 6.43601557225001e-05,
+      0.00014967385420589538, 0.00011875277435986219, 8.221696837677867e-05,
+      0.00016397543119728205, 3.575178027720932e-05, 0.00017273235779067376,
+      6.245993340210865e-05, 0.0001169659290035903, 8.797055283291717e-05,
+      0.00011015051721779726, 0.00016831960077465978, 0.0001403755414175419,
+      0.00017883548355485853, 0.00012760906459691938, 8.079794817182554e-05,
+      7.017793745076592e-05]),
     (_budgeted_line,
      [(2, 2), (4, 4), (5, 3), (6, 1)],
      4.39327395010503, 230, 23,
      [4.081387525523201, 4.081387525523201, 4.39327395010503, 4.39327395010503,
       4.39327395010503],
-     [60, 60, 40, 60, 10]),
+     [60, 60, 40, 60, 10],
+     [2.457588333961037, 2.457588333961037, 3.2773729882793234, 3.2773729882793234,
+      3.2773729882793234],
+     [0.0, 0.9366670521756527, 0.0, 0.8197846543182863, 1.006385001421571,
+      0.5145362803638133]),
 ]
 
 
-def assert_pinned(res, policy, utility, messages, rounds, series, sent):
+def assert_pinned(res, policy, utility, messages, rounds, series, sent, costs, spent):
     assert sorted(tuple(el) for el in res.policy) == policy
     assert repr(res.utility) == repr(utility)
     assert (res.messages, res.rounds) == (messages, rounds)
     assert [rec.utility for rec in res.trace] == series
     assert [rec.messages for rec in res.trace] == sent
+    assert repr([float(rec.cumulative_cost) for rec in res.trace]) == repr(costs)
+    assert repr([float(c) for c in res.per_agent_cost]) == repr(spent)
 
 
-@pytest.mark.parametrize("make, policy, utility, messages, rounds, series, sent",
-                         AUCTION_PINS, ids=["sat5", "sat10", "sat40", "line"])
-def test_auction_outputs_pinned(make, policy, utility, messages, rounds, series, sent):
-    assert_pinned(auction_baseline(make()), policy, utility, messages, rounds, series, sent)
+@pytest.mark.parametrize("make, pins", [(p[0], p[1:]) for p in AUCTION_PINS],
+                         ids=["sat5", "sat10", "sat40", "line"])
+def test_auction_outputs_pinned(make, pins):
+    assert_pinned(auction_baseline(make()), *pins)
 
 
 # DGBA outputs on the AUCTION_PINS instances, recorded when the run's oracle
-# was passed in from outside, frozen at t = 0.
+# was passed in from outside, frozen at t = 0; the costs as for the auction.
 DGBA_PINS = [
     ([(1, 3), (2, 2), (3, 4), (4, 5), (5, 3)],
      2.2472521080944543, 12, 2,
      [2.188889969212798, 2.2472521080944543],
-     [6, 6]),
+     [6, 6],
+     [3.6455564344164535e-05, 0.00012748737177586988],
+     [4.992497436899248e-05, 5.46572820106193e-05, 1.709662300745653e-05,
+      4.487749488373785e-06, 1.3207429004278144e-06]),
     ([(1, 4), (2, 5), (3, 2), (4, 4), (5, 10), (6, 7), (7, 6), (8, 9), (9, 3), (10, 5)],
      5.872245491072486, 68, 2,
      [5.734469099304121, 5.872245491072486],
-     [34, 34]),
+     [34, 34],
+     [0.00012955620302122932, 0.00029755956852526585],
+     [2.7263199229050097e-05, 1.1562254302439575e-05, 1.2883696730391146e-05,
+      6.4378278600407375e-06, 2.6467772290432284e-05, 1.9995717056996358e-05,
+      3.90074346260219e-05, 4.9586093960500224e-05, 6.38601955906492e-05,
+      4.0495376878744275e-05]),
     ([(1, 38), (2, 36), (3, 8), (4, 35), (5, 31), (6, 34), (7, 25), (8, 18), (9, 4),
       (10, 11), (11, 40), (12, 17), (13, 37), (14, 40), (15, 1), (16, 23), (17, 39),
       (18, 26), (19, 15), (20, 19), (21, 27), (22, 22), (23, 3), (24, 2), (25, 21),
@@ -349,11 +391,29 @@ DGBA_PINS = [
       (34, 6), (35, 9), (36, 13), (37, 21), (38, 29), (39, 33), (40, 12)],
      34.003036127891484, 1426, 3,
      [28.444155806190643, 33.385969093511434, 34.003036127891484],
-     [476, 474, 476]),
+     [476, 474, 476],
+     [0.00028642108027889017, 0.0007964579287997598, 0.0013671930753415226],
+     [2.1924026983850168e-05, 2.8420355276130735e-05, 2.8884332361187932e-05,
+      1.1452204217129584e-05, 1.3910111820338078e-05, 3.5583047498917034e-06,
+      4.963877007827692e-05, 2.8543604030000823e-05, 2.0105542072533556e-05,
+      1.3878168691332638e-05, 2.398836819855422e-05, 8.757772396018565e-06,
+      1.6581576508157808e-05, 7.599700349760594e-05, 4.914972343382436e-05,
+      0.00010288077676633507, 5.8547107072673055e-05, 7.018169209297677e-05,
+      6.453950857596402e-05, 2.5972099245478346e-05, 2.963383877556635e-05,
+      5.828847275979143e-05, 1.9744096074721603e-05, 2.159899978202487e-05,
+      4.2872307925325895e-05, 3.994284246364911e-05, 2.7605753673659598e-05,
+      5.5087814901116987e-05, 1.0242414006926436e-05, 5.810166264503928e-05,
+      1.7913406481108097e-05, 3.352386328943276e-05, 2.9573156161865682e-05,
+      3.698294165639006e-05, 2.9331277303233047e-05, 4.711062243830461e-05,
+      1.6371662598125418e-05, 3.663067809501942e-05, 1.6160511580123656e-05,
+      2.356570466183786e-05]),
     ([(1, 4), (2, 2), (4, 1), (5, 3), (6, 1)],
      4.657393839462168, 20, 2,
      [4.081387525523201, 4.657393839462168],
-     [10, 10]),
+     [10, 10],
+     [2.457588333961037, 3.9073321183082412],
+     [0.5011996835868286, 0.9366670521756527, 0.0, 0.9485441007603762,
+      1.006385001421571, 0.5145362803638133]),
 ]
 
 

@@ -16,9 +16,10 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from bodies import world_from_bodies
 from taskalloc.scenario import (
+    FUEL_MEDIAN_FACTOR,
     AgentBody,
-    SatelliteScenario,
     ScenarioConfig,
     TargetBody,
     predict_target,
@@ -103,7 +104,7 @@ def run_both(agents, targets, config, schedule):
     """Build both worlds and advance them through ``schedule`` (one
     assignment dict per step), comparing them before the first step and
     after every step."""
-    scen = SatelliteScenario(agents, targets, config)
+    scen = world_from_bodies(agents, targets, config)
     ref = BodyWorld(agents, targets, config)
     assert_same_world(scen, ref)
     continue_both(scen, ref, schedule)
@@ -167,7 +168,7 @@ def test_random_worlds_agree(n, m, seed, n_steps):
 def test_agent_out_of_fuel_coasts():
     tgt = one_target([4.0, 3.0, 1.0])
     config = ScenarioConfig(n_steps=20)
-    probe = SatelliteScenario([AgentBody(np.zeros(3), np.zeros(3), 0.3, math.inf)],
+    probe = world_from_bodies([AgentBody(np.zeros(3), np.zeros(3), 0.3, math.inf)],
                               [tgt], config)
     probe.advance([1])
     # Fuel for exactly the first step's charge.
@@ -212,7 +213,7 @@ def test_agent_on_predicted_target_centre():
     agent = AgentBody(position=centre, velocity=np.zeros(3),
                       comm_factor=0.3, fuel=math.inf)
     tgt = one_target(centre)
-    scen = SatelliteScenario([agent], [tgt], ScenarioConfig())
+    scen = world_from_bodies([agent], [tgt], ScenarioConfig())
     q_hat, _w, _tau = scen._predicted_targets()
     assert q_hat[0].tolist() == centre.tolist()
     run_both([agent], [tgt], ScenarioConfig(), [{1: 1}] * 3)
@@ -267,7 +268,6 @@ def uncached_costs(scen):
     per-round caches dropped."""
     fresh = copy.deepcopy(scen)
     fresh._costs = fresh._predicted = None
-    fresh._cost_round = fresh._predicted_round = -1
     return fresh.pair_costs()
 
 
@@ -346,13 +346,13 @@ def body_sample(config, rng):
                    drag_coeff=config.drag_coeff)
         for _ in range(config.n_targets)
     ]
-    scen = SatelliteScenario(agents, targets, config)
+    scen = world_from_bodies(agents, targets, config)
     if config.fuel is not None:
         scen.fuel[:] = float(config.fuel)
     else:
         costs = scen.pair_costs()
         finite = costs[np.isfinite(costs)]
-        scen.fuel[:] = (config.fuel_median_factor * float(np.median(finite))
+        scen.fuel[:] = (FUEL_MEDIAN_FACTOR * float(np.median(finite))
                         if finite.size else 0.0)
     return scen
 
