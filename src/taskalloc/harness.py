@@ -94,10 +94,10 @@ class ExperimentConfig:
             _check_count("horizon", self.horizon, 1)
         if not self.sizes:
             raise ConfigError("at least one (agents, targets) size is required")
-        self.sizes = [tuple(int(v) for v in s) for s in self.sizes]
         for n, m in self.sizes:
-            if n < 1 or m < 1:
-                raise ConfigError(f"invalid size ({n}, {m})")
+            _check_count("agents in each size", n, 1)
+            _check_count("targets in each size", m, 1)
+        self.sizes = [(int(n), int(m)) for n, m in self.sizes]
         if not self.solvers:
             raise ConfigError("at least one solver is required")
         for s in self.solvers:

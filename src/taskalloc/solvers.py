@@ -286,8 +286,8 @@ def _check_adjacency(adjacency: np.ndarray, n: int) -> np.ndarray:
     return adjacency
 
 
-def dgba_communication_phase(bundles: Sequence[BundleState],
-                             adjacency: np.ndarray) -> tuple[list[BundleState], int]:
+def dgba_communication_phase(bundles: Sequence[BundleState], adjacency: np.ndarray,
+                             validated: bool = False) -> tuple[list[BundleState], int]:
     """One synchronous exchange-and-resolve step over all agents.
 
     Reads a frozen snapshot of every bundle and returns fresh bundles, so
@@ -302,10 +302,12 @@ def dgba_communication_phase(bundles: Sequence[BundleState],
     claim (in particular, a claim by an isolated agent) is a singleton
     conflict set that the claimant wins, so conflicts are resolved per
     connected component.  One message is one bundle triple sent over one
-    edge in one direction.
+    edge in one direction.  The graph is checked unless ``validated`` says
+    ``_check_adjacency`` already passed it.
     """
     n = len(bundles)
-    adjacency = _check_adjacency(adjacency, n)
+    if not validated:
+        adjacency = _check_adjacency(adjacency, n)
 
     # Snapshot of every agent's self-entries, broadcast during the exchange.
     self_w = [b.w[k] for k, b in enumerate(bundles)]
@@ -347,27 +349,26 @@ def graph_components(adjacency: np.ndarray) -> list[int]:
     """Connected-component label per agent: 0, 1, ... in the order of each
     component's lowest agent, every label in use.
 
-    Each visited agent scans only the agents not labelled yet, so a dense
-    graph costs O(N) scans after the first rather than O(N^2)."""
-    linked = (np.asarray(adjacency) > 0).tolist()
-    labels = [-1] * len(linked)
-    unlabeled = set(range(len(linked)))
-    current = 0
-    for start in range(len(linked)):
-        if labels[start] != -1:
-            continue
-        labels[start] = current
-        unlabeled.discard(start)
-        stack = [start]
-        while stack:
-            row = linked[stack.pop()]
-            reached = [v for v in unlabeled if row[v]]
-            for v in reached:
-                labels[v] = current
-            unlabeled.difference_update(reached)
-            stack.extend(reached)
+    Each visited agent's row is masked to the agents not labelled yet, and
+    the search stops once none is left, so a complete graph costs one row
+    scan."""
+    linked = np.asarray(adjacency) > 0
+    labels = np.zeros(len(linked), dtype=np.intp)
+    unlabeled = np.ones(len(linked), dtype=bool)
+    left, current = len(linked), 0
+    while left:
+        stack = [int(unlabeled.argmax())]  # the lowest unlabelled agent
+        unlabeled[stack[0]] = False
+        labels[stack[0]] = current
+        left -= 1
+        while stack and left:
+            reached = np.flatnonzero(linked[stack.pop()] & unlabeled)
+            unlabeled[reached] = False
+            labels[reached] = current
+            left -= reached.size
+            stack.extend(reached.tolist())
         current += 1
-    return labels
+    return labels.tolist()
 
 
 # ---------------------------------------------------------------------------
@@ -412,7 +413,7 @@ class AgentViews:
                     components: Sequence[int]) -> tuple[int, int]:
         """Phase II, one exchange; returns the messages sent and 1."""
         bundles, messages = dgba_communication_phase(
-            [a.bundle for a in self.agents], adjacency)
+            [a.bundle for a in self.agents], adjacency, validated=True)
         for agent, bundle in zip(self.agents, bundles):
             agent.bundle = bundle
         return messages, 1
@@ -473,8 +474,7 @@ class ArrayViews:
     def communicate(self, adjacency: np.ndarray,
                     components: Sequence[int]) -> tuple[int, int]:
         """Phase II with the rules of ``dgba_communication_phase``."""
-        n = len(self.w)
-        linked = _check_adjacency(adjacency, n) > 0
+        linked = adjacency > 0
         for view in (self.w, self.b, self.f):
             np.copyto(view, view.diagonal().copy(), where=linked)
         rows = np.flatnonzero(~self.f.diagonal() & (self.w.diagonal() != 0))
@@ -560,7 +560,7 @@ class AuctionViews:
         growing the set of entries that hold their final value one hop at a
         time."""
         n, m = self.taken.shape
-        linked = _check_adjacency(adjacency, n) > 0
+        linked = adjacency > 0
         # Per agent: the best bid rank heard per target (n = none), then per
         # target 0 if heard to be won, else 1.  A sweep keeps the minimum of
         # each entry over the agent and its neighbours.
@@ -596,45 +596,76 @@ class AuctionViews:
 
 def _finalized_deltas(oracle: UtilityOracle, before: Policy,
                       pairs: list[GroundElement]) -> list[tuple[int, int, float]]:
-    """(agent, target, marginal gain on ``before``) of each newly finalized
-    pair.  For a ``TableOracle``, a pair whose target has no holder in
-    ``before`` gains ``value * (1 - (1 - prob))``: the bits of
-    ``marginal_gain``, whose subtracted term is ``value * 0.0`` there, with
-    no copy of the policy.  Every other pair goes through
-    ``marginal_gain``, so its factors still multiply in the policy's
-    iteration order."""
-    if not isinstance(oracle, TableOracle):
-        return [(el.agent, el.target, marginal_gain(oracle, before, el)) for el in pairs]
-    held = {el.target for el in before}
-    values, probs = oracle.values, oracle.probs
-    return [
-        (i, j, marginal_gain(oracle, before, GroundElement(i, j)) if j in held
-         else max(0.0, values[j - 1] * (1.0 - (1.0 - probs[i - 1][j - 1]))))
-        for i, j in pairs
-    ]
+    """(agent, target, marginal gain on ``before``) of each new pair."""
+    return [(el.agent, el.target, marginal_gain(oracle, before, el)) for el in pairs]
 
 
 def _round_groups(oracle: UtilityOracle, before: Policy, before_utility: float,
-                  newly: list[tuple[int, int, float]],
-                  components: list[int]) -> tuple[DecisionGroup, ...]:
+                  newly: list[tuple[int, int, float]], components: list[int],
+                  tally: Optional[_TableTally] = None) -> tuple[DecisionGroup, ...]:
     """Newly finalized agents grouped by component; ``before_utility`` is
-    ``oracle.evaluate(before)``."""
+    ``oracle.evaluate(before)``, and ``tally``, if given, holds ``before``."""
     groups: dict[int, list[tuple[int, int, float]]] = {}
     for agent, target, delta in newly:
         groups.setdefault(components[agent - 1], []).append((agent, target, delta))
     out = []
     for members in groups.values():
-        added = frozenset(GroundElement(a, t) for a, t, _ in members)
-        inc = oracle.evaluate(before | added) - before_utility
+        after = (sum(tally.with_pairs(members)[0]) if tally else oracle.evaluate(
+            before | frozenset(GroundElement(a, t) for a, t, _ in members)))
         out.append(DecisionGroup(
             agents=tuple(a for a, _, _ in members),
             targets=tuple(t for _, t, _ in members),
             sum_deltas=sum(d for _, _, d in members),
-            increment=inc,
+            increment=after - before_utility,
         ))
     return tuple(out)
 
 
+class _TableTally:
+    """A ``TableOracle`` policy's per-target miss products and utilities,
+    kept across rounds so that a round touches only its new pairs' targets.
+    They have the bits of ``target_utilities`` while no target has three
+    holders: a product of two miss factors commutes, but one of three
+    depends on the policy's iteration order."""
+
+    def __init__(self, oracle: TableOracle):
+        self.values, self.probs = oracle.values, oracle.probs
+        self.miss = [1.0] * oracle.n_targets
+        self.utils = oracle.target_utilities(frozenset())
+        self.holders = [0] * oracle.n_targets
+
+    def admit(self, pairs) -> bool:
+        """Count the pairs' holders; False once some target has three."""
+        for _, j in pairs:
+            self.holders[j - 1] += 1
+        return all(self.holders[j - 1] < 3 for _, j in pairs)
+
+    def deltas(self, pairs) -> list[tuple[int, int, float]]:
+        """Each pair's ``marginal_gain`` on the policy so far."""
+        values, probs, miss, utils = self.values, self.probs, self.miss, self.utils
+        return [(i, j, max(0.0, values[j - 1] * (1.0 - miss[j - 1] * (1.0 - probs[i - 1][j - 1]))
+                           - utils[j - 1])) for i, j in pairs]
+
+    def with_pairs(self, newly) -> tuple[list[float], list[float]]:
+        """Per-target utilities and miss products with ``newly``'s pairs added."""
+        utils, miss = list(self.utils), list(self.miss)
+        for i, j, _ in newly:
+            miss[j - 1] *= 1.0 - self.probs[i - 1][j - 1]
+            utils[j - 1] = self.values[j - 1] * (1.0 - miss[j - 1])
+        return utils, miss
+
+    def add(self, newly) -> float:
+        """Add the pairs for good; returns the utility, ``evaluate``'s sum."""
+        self.utils, self.miss = self.with_pairs(newly)
+        return sum(self.utils)
+
+
+def _policy(claims: Sequence[int], done: Sequence[bool]) -> Policy:
+    """The finalized pairs, inserted in agent order."""
+    return frozenset(GroundElement(k + 1, j) for k, j in enumerate(claims) if done[k] and j != 0)
+
+
+# A run's phase clocks; ``components`` includes checking each distinct graph.
 PHASES = ("assignment", "communication", "implementation", "components", "bookkeeping")
 
 
@@ -671,18 +702,18 @@ def run_rounds(views_type, scenario: AllocationScenario,
     before round 0; it reads ``scenario.budgets()`` there and may tabulate
     its bids.  Each round ``assign()`` does phase I on the round's pair
     costs, under the rule of ``allowed_pairs``; ``communicate(adjacency,
-    components)`` does phase II over the round's graph, whose component
-    label per agent the driver passes along (only the auction reads them),
-    and returns the messages sent and the exchanges made (``rounds``
-    counts the exchanges); ``self_entries()`` gives each
-    agent's claim (0 = none), which phase III passes to
-    ``scenario.advance``, and whether it is done.
+    components)`` does phase II over the round's graph, an array the driver
+    has already passed through ``_check_adjacency``, with the component
+    label per agent (only the auction reads them), and returns the messages
+    sent and the exchanges made (``rounds`` counts the exchanges);
+    ``self_entries()`` gives each agent's claim (0 = none), which phase III
+    passes to ``scenario.advance``, and whether it is done.
 
     ``phase_times`` holds seconds per phase: the three protocol phases
     (``assignment`` includes building the views, ``implementation`` the
-    oracle read), ``components`` (labelling the communication graph, done
-    again only when it changes) and ``bookkeeping`` (trace records,
-    utilities and costs).
+    oracle read), ``components`` (checking and labelling each distinct
+    communication graph) and ``bookkeeping`` (trace records, utilities and
+    costs, kept by a ``_TableTally`` for a ``TableOracle``).
     """
     clock = time.perf_counter
     phase_times = dict.fromkeys(PHASES, 0.0)
@@ -703,8 +734,9 @@ def run_rounds(views_type, scenario: AllocationScenario,
 
     tick = clock()
     views = views_type(scenario, oracle)
-    done = views.self_entries()[1]
+    claims, done = views.self_entries()
     phase_times["assignment"] += clock() - tick
+    tally = _TableTally(oracle) if isinstance(oracle, TableOracle) else None
     trace: list[RoundRecord] = []
     total_messages = 0
     protocol_rounds = 0
@@ -718,18 +750,18 @@ def run_rounds(views_type, scenario: AllocationScenario,
         tock = clock()
         phase_times["implementation"] += tock - tick
         if graph is None or not np.array_equal(adjacency, graph):
-            components = graph_components(adjacency)
-            graph = np.array(adjacency)
+            graph = np.array(_check_adjacency(adjacency, scenario.n_agents))
+            components = graph_components(graph)
         tick = clock()
         phase_times["components"] += tick - tock
-        before, before_utility, done_before = policy, utility, done
+        before, before_utility, claims_before, done_before = policy, utility, claims, done
         round_messages = 0
 
         if not all(done):
             views.assign()  # Phase I
             tock = clock()
             phase_times["assignment"] += tock - tick
-            round_messages, exchanges = views.communicate(adjacency, components)  # Phase II
+            round_messages, exchanges = views.communicate(graph, components)  # Phase II
             total_messages += round_messages
             protocol_rounds += exchanges
             tick = clock()
@@ -741,20 +773,26 @@ def run_rounds(views_type, scenario: AllocationScenario,
         tock = clock()
         phase_times["implementation"] += tock - tick
 
-        policy = frozenset(
-            GroundElement(k + 1, j) for k, j in enumerate(claims) if done[k] and j != 0
-        )
-        newly = _finalized_deltas(oracle, before, [
-            GroundElement(k + 1, j) for k, j in enumerate(claims)
-            if done[k] and not done_before[k] and j != 0
-        ])
-        utility = oracle.evaluate(policy)
+        fresh = [GroundElement(k + 1, j) for k, j in enumerate(claims)
+                 if done[k] and not done_before[k] and j != 0]
+        if tally is not None:
+            oracle.check_bounds(fresh)
+            if not tally.admit(fresh):  # a third holder: the plain path from now on
+                tally, before = None, _policy(claims_before, done_before)
+        if tally is not None:
+            policy = before.union(fresh)
+            newly = tally.deltas(fresh)
+        else:
+            policy = _policy(claims, done)
+            newly = _finalized_deltas(oracle, before, fresh)
+        groups = _round_groups(oracle, before, before_utility, newly, components, tally)
+        utility = tally.add(newly) if tally is not None else oracle.evaluate(policy)
         per_agent_cost = scenario.agent_costs(policy)
         trace.append(RoundRecord(
             round=t,
             policy=policy,
             newly_finalized=tuple(newly),
-            groups=_round_groups(oracle, before, before_utility, newly, components),
+            groups=groups,
             increment=utility - before_utility,
             utility=utility,
             messages=round_messages,

@@ -116,6 +116,9 @@ class TestRunCommand:
         ["--set", "draws=true"],
         ["--set", "scenario.n_agents=7"],
         ["--set", "scenario.n_targets=7"],
+        ["--set", "sizes=[[2.5, 3]]"],
+        ["--set", "sizes=[[true, 2]]"],
+        ["--set", "sizes=[[3, 0]]"],
     ], ids=" ".join)
     def test_malformed_run_setting(self, config_file, tmp_path, capsys, args):
         code = main(["run", "--config", config_file, "--output-dir", str(tmp_path / "x"),

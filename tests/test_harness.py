@@ -74,10 +74,19 @@ class TestExperimentConfig:
         {"draws": 0},
         {"draws": 1.5},
         {"draws": True},
+        {"sizes": [(2.5, 3)]},
+        {"sizes": [(3, True)]},
+        {"sizes": [(3, 3), (2, 3.0)]},
     ])
     def test_malformed_setting_rejected(self, overrides):
         with pytest.raises(ConfigError):
             small_config(**overrides)
+
+    def test_malformed_sizes_rejected_from_dict(self):
+        # Each count is checked as it stands, not rounded by int().
+        with pytest.raises(ConfigError, match="2.5"):
+            ExperimentConfig.from_dict({"sizes": [[2.5, 3], [True, 2]]})
+        assert ExperimentConfig.from_dict({"sizes": [[np.int64(2), 3]]}).sizes == [(2, 3)]
 
     def test_dict_leaves_team_size_to_sizes(self):
         scen = small_config(sizes=[(3, 3), (4, 2)]).to_dict()["scenario"]
@@ -125,6 +134,23 @@ class TestRunExperiment:
             assert run.per_agent_cost == planned
         for name in ("greedy", "exact"):
             assert res.aggregates[f"{name}/N3M3"]["mean_total_cost"] > 0.0
+
+    def test_centralized_outputs_pinned(self):
+        # Greedy and exact on one 3x3 draw where they differ: the policy,
+        # utility and planned cost per agent, recorded before the round
+        # driver kept per-target tallies.
+        cfg = small_config(draws=1, solvers=["greedy", "exact"])
+        pins = {
+            "greedy": ([(1, 1), (2, 3), (3, 2)], 1.553308722800529,
+                       [0.12264616869526077, 0.07355032991413177, 0.0717324035324087]),
+            "exact": ([(1, 2), (2, 3), (3, 1)], 1.5577941165314264,
+                      [0.07251340829183478, 0.07355032991413177, 0.08829195593282313]),
+        }
+        for name, (policy, utility, planned) in pins.items():
+            result, _wall = _run_one(name, sample_draw(cfg, 0, 6), None)
+            assert sorted(tuple(el) for el in result.policy) == policy
+            assert repr(result.utility) == repr(utility)
+            assert repr([float(c) for c in result.per_agent_cost]) == repr(planned)
 
     def test_certifies_a_draw_with_unservable_pairs(self):
         # One step spans every deadline, so every pair costs infinity and
