@@ -287,7 +287,7 @@ def _check_adjacency(adjacency: np.ndarray, n: int) -> np.ndarray:
 
 
 def dgba_communication_phase(bundles: Sequence[BundleState], adjacency: np.ndarray,
-                             validated: bool = False) -> tuple[list[BundleState], int]:
+                             *, validated: bool = False) -> tuple[list[BundleState], int]:
     """One synchronous exchange-and-resolve step over all agents.
 
     Reads a frozen snapshot of every bundle and returns fresh bundles, so
@@ -302,8 +302,8 @@ def dgba_communication_phase(bundles: Sequence[BundleState], adjacency: np.ndarr
     claim (in particular, a claim by an isolated agent) is a singleton
     conflict set that the claimant wins, so conflicts are resolved per
     connected component.  One message is one bundle triple sent over one
-    edge in one direction.  The graph is checked unless ``validated`` says
-    ``_check_adjacency`` already passed it.
+    edge in one direction.  The graph is checked unless ``validated``, which
+    only ``AgentViews.communicate`` sets: ``run_rounds`` checked it already.
     """
     n = len(bundles)
     if not validated:
@@ -600,25 +600,20 @@ def _finalized_deltas(oracle: UtilityOracle, before: Policy,
     return [(el.agent, el.target, marginal_gain(oracle, before, el)) for el in pairs]
 
 
-def _round_groups(oracle: UtilityOracle, before: Policy, before_utility: float,
-                  newly: list[tuple[int, int, float]], components: list[int],
-                  tally: Optional[_TableTally] = None) -> tuple[DecisionGroup, ...]:
+def _round_groups(newly: list[tuple[int, int, float]], components: list[int],
+                  before_utility: float, after) -> tuple[DecisionGroup, ...]:
     """Newly finalized agents grouped by component; ``before_utility`` is
-    ``oracle.evaluate(before)``, and ``tally``, if given, holds ``before``."""
+    the utility before the round and ``after(members)`` the utility with
+    only the group's (agent, target, delta) pairs added."""
     groups: dict[int, list[tuple[int, int, float]]] = {}
     for agent, target, delta in newly:
         groups.setdefault(components[agent - 1], []).append((agent, target, delta))
-    out = []
-    for members in groups.values():
-        after = (sum(tally.with_pairs(members)[0]) if tally else oracle.evaluate(
-            before | frozenset(GroundElement(a, t) for a, t, _ in members)))
-        out.append(DecisionGroup(
-            agents=tuple(a for a, _, _ in members),
-            targets=tuple(t for _, t, _ in members),
-            sum_deltas=sum(d for _, _, d in members),
-            increment=after - before_utility,
-        ))
-    return tuple(out)
+    return tuple(DecisionGroup(
+        agents=tuple(a for a, _, _ in members),
+        targets=tuple(t for _, t, _ in members),
+        sum_deltas=sum(d for _, _, d in members),
+        increment=after(members) - before_utility,
+    ) for members in groups.values())
 
 
 class _TableTally:
@@ -778,14 +773,20 @@ def run_rounds(views_type, scenario: AllocationScenario,
         if tally is not None:
             oracle.check_bounds(fresh)
             if not tally.admit(fresh):  # a third holder: the plain path from now on
+                # Three-factor gains depend on order: use and record an agent-order before.
                 tally, before = None, _policy(claims_before, done_before)
+                if trace:
+                    trace[-1].policy = before
         if tally is not None:
             policy = before.union(fresh)
             newly = tally.deltas(fresh)
+            after = lambda members: sum(tally.with_pairs(members)[0])
         else:
             policy = _policy(claims, done)
             newly = _finalized_deltas(oracle, before, fresh)
-        groups = _round_groups(oracle, before, before_utility, newly, components, tally)
+            after = lambda members: oracle.evaluate(
+                before | frozenset(GroundElement(a, j) for a, j, _ in members))
+        groups = _round_groups(newly, components, before_utility, after)
         utility = tally.add(newly) if tally is not None else oracle.evaluate(policy)
         per_agent_cost = scenario.agent_costs(policy)
         trace.append(RoundRecord(

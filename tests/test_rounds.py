@@ -3,9 +3,10 @@
 ``reference_records`` recomputes every ``RoundRecord`` the plain way, from
 each round's claims in agent order: the policy as a fresh frozenset, its
 utility by ``oracle.evaluate``, the deltas by ``_finalized_deltas`` and the
-groups by ``_round_groups`` without a tally.  The driver must give the same
-bits, whether it kept a ``TableOracle``'s per-target tallies or fell back to
-the plain path after a target got three holders.
+groups by ``_round_groups``, each group's utility by ``oracle.evaluate``.
+The driver must give the same bits, whether it kept a ``TableOracle``'s
+per-target tallies or fell back to the plain path after a target got three
+holders.
 """
 
 import math
@@ -80,8 +81,9 @@ def reference_records(oracle, entries, graphs, costs):
             GroundElement(k + 1, j) for k, j in enumerate(claims)
             if done[k] and not done_before[k] and j != 0])
         utility = oracle.evaluate(policy)
-        groups = _round_groups(oracle, before, before_utility, newly,
-                               graph_components(graphs[t]))
+        groups = _round_groups(newly, graph_components(graphs[t]), before_utility,
+                               lambda ms: oracle.evaluate(before | frozenset(
+                                   GroundElement(a, j) for a, j, _ in ms)))
         out.append((policy, newly, groups, utility - before_utility, utility, costs[t]))
         before, before_utility, done_before = policy, utility, done
     return out

@@ -14,6 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from taskalloc.core import GroundElement, ModularOracle, TableOracle, marginal_gain
+from taskalloc.scenario import ScenarioConfig, sample_scenario
 from taskalloc.solvers import (
     AgentViews,
     ArrayViews,
@@ -138,19 +139,36 @@ def test_runs_agree(args):
                     run_rounds(AgentViews, DeadlineScenario(*args)))
 
 
+def assert_deltas_are_marginal_gains(oracle, trace):
+    before = frozenset()
+    for record in trace:
+        assert [repr(d) for _i, _j, d in record.newly_finalized] == [
+            repr(marginal_gain(oracle, before, GroundElement(i, j)))
+            for i, j, _d in record.newly_finalized]
+        before = record.policy
+
+
 @settings(max_examples=60, deadline=None)
 @given(instances())
 def test_trace_deltas_are_marginal_gains_to_the_bit(args):
     scenario = DeadlineScenario(*args)
     oracle = scenario.oracle()
     for views_type in (AgentViews, AuctionViews):
-        before = frozenset()
-        for record in run_rounds(views_type, DeadlineScenario(*args)).trace:
-            assert [repr(d) for _i, _j, d in record.newly_finalized] == [
-                repr(marginal_gain(oracle, before, GroundElement(i, j)))
-                for i, j, _d in record.newly_finalized]
-            # The driver takes the gains on the policy built in agent order.
-            before = frozenset(sorted(record.policy))
+        assert_deltas_are_marginal_gains(
+            oracle, run_rounds(views_type, DeadlineScenario(*args)).trace)
+
+
+def test_trace_deltas_are_marginal_gains_past_three_holders():
+    # On this 20 x 5 satellite draw a target gets a third holder, and a
+    # three-factor gain depends on the iteration order of the policy it is
+    # taken on: the record before that round must hold the driver's policy.
+    def draw():
+        return sample_scenario(ScenarioConfig(n_agents=20, n_targets=5),
+                               np.random.default_rng([99, 20, 5, 143]))
+
+    oracle = draw().oracle()
+    for views_type in (AgentViews, ArrayViews, AuctionViews):
+        assert_deltas_are_marginal_gains(oracle, run_rounds(views_type, draw()).trace)
 
 
 class LoopAuction:
