@@ -105,6 +105,8 @@ class ExperimentConfig:
                 raise ConfigError(
                     f"unknown solver {s!r}; choose from {KNOWN_SOLVERS}"
                 )
+        if len(set(self.solvers)) != len(self.solvers):
+            raise ConfigError(f"solver names must be distinct; got {self.solvers!r}")
         for n, m in self.sizes:
             if "exact" in self.solvers and (m + 1) ** n > EXACT_SEARCH_CAP:
                 raise ConfigError(
@@ -127,8 +129,6 @@ class ExperimentConfig:
                 raise ConfigError(f"scenario key {key!r} is set per size by 'sizes'")
             if name not in valid:
                 raise ConfigError(f"unknown scenario key {key!r}")
-            if name.endswith("_range"):
-                value = tuple(float(v) for v in value)
             scen_kwargs[name] = value
         top_valid = {f.name for f in fields(cls)} - {"scenario"}
         kwargs = {}

@@ -16,6 +16,7 @@ communication-range rule.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -382,21 +383,31 @@ class ScenarioConfig:
     fuel: Optional[float] = None
 
     def __post_init__(self):
-        if not self.n_steps >= 1:
-            raise ContractViolation("n_steps must be at least 1")
+        steps = self.n_steps
+        if not isinstance(steps, numbers.Integral) or isinstance(steps, bool) or steps < 1:
+            raise ContractViolation(f"n_steps must be an integer of at least 1; got {steps!r}")
         if not 0 < self.box_side < math.inf:
             raise ContractViolation("box_side must be positive and finite")
         if not 0 <= self.initial_speed < math.inf:
             raise ContractViolation("initial_speed must be nonnegative and finite")
         if not self.decay > 0:
             raise ContractViolation("decay factor must be positive")
+        if not self.comm_factor >= 0:
+            raise ContractViolation("comm_factor must be nonnegative")
+        if not 0 <= self.drag_coeff < math.inf:
+            raise ContractViolation("drag_coeff must be nonnegative and finite")
+        if self.fuel is not None and not self.fuel >= 0:
+            raise ContractViolation("fuel must be None or nonnegative")
         for name in ("end_time_range", "obs_duration_range",
                      "obs_radius_range", "info_value_range"):
             bounds = getattr(self, name)
-            if (len(bounds) != 2
+            if (not isinstance(bounds, (tuple, list)) or len(bounds) != 2
+                    or any(isinstance(v, bool) or not isinstance(v, numbers.Real)
+                           for v in bounds)
                     or not -math.inf < bounds[0] <= bounds[1] < math.inf):
                 raise ContractViolation(
-                    f"{name} must be two finite bounds, low <= high; got {bounds!r}")
+                    f"{name} must be two finite numbers, low <= high; got {bounds!r}")
+            setattr(self, name, (float(bounds[0]), float(bounds[1])))
         if not self.obs_radius_range[0] > 0:
             raise ContractViolation("observation radius must be positive")
 
@@ -572,7 +583,8 @@ class SatelliteScenario(AllocationScenario):
         return build_comm_graph(self.agent_states[:, :3], self.comm_factors,
                                 self.config.domain_diameter)
 
-    def agent_costs(self, policy: Policy) -> np.ndarray:
+    def agent_costs(self, claims: Sequence[int], done: Sequence[bool]) -> np.ndarray:
+        """The cost each agent has accrued so far, flying or not."""
         return self.accrued_cost.copy()
 
     def default_horizon(self) -> int:

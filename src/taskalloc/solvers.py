@@ -31,7 +31,7 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass, field
-from itertools import chain, product
+from itertools import product
 from typing import Optional, Sequence
 
 import numpy as np
@@ -102,10 +102,10 @@ class DecisionGroup:
 
 @dataclass
 class RoundRecord:
-    """Per-round trace entry emitted by a protocol run."""
+    """Per-round trace entry: what one round of a protocol run changed.  The
+    policy after round t is the union of ``newly_finalized`` over 0..t."""
 
     round: int
-    policy: Policy
     newly_finalized: tuple[tuple[int, int, float], ...]  # (agent, target, delta)
     groups: tuple[DecisionGroup, ...]
     increment: float
@@ -166,14 +166,14 @@ class AllocationScenario:
         """Advance world dynamics one step, agent k + 1 flying toward
         target ``claims[k]`` (0 = none); a no-op for static worlds."""
 
-    def agent_costs(self, policy: Policy) -> np.ndarray:
-        """Per agent, the pair costs of its pairs in the policy, summed in
-        the policy's iteration order."""
-        pairs = np.fromiter(chain.from_iterable(policy), dtype=np.intp,
-                            count=2 * len(policy)) - 1
-        agents = pairs[0::2]
-        return np.bincount(agents, weights=self.pair_costs()[agents, pairs[1::2]],
-                           minlength=self.n_agents)
+    def agent_costs(self, claims: Sequence[int], done: Sequence[bool]) -> np.ndarray:
+        """Per agent, the cost of the pair it holds: ``pair_costs()`` at its
+        claim if it is finalized with one, else 0.0."""
+        claims = np.asarray(claims, dtype=np.intp)
+        rows = np.flatnonzero(np.asarray(done, dtype=bool) & (claims != 0))
+        costs = np.zeros(self.n_agents)
+        costs[rows] = self.pair_costs()[rows, claims[rows] - 1]
+        return costs
 
     def default_horizon(self) -> int:
         return 2 * self.n_agents + 2
@@ -702,19 +702,30 @@ def run_rounds(views_type, scenario: AllocationScenario,
     label per agent (only the auction reads them), and returns the messages
     sent and the exchanges made (``rounds`` counts the exchanges);
     ``self_entries()`` gives each agent's claim (0 = none), which phase III
-    passes to ``scenario.advance``, and whether it is done.
+    passes to ``scenario.advance``, and whether it is done.  These
+    ``(claims, done)`` are the driver's one allocation state: records hold
+    the pairs each round finalized, ``scenario.agent_costs(claims, done)``
+    gives the costs, and policies are built from the claims in agent order.
 
     ``phase_times`` holds seconds per phase: the three protocol phases
     (``assignment`` includes building the views, ``implementation`` the
-    oracle read), ``components`` (checking and labelling each distinct
-    communication graph) and ``bookkeeping`` (trace records, utilities and
-    costs, kept by a ``_TableTally`` for a ``TableOracle``).
+    oracle read and the argument checks), ``components`` (checking and
+    labelling each distinct communication graph) and ``bookkeeping``
+    (trace records, utilities and costs, kept by a ``_TableTally`` for a
+    ``TableOracle``).  ``lap`` charges the time since the previous clock
+    read to the phase it ends, so the intervals tile the run.
     """
     clock = time.perf_counter
     phase_times = dict.fromkeys(PHASES, 0.0)
-    tick = clock()
+    last = clock()
+
+    def lap(phase: str) -> None:
+        nonlocal last
+        now = clock()
+        phase_times[phase] += now - last
+        last = now
+
     oracle = scenario.oracle()
-    phase_times["implementation"] += clock() - tick
     if constraints is not None and (
         constraints.n_agents != scenario.n_agents
         or constraints.n_targets != scenario.n_targets
@@ -726,72 +737,60 @@ def run_rounds(views_type, scenario: AllocationScenario,
         horizon = scenario.default_horizon()
     if horizon < 1:
         raise ConfigurationError("horizon must be at least 1")
+    lap("implementation")
 
-    tick = clock()
     views = views_type(scenario, oracle)
     claims, done = views.self_entries()
-    phase_times["assignment"] += clock() - tick
+    lap("assignment")
     tally = _TableTally(oracle) if isinstance(oracle, TableOracle) else None
     trace: list[RoundRecord] = []
-    total_messages = 0
     protocol_rounds = 0
-    policy = frozenset()
     utility = 0.0
     graph = components = None
+    lap("bookkeeping")
 
     for t in range(horizon):
-        tick = clock()
         adjacency = scenario.adjacency()
-        tock = clock()
-        phase_times["implementation"] += tock - tick
+        lap("implementation")
         if graph is None or not np.array_equal(adjacency, graph):
             graph = np.array(_check_adjacency(adjacency, scenario.n_agents))
             components = graph_components(graph)
-        tick = clock()
-        phase_times["components"] += tick - tock
-        before, before_utility, claims_before, done_before = policy, utility, claims, done
+        lap("components")
+        before_utility, claims_before, done_before = utility, claims, done
         round_messages = 0
 
         if not all(done):
             views.assign()  # Phase I
-            tock = clock()
-            phase_times["assignment"] += tock - tick
+            lap("assignment")
             round_messages, exchanges = views.communicate(graph, components)  # Phase II
-            total_messages += round_messages
             protocol_rounds += exchanges
-            tick = clock()
-            phase_times["communication"] += tick - tock
+            lap("communication")
 
         # Phase III: world dynamics.
         claims, done = views.self_entries()
         scenario.advance(claims)
-        tock = clock()
-        phase_times["implementation"] += tock - tick
+        lap("implementation")
 
         fresh = [GroundElement(k + 1, j) for k, j in enumerate(claims)
                  if done[k] and not done_before[k] and j != 0]
         if tally is not None:
             oracle.check_bounds(fresh)
             if not tally.admit(fresh):  # a third holder: the plain path from now on
-                # Three-factor gains depend on order: use and record an agent-order before.
-                tally, before = None, _policy(claims_before, done_before)
-                if trace:
-                    trace[-1].policy = before
+                tally = None
         if tally is not None:
-            policy = before.union(fresh)
             newly = tally.deltas(fresh)
             after = lambda members: sum(tally.with_pairs(members)[0])
         else:
-            policy = _policy(claims, done)
+            # Three-factor gains depend on order: take them on agent-order policies.
+            before, policy = _policy(claims_before, done_before), _policy(claims, done)
             newly = _finalized_deltas(oracle, before, fresh)
             after = lambda members: oracle.evaluate(
                 before | frozenset(GroundElement(a, j) for a, j, _ in members))
         groups = _round_groups(newly, components, before_utility, after)
         utility = tally.add(newly) if tally is not None else oracle.evaluate(policy)
-        per_agent_cost = scenario.agent_costs(policy)
+        per_agent_cost = scenario.agent_costs(claims, done)
         trace.append(RoundRecord(
             round=t,
-            policy=policy,
             newly_finalized=tuple(newly),
             groups=groups,
             increment=utility - before_utility,
@@ -799,21 +798,21 @@ def run_rounds(views_type, scenario: AllocationScenario,
             messages=round_messages,
             cumulative_cost=float(np.sum(per_agent_cost)),
         ))
-        phase_times["bookkeeping"] += clock() - tock
+        lap("bookkeeping")
 
         if all(done):
             break
 
-    tick = clock()
+    policy = _policy(claims, done)
     if constraints is not None and not constraints.is_independent(policy):
         raise ContractViolation("protocol produced an infeasible policy")
-    phase_times["bookkeeping"] += clock() - tick
+    lap("bookkeeping")
     return SolverResult(
         policy=policy,
         utility=utility,
         per_agent_cost=per_agent_cost,
         rounds=protocol_rounds,
-        messages=total_messages,
+        messages=sum(rec.messages for rec in trace),
         trace=trace,
         phase_times=phase_times,
     )

@@ -119,6 +119,18 @@ class TestRunCommand:
         ["--set", "sizes=[[2.5, 3]]"],
         ["--set", "sizes=[[true, 2]]"],
         ["--set", "sizes=[[3, 0]]"],
+        ["--set", "scenario.end_time_range=5"],
+        ["--set", "scenario.end_time_range=[a,b]"],
+        ["--set", "scenario.end_time_range='19'"],
+        ["--set", "scenario.n_steps=2.5"],
+        ["--set", "scenario.n_steps=true"],
+        ["--set", "scenario.fuel=-1"],
+        ["--set", "scenario.fuel=.nan"],
+        ["--set", "scenario.comm_factor=-1"],
+        ["--set", "scenario.comm_factor=.nan"],
+        ["--set", "scenario.drag_coeff=-0.5"],
+        ["--set", "scenario.drag_coeff=.inf"],
+        ["--set", "solvers=[dgba,dgba]"],
     ], ids=" ".join)
     def test_malformed_run_setting(self, config_file, tmp_path, capsys, args):
         code = main(["run", "--config", config_file, "--output-dir", str(tmp_path / "x"),

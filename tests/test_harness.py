@@ -77,10 +77,35 @@ class TestExperimentConfig:
         {"sizes": [(2.5, 3)]},
         {"sizes": [(3, True)]},
         {"sizes": [(3, 3), (2, 3.0)]},
+        {"solvers": ["dgba", "dgba"]},
     ])
     def test_malformed_setting_rejected(self, overrides):
         with pytest.raises(ConfigError):
             small_config(**overrides)
+
+    @pytest.mark.parametrize("scenario", [
+        {"end_time_range": 5},
+        {"end_time_range": ["a", "b"]},
+        {"end_time_range": "19"},
+        {"end_time_range": [True, 2]},
+        {"n_steps": 2.5},
+        {"n_steps": True},
+        {"fuel": -1},
+        {"fuel": float("nan")},
+        {"comm_factor": -1},
+        {"comm_factor": float("nan")},
+        {"drag_coeff": -0.5},
+        {"drag_coeff": float("inf")},
+    ])
+    def test_malformed_scenario_setting_rejected_from_dict(self, scenario):
+        with pytest.raises(ConfigError):
+            ExperimentConfig.from_dict({"scenario": scenario})
+
+    def test_unbounded_fuel_accepted(self):
+        cfg = ExperimentConfig.from_dict({"scenario": {"fuel": float("inf"),
+                                                       "end_time_range": [19, 20]}})
+        assert cfg.scenario.fuel == float("inf")
+        assert cfg.scenario.end_time_range == (19.0, 20.0)
 
     def test_malformed_sizes_rejected_from_dict(self):
         # Each count is checked as it stands, not rounded by int().

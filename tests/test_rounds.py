@@ -19,7 +19,8 @@ from hypothesis import strategies as st
 
 from taskalloc import solvers
 from taskalloc.core import ContractViolation, GroundElement, ModularOracle, TableOracle
-from taskalloc.scenario import ScenarioConfig, sample_scenario
+from taskalloc.harness import random_bound_instance
+from taskalloc.scenario import SatelliteScenario, ScenarioConfig, sample_scenario
 from taskalloc.solvers import (
     AgentViews,
     ArrayViews,
@@ -40,11 +41,22 @@ def agent_order_policy(claims, done):
     return frozenset(GroundElement(k + 1, j) for k, j in enumerate(claims) if done[k] and j != 0)
 
 
+def trace_policies(trace):
+    """The policy after each record: the ``newly_finalized`` pairs so far,
+    inserted in agent order by a generator, as ``agent_order_policy``
+    inserts them."""
+    held = {}
+    for rec in trace:
+        held.update((a, j) for a, j, _d in rec.newly_finalized)
+        yield frozenset(GroundElement(a, held[a]) for a in sorted(held))
+
+
 def recorded_run(views_type, scenario):
     """``run_rounds`` with what the reference needs recorded per round: the
     views' self-entries (once before round 0, then once per round), the
-    adjacency the scenario gave, and the summed cost of the agent-order
-    policy, taken when the driver asks for its costs."""
+    adjacency the scenario gave, and the summed cost, taken when the driver
+    asks for its costs: the satellite world's accrued cost, or for a static
+    world the cost table's entries at the agent-order policy's pairs."""
     entries, graphs, costs = [], [], []
 
     class Recorded(views_type):
@@ -60,9 +72,15 @@ def recorded_run(views_type, scenario):
         graphs.append(np.array(graph))
         return graph
 
-    def recorded_costs(policy):
-        costs.append(float(np.sum(agent_costs(agent_order_policy(*entries[-1])))))
-        return agent_costs(policy)
+    def recorded_costs(claims, done):
+        if isinstance(scenario, SatelliteScenario):
+            per_agent = scenario.accrued_cost.copy()
+        else:
+            per_agent = np.zeros(scenario.n_agents)
+            for el in agent_order_policy(*entries[-1]):
+                per_agent[el.agent - 1] += scenario.pair_costs()[el.agent - 1, el.target - 1]
+        costs.append(float(np.sum(per_agent)))
+        return agent_costs(claims, done)
 
     scenario.adjacency, scenario.agent_costs = recorded_adjacency, recorded_costs
     oracle = scenario.oracle()
@@ -94,15 +112,16 @@ def assert_records_match_reference(views_type, scenario):
     the result."""
     oracle, res, entries, graphs, costs = recorded_run(views_type, scenario)
     assert len(entries) == len(res.trace) + 1 == len(graphs) + 1 == len(costs) + 1
-    for rec, (policy, newly, groups, inc, utility, cost) in zip(
-            res.trace, reference_records(oracle, entries, graphs, costs)):
-        assert set(rec.policy) == set(policy)
+    for rec, held, (policy, newly, groups, inc, utility, cost) in zip(
+            res.trace, trace_policies(res.trace),
+            reference_records(oracle, entries, graphs, costs)):
+        assert held == policy
         assert repr(rec.newly_finalized) == repr(tuple(newly))
         assert repr(rec.groups) == repr(groups)
         assert repr(rec.increment) == repr(inc)
         assert repr(rec.utility) == repr(utility)
         assert repr(rec.cumulative_cost) == repr(cost)
-    assert res.policy == res.trace[-1].policy
+    assert res.policy == held
     assert repr(res.utility) == repr(res.trace[-1].utility)
     return res
 
@@ -178,6 +197,21 @@ def test_modular_oracle_records_match_reference():
         assert_records_match_reference(views_type, scenario)
 
 
+def test_static_costs_match_reference():
+    # A cost table and budgets that rule some pairs out, so the recorded
+    # costs are those of the pairs held, not zeros.
+    rng = np.random.default_rng(21)
+    oracle = TableOracle(rng.uniform(1.0, 3.0, size=5), rng.uniform(0.1, 0.9, size=(12, 5)))
+    costs = rng.uniform(0.5, 1.5, size=(12, 5))
+    budgets = rng.uniform(0.6, 1.5, size=12)
+    upper = np.triu(rng.random((12, 12)) < 0.3, k=1)
+    for views_type in VIEWS:
+        scenario = StaticScenario(oracle, costs=costs, budgets=budgets,
+                                  adjacency=(upper | upper.T).astype(float))
+        res = assert_records_match_reference(views_type, scenario)
+        assert res.trace[-1].cumulative_cost > 0.0
+
+
 class TurningGraph(StaticScenario):
     """Complete graph until ``bad_from``, then ``bad``; every agent wants
     the targets in the same order, so one agent finalizes per round."""
@@ -229,6 +263,24 @@ def test_static_graph_is_checked_once(monkeypatch, solver, n):
     res = solver(TurningGraph(n, None, bad_from=math.inf))
     assert len(res.trace) >= 3
     assert calls == [n]
+
+
+@pytest.mark.parametrize("views_type", VIEWS)
+def test_phase_clocks_tile_the_run(monkeypatch, views_type):
+    # Each clock read returns the next integer, so every read the driver
+    # makes shows up as one unit; the phases must account for all of them.
+    reads = []
+
+    def counter():
+        reads.append(float(len(reads)))
+        return reads[-1]
+
+    monkeypatch.setattr(solvers.time, "perf_counter", counter)
+    inst = random_bound_instance(5)
+    scenario = StaticScenario(inst.oracle, costs=inst.costs, budgets=inst.budgets)
+    res = run_rounds(views_type, scenario, constraints=inst.constraints)
+    assert len(res.trace) >= 2
+    assert sum(res.phase_times.values()) == reads[-1] - reads[0]
 
 
 def lowest_agent_labels(labels):

@@ -34,6 +34,7 @@ from taskalloc.solvers import (
     sequential_greedy,
 )
 from taskalloc.scenario import ScenarioConfig, sample_scenario
+from test_rounds import trace_policies
 
 P = math.exp(-0.8)
 
@@ -430,8 +431,8 @@ def test_moving_world_is_scored_by_its_start_oracle(solver):
     res = solver(world)
     assert len(res.trace) >= 2
     assert world.oracle().probs != start.probs  # the world did move
-    for rec in res.trace:
-        assert rec.utility == start.evaluate(rec.policy)
+    for rec, policy in zip(res.trace, trace_policies(res.trace)):
+        assert rec.utility == start.evaluate(policy)
 
 
 class TestTraceChecks:

@@ -24,6 +24,7 @@ from taskalloc.solvers import (
     graph_components,
     run_rounds,
 )
+from test_rounds import trace_policies
 
 
 class DeadlineScenario(StaticScenario):
@@ -141,11 +142,11 @@ def test_runs_agree(args):
 
 def assert_deltas_are_marginal_gains(oracle, trace):
     before = frozenset()
-    for record in trace:
+    for record, policy in zip(trace, trace_policies(trace)):
         assert [repr(d) for _i, _j, d in record.newly_finalized] == [
             repr(marginal_gain(oracle, before, GroundElement(i, j)))
             for i, j, _d in record.newly_finalized]
-        before = record.policy
+        before = policy
 
 
 @settings(max_examples=60, deadline=None)
