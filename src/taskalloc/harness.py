@@ -558,13 +558,13 @@ def _time_one_round(oracle: TableOracle, adjacency: np.ndarray,
     it costs about the same at every grid size, so the fit below has
     nothing to explain there."""
     scen = StaticScenario(oracle, adjacency=adjacency)
-    components = graph_components(adjacency)
+    linked, components = adjacency > 0, graph_components(adjacency)
     total = 0.0
     for _ in range(rounds):
         views = AgentViews(scen, oracle)
         start = time.perf_counter()
         views.assign()
-        views.communicate(adjacency, components)
+        views.communicate(linked, components)
         total += time.perf_counter() - start
     return total / rounds
 

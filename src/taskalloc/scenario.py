@@ -386,6 +386,9 @@ class ScenarioConfig:
         steps = self.n_steps
         if not isinstance(steps, numbers.Integral) or isinstance(steps, bool) or steps < 1:
             raise ContractViolation(f"n_steps must be an integer of at least 1; got {steps!r}")
+        for name in ("box_side", "initial_speed", "decay", "comm_factor", "drag_coeff", "fuel"):
+            if isinstance(getattr(self, name), bool):
+                raise ContractViolation(f"{name} must be a number; got {getattr(self, name)!r}")
         if not 0 < self.box_side < math.inf:
             raise ContractViolation("box_side must be positive and finite")
         if not 0 <= self.initial_speed < math.inf:

@@ -77,9 +77,6 @@ class BundleState:
     def empty(cls, n_agents: int) -> "BundleState":
         return cls(w=[0] * n_agents, b=[0.0] * n_agents, f=[0] * n_agents)
 
-    def copy(self) -> "BundleState":
-        return BundleState(list(self.w), list(self.b), list(self.f))
-
 
 @dataclass
 class AgentRuntime:
@@ -286,63 +283,51 @@ def _check_adjacency(adjacency: np.ndarray, n: int) -> np.ndarray:
     return adjacency
 
 
-def dgba_communication_phase(bundles: Sequence[BundleState], adjacency: np.ndarray,
-                             *, validated: bool = False) -> tuple[list[BundleState], int]:
-    """One synchronous exchange-and-resolve step over all agents.
+def dgba_communication_phase(bundles: Sequence[BundleState], linked: np.ndarray) -> None:
+    """One synchronous exchange-and-resolve step over all agents, updating
+    their bundles in place.
 
-    Reads a frozen snapshot of every bundle and returns fresh bundles, so
-    the result is independent of agent ordering.  Each agent copies the
-    self-entries of its neighbors, then resolves the conflict set of agents
-    claiming its own target: the highest bid wins (ties to the lowest agent
-    id), losers are reset in the local view.  A claim on a target that some
-    agent's view shows as already finalized is withdrawn rather than
-    contested: finalized allocations are immutable.
+    Every agent's self-entries are read into a snapshot first, and each
+    agent's update reads only that snapshot and its own bundle, so the
+    result is independent of agent ordering.  Each agent copies the
+    self-entries of its neighbors (``linked[i][j]`` true), then resolves
+    the conflict set of agents claiming its own target: the highest bid
+    wins (ties to the lowest agent id), losers are reset in the local view.
+    A claim on a target that some agent's view shows as already finalized
+    is withdrawn rather than contested: finalized allocations are immutable.
 
     Resolution runs whether or not the agent has neighbors: an uncontested
     claim (in particular, a claim by an isolated agent) is a singleton
     conflict set that the claimant wins, so conflicts are resolved per
-    connected component.  One message is one bundle triple sent over one
-    edge in one direction.  The graph is checked unless ``validated``, which
-    only ``AgentViews.communicate`` sets: ``run_rounds`` checked it already.
+    connected component.  The kernel neither checks the graph nor counts
+    messages: ``run_rounds`` does both, once per distinct graph.
     """
     n = len(bundles)
-    if not validated:
-        adjacency = _check_adjacency(adjacency, n)
-
     # Snapshot of every agent's self-entries, broadcast during the exchange.
     self_w = [b.w[k] for k, b in enumerate(bundles)]
     self_b = [b.b[k] for k, b in enumerate(bundles)]
     self_f = [b.f[k] for k, b in enumerate(bundles)]
-    adj_rows = adjacency.tolist()
 
-    messages = 0
-    out: list[BundleState] = []
-    for i in range(n):
-        row = adj_rows[i]
-        new = bundles[i].copy()
+    for i, row in enumerate(linked.tolist()):
+        w, b, f = bundles[i].w, bundles[i].b, bundles[i].f
         for j in range(n):
-            if row[j] > 0:
-                new.w[j] = self_w[j]
-                new.b[j] = self_b[j]
-                new.f[j] = self_f[j]
-                messages += 1
-        my_target = new.w[i]
-        if not new.f[i] and my_target != 0:
-            holders = [k for k in range(n) if new.w[k] == my_target]
-            if any(new.f[k] for k in holders if k != i):
+            if row[j]:
+                w[j], b[j], f[j] = self_w[j], self_b[j], self_f[j]
+        my_target = w[i]
+        if not f[i] and my_target != 0:
+            holders = [k for k in range(n) if w[k] == my_target]
+            if any(f[k] for k in holders if k != i):
                 # Yield to an already-finalized holder.
-                new.w[i] = 0
-                new.b[i] = 0.0
+                w[i] = 0
+                b[i] = 0.0
             else:
-                conflict = [k for k in holders if not new.f[k]]
-                winner = min(conflict, key=lambda k: (-new.b[k], k))
-                new.f[winner] = 1
+                conflict = [k for k in holders if not f[k]]
+                winner = min(conflict, key=lambda k: (-b[k], k))
+                f[winner] = 1
                 for k in conflict:
                     if k != winner:
-                        new.w[k] = 0
-                        new.b[k] = 0.0
-        out.append(new)
-    return out, messages
+                        w[k] = 0
+                        b[k] = 0.0
 
 
 def graph_components(adjacency: np.ndarray) -> list[int]:
@@ -409,14 +394,12 @@ class AgentViews:
             if not dgba_assignment_phase(agent, self.oracle, avail):
                 agent.bundle.f[agent.id - 1] = 1
 
-    def communicate(self, adjacency: np.ndarray,
-                    components: Sequence[int]) -> tuple[int, int]:
-        """Phase II, one exchange; returns the messages sent and 1."""
-        bundles, messages = dgba_communication_phase(
-            [a.bundle for a in self.agents], adjacency, validated=True)
-        for agent, bundle in zip(self.agents, bundles):
-            agent.bundle = bundle
-        return messages, 1
+    def communicate(self, linked: np.ndarray, components: Sequence[int]) -> int:
+        """Phase II: one exchange over the links, updating each agent's
+        bundle in place (``dgba_communication_phase``); returns 1, the
+        exchanges made."""
+        dgba_communication_phase([a.bundle for a in self.agents], linked)
+        return 1
 
 
 class ArrayViews:
@@ -471,10 +454,9 @@ class ArrayViews:
         self.w[rows, rows] = best + 1
         self.b[rows, rows] = gains[np.arange(rows.size), best]
 
-    def communicate(self, adjacency: np.ndarray,
-                    components: Sequence[int]) -> tuple[int, int]:
-        """Phase II with the rules of ``dgba_communication_phase``."""
-        linked = adjacency > 0
+    def communicate(self, linked: np.ndarray, components: Sequence[int]) -> int:
+        """Phase II with the rules of ``dgba_communication_phase``; returns
+        1, the exchanges made."""
         for view in (self.w, self.b, self.f):
             np.copyto(view, view.diagonal().copy(), where=linked)
         rows = np.flatnonzero(~self.f.diagonal() & (self.w.diagonal() != 0))
@@ -492,7 +474,7 @@ class ArrayViews:
         lost_row, lost = np.nonzero(conflict)
         self.w[rows[lost_row], lost] = 0
         self.b[rows[lost_row], lost] = 0.0
-        return int(np.count_nonzero(linked)), 1
+        return 1
 
 
 class AuctionViews:
@@ -541,14 +523,12 @@ class AuctionViews:
         self.ranks = np.empty(placed.sum(), dtype=np.intp)
         self.ranks[np.argsort(-bid[placed], kind="stable")] = np.arange(self.ranks.size)
 
-    def communicate(self, adjacency: np.ndarray,
-                    components: Sequence[int]) -> tuple[int, int]:
+    def communicate(self, linked: np.ndarray, components: Sequence[int]) -> int:
         """Flooding.  Each sweep sends every agent's tables over every edge
         and keeps, per agent and target, the best bid heard and whether the
         target is heard to be won; sweeps repeat until no table changes.
         Each bidder whose own table then names it top bidder on a target
-        not heard to be won wins it.  Returns the messages sent and the
-        sweeps made.
+        not heard to be won wins it.  Returns the sweeps made.
 
         The sweeps are not run one by one.  After k sweeps an agent's entry
         is the minimum over its k-hop ball, so on a symmetric graph the
@@ -560,7 +540,6 @@ class AuctionViews:
         growing the set of entries that hold their final value one hop at a
         time."""
         n, m = self.taken.shape
-        linked = adjacency > 0
         # Per agent: the best bid rank heard per target (n = none), then per
         # target 0 if heard to be won, else 1.  A sweep keeps the minimum of
         # each entry over the agent and its neighbours.
@@ -587,7 +566,7 @@ class AuctionViews:
         self.target[winners] = targets + 1
         self.done[winners] = True
         self.taken[winners, targets] = True
-        return sweeps * int(np.count_nonzero(linked)), sweeps
+        return sweeps
 
 
 # ---------------------------------------------------------------------------
@@ -660,7 +639,7 @@ def _policy(claims: Sequence[int], done: Sequence[bool]) -> Policy:
     return frozenset(GroundElement(k + 1, j) for k, j in enumerate(claims) if done[k] and j != 0)
 
 
-# A run's phase clocks; ``components`` includes checking each distinct graph.
+# A run's phase clocks; ``components`` includes the work per distinct graph.
 PHASES = ("assignment", "communication", "implementation", "components", "bookkeeping")
 
 
@@ -696,24 +675,31 @@ def run_rounds(views_type, scenario: AllocationScenario,
     The views protocol: ``views_type(scenario, oracle)`` is built once,
     before round 0; it reads ``scenario.budgets()`` there and may tabulate
     its bids.  Each round ``assign()`` does phase I on the round's pair
-    costs, under the rule of ``allowed_pairs``; ``communicate(adjacency,
-    components)`` does phase II over the round's graph, an array the driver
-    has already passed through ``_check_adjacency``, with the component
-    label per agent (only the auction reads them), and returns the messages
-    sent and the exchanges made (``rounds`` counts the exchanges);
-    ``self_entries()`` gives each agent's claim (0 = none), which phase III
-    passes to ``scenario.advance``, and whether it is done.  These
+    costs, under the rule of ``allowed_pairs``; ``communicate(linked,
+    components)`` does phase II over the round's graph and returns the
+    exchanges it made: 1 for DGBA, the flooding sweeps for the auction.
+    ``linked`` is the boolean N x N array ``graph > 0`` of a graph the
+    driver has passed through ``_check_adjacency``, ``components`` the
+    component label per agent (only the auction reads them).  The driver
+    owns the graph: it checks, links, labels and counts the directed edges
+    of each distinct graph once, when it differs from the last round's.  A
+    message is one agent's state sent over one directed edge in one
+    exchange, so a round's ``messages`` is its exchanges times the graph's
+    edges, and ``rounds`` sums the exchanges.  ``self_entries()`` gives
+    each agent's claim (0 = none), which phase III passes to
+    ``scenario.advance``, and whether it is done.  These
     ``(claims, done)`` are the driver's one allocation state: records hold
     the pairs each round finalized, ``scenario.agent_costs(claims, done)``
     gives the costs, and policies are built from the claims in agent order.
 
     ``phase_times`` holds seconds per phase: the three protocol phases
     (``assignment`` includes building the views, ``implementation`` the
-    oracle read and the argument checks), ``components`` (checking and
-    labelling each distinct communication graph) and ``bookkeeping``
-    (trace records, utilities and costs, kept by a ``_TableTally`` for a
-    ``TableOracle``).  ``lap`` charges the time since the previous clock
-    read to the phase it ends, so the intervals tile the run.
+    oracle read and the argument checks), ``components`` (checking,
+    linking, labelling and counting each distinct communication graph) and
+    ``bookkeeping`` (trace records, utilities and costs, kept by a
+    ``_TableTally`` for a ``TableOracle``).  ``lap`` charges the time since
+    the previous clock read to the phase it ends, so the intervals tile the
+    run.
     """
     clock = time.perf_counter
     phase_times = dict.fromkeys(PHASES, 0.0)
@@ -746,7 +732,7 @@ def run_rounds(views_type, scenario: AllocationScenario,
     trace: list[RoundRecord] = []
     protocol_rounds = 0
     utility = 0.0
-    graph = components = None
+    graph = None
     lap("bookkeeping")
 
     for t in range(horizon):
@@ -754,7 +740,9 @@ def run_rounds(views_type, scenario: AllocationScenario,
         lap("implementation")
         if graph is None or not np.array_equal(adjacency, graph):
             graph = np.array(_check_adjacency(adjacency, scenario.n_agents))
-            components = graph_components(graph)
+            linked = graph > 0
+            edges = int(np.count_nonzero(linked))
+            components = graph_components(linked)
         lap("components")
         before_utility, claims_before, done_before = utility, claims, done
         round_messages = 0
@@ -762,8 +750,9 @@ def run_rounds(views_type, scenario: AllocationScenario,
         if not all(done):
             views.assign()  # Phase I
             lap("assignment")
-            round_messages, exchanges = views.communicate(graph, components)  # Phase II
+            exchanges = views.communicate(linked, components)  # Phase II
             protocol_rounds += exchanges
+            round_messages = exchanges * edges
             lap("communication")
 
         # Phase III: world dynamics.
@@ -884,7 +873,6 @@ def exact_oracle(oracle: UtilityOracle,
 
 
 def auction_baseline(scenario: AllocationScenario,
-                     constraints: Optional[IndependenceSystem] = None,
                      horizon: Optional[int] = None) -> SolverResult:
     """Simplified flooding auction used as a communication-cost yardstick.
 
@@ -897,7 +885,7 @@ def auction_baseline(scenario: AllocationScenario,
     over ``AuctionViews``).  ``rounds`` counts flooding sweeps, so it grows
     with graph diameter.
     """
-    return run_rounds(AuctionViews, scenario, constraints, horizon)
+    return run_rounds(AuctionViews, scenario, horizon=horizon)
 
 
 # ---------------------------------------------------------------------------

@@ -99,6 +99,14 @@ class TestRunCommand:
         "scenario.lambda=0",
         "scenario.obs_radius_range=[0, 1]",
         "scenario.info_value_range=[2, .inf]",
+        "scenario.decay=true",
+        "scenario.lambda=true",
+        "scenario.phi=true",
+        "scenario.box_side=true",
+        "scenario.fuel=true",
+        "scenario.comm_factor=true",
+        "scenario.drag_coeff=true",
+        "scenario.initial_speed=false",
     ])
     def test_malformed_scenario_setting(self, config_file, tmp_path, capsys, override):
         code = main(["run", "--config", config_file, "--output-dir", str(tmp_path / "x"),

@@ -96,10 +96,26 @@ class TestExperimentConfig:
         {"comm_factor": float("nan")},
         {"drag_coeff": -0.5},
         {"drag_coeff": float("inf")},
+        {"decay": True},
+        {"lambda": True},
+        {"box_side": True},
+        {"fuel": True},
+        {"comm_factor": True},
+        {"drag_coeff": True},
+        {"initial_speed": False},
     ])
     def test_malformed_scenario_setting_rejected_from_dict(self, scenario):
         with pytest.raises(ConfigError):
             ExperimentConfig.from_dict({"scenario": scenario})
+
+    def test_integer_and_unbounded_scenario_settings_accepted(self):
+        # Only bools are refused: integers are numbers, and infinite fuel
+        # or reach means no limit.
+        for scenario in ({"decay": 1, "box_side": 6, "fuel": 2, "comm_factor": 1,
+                          "drag_coeff": 0, "initial_speed": 0},
+                         {"fuel": float("inf"), "comm_factor": float("inf")}):
+            cfg = ExperimentConfig.from_dict({"scenario": scenario})
+            assert {key: getattr(cfg.scenario, key) for key in scenario} == scenario
 
     def test_unbounded_fuel_accepted(self):
         cfg = ExperimentConfig.from_dict({"scenario": {"fuel": float("inf"),

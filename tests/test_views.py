@@ -10,6 +10,7 @@ same auction written as per-agent loops over dicts and sets.
 import math
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -115,8 +116,8 @@ def test_phase_kernels_agree_round_by_round(args):
         assert_same_views(agent, array)
         adjacency = scenario.adjacency()
         components = graph_components(adjacency)
-        assert (agent.communicate(adjacency, components)
-                == array.communicate(adjacency, components))
+        assert (agent.communicate(adjacency > 0, components)
+                == array.communicate(adjacency > 0, components))
         assert_same_views(agent, array)
         claims, done = agent.self_entries()
         assert array.self_entries() == (claims, done)
@@ -138,6 +139,69 @@ def assert_same_run(got, ref):
 def test_runs_agree(args):
     assert_same_run(run_rounds(ArrayViews, DeadlineScenario(*args)),
                     run_rounds(AgentViews, DeadlineScenario(*args)))
+
+
+def round_edges(graphs, trace):
+    """Directed edges of each record's round graph: ``DeadlineScenario``
+    shows ``graphs[t % len(graphs)]`` in round t."""
+    return [int(np.count_nonzero(graphs[rec.round % len(graphs)] > 0)) for rec in trace]
+
+
+@settings(max_examples=60, deadline=None)
+@given(instances())
+def test_dgba_sends_one_message_per_directed_edge_per_round(args):
+    graphs = args[3]
+    for views_type in (AgentViews, ArrayViews):
+        trace = run_rounds(views_type, DeadlineScenario(*args)).trace
+        assert [rec.messages for rec in trace] == round_edges(graphs, trace)
+
+
+@settings(max_examples=60, deadline=None)
+@given(instances())
+def test_auction_sends_one_message_per_directed_edge_per_sweep(args):
+    res = auction_baseline(DeadlineScenario(*args))
+    sweeps = 0
+    for rec, edges in zip(res.trace, round_edges(args[3], res.trace)):
+        if edges:
+            assert rec.messages % edges == 0
+            sweeps += rec.messages // edges
+        else:  # no table can change: the one sweep that sees no change
+            assert rec.messages == 0
+            sweeps += 1
+    assert sweeps == res.rounds
+
+
+def rescaled(graph, scale, absent):
+    """``graph``'s links weighted by ``scale``, its off-diagonal zeros set
+    to ``absent``."""
+    out = np.where(graph > 0, scale * graph, absent)
+    np.fill_diagonal(out, 0.0)
+    return out
+
+
+@settings(max_examples=30, deadline=None)
+@given(instances())
+def test_only_the_link_pattern_of_a_graph_counts(args):
+    oracle, costs, budgets, graphs, unreachable_from = args
+    for views_type in (AgentViews, ArrayViews, AuctionViews):
+        ref = run_rounds(views_type, DeadlineScenario(*args))
+        for scale, absent in ((2.5, 0.0), (1.0, -3.0)):
+            weighted = [rescaled(g, scale, absent) for g in graphs]
+            assert_same_run(run_rounds(views_type, DeadlineScenario(
+                oracle, costs, budgets, weighted, unreachable_from)), ref)
+
+
+@pytest.mark.parametrize("views_type", [AgentViews, ArrayViews, AuctionViews])
+@pytest.mark.parametrize("n, adjacency, pinned", [
+    (0, None, (0, 0, 1)),
+    (12, np.zeros((12, 12)), (1, 0, 1)),
+], ids=["no-agents", "edgeless-12"])
+def test_edge_case_counts_pinned(views_type, n, adjacency, pinned):
+    # (rounds, messages, records): no agent, no round; no edge, no message.
+    probs = np.random.default_rng(0).uniform(0.1, 0.9, (n, 3))
+    res = run_rounds(views_type, StaticScenario(TableOracle(np.ones(3), probs),
+                                                adjacency=adjacency))
+    assert (res.rounds, res.messages, len(res.trace)) == pinned
 
 
 def assert_deltas_are_marginal_gains(oracle, trace):
@@ -210,7 +274,7 @@ class LoopAuction:
             else:
                 self.bids[i] = (best_j, best_bid)
 
-    def communicate(self, adjacency, components):
+    def communicate(self, linked, components):
         n = len(self.target)
         table = [{} for _ in range(n)]
         for i, (j, v) in self.bids.items():
@@ -223,7 +287,7 @@ class LoopAuction:
             sent, heard = [dict(t) for t in table], [set(s) for s in self.taken]
             for i in range(n):
                 for k in range(n):
-                    if adjacency[i][k] > 0:
+                    if linked[i][k]:
                         for j, entry in sent[k].items():
                             if j not in table[i] or entry > table[i][j]:
                                 table[i][j] = entry
@@ -236,7 +300,7 @@ class LoopAuction:
                 self.target[i] = j
                 self.done[i] = True
                 self.taken[i].add(j)
-        return sweeps * int(np.count_nonzero(np.asarray(adjacency) > 0)), sweeps
+        return sweeps
 
 
 @settings(max_examples=60, deadline=None)
@@ -249,7 +313,8 @@ def test_auction_matches_the_loop_reference(args):
 def settle(adjacency, bidders):
     """One auction round on a single target that only ``bidders`` value:
     (messages, sweeps) and the won targets of ``AuctionViews``, checked
-    against ``LoopAuction``."""
+    against ``LoopAuction``.  The messages are those the round driver
+    records for round 0 of a run on the same scenario."""
     n = len(adjacency)
     probs = [[1.0 if i in bidders else 0.0] for i in range(n)]
     scenario = StaticScenario(TableOracle([1.0], probs), adjacency=adjacency)
@@ -257,10 +322,11 @@ def settle(adjacency, bidders):
     for views_type in (AuctionViews, LoopAuction):
         views = views_type(scenario, scenario.oracle())
         views.assign()
-        counts = views.communicate(adjacency, graph_components(adjacency))
-        out.append((counts, views.self_entries()[0]))
+        sweeps = views.communicate(adjacency > 0, graph_components(adjacency))
+        out.append((sweeps, views.self_entries()[0]))
     assert out[0] == out[1]
-    return out[0]
+    sweeps, won = out[0]
+    return (run_rounds(AuctionViews, scenario).trace[0].messages, sweeps), won
 
 
 def path(n):
