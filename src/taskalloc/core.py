@@ -262,9 +262,10 @@ class TableOracle(UtilityOracle):
             raise ContractViolation("probability table is ragged")
         if not ((table >= 0.0) & (table <= 1.0)).all():
             raise ContractViolation("success probabilities must lie in [0, 1]")
-        if not (values >= 0.0).all():
-            # A negative value would make the utility decreasing.
-            raise ContractViolation("target values must be nonnegative")
+        if not ((values >= 0.0) & np.isfinite(values)).all():
+            # A negative value would make the utility decreasing, an
+            # infinite one the empty policy's utility NaN.
+            raise ContractViolation("target values must be finite and nonnegative")
         self.values = values.tolist()
         self.probs = table.tolist()
         self.prob_table = table
@@ -302,9 +303,13 @@ class ModularOracle(UtilityOracle):
         # weights: dict mapping GroundElement -> value, or N x M table.
         if isinstance(weights, dict):
             self.weights = {GroundElement(*k): float(v) for k, v in weights.items()}
+            if not self.weights or min(min(el) for el in self.weights) < 1:
+                raise ContractViolation("weights must name pairs with ids from 1")
             self.n_agents = max(el.agent for el in self.weights)
             self.n_targets = max(el.target for el in self.weights)
         else:
+            if len(weights) == 0 or any(len(row) != len(weights[0]) for row in weights):
+                raise ContractViolation("weight table is empty or ragged")
             self.weights = {
                 GroundElement(i + 1, j + 1): float(w)
                 for i, row in enumerate(weights)
@@ -312,6 +317,9 @@ class ModularOracle(UtilityOracle):
             }
             self.n_agents = len(weights)
             self.n_targets = len(weights[0])
+        if not all(0.0 <= w < math.inf for w in self.weights.values()):
+            # A negative weight would make the utility decreasing.
+            raise ContractViolation("weights must be finite and nonnegative")
 
     def evaluate_target(self, target: int, policy: Policy) -> float:
         return sum(

@@ -55,11 +55,12 @@ class ConfigurationError(ValueError):
 EXACT_SEARCH_CAP = 10 ** 7
 
 # Team size from which dgba_run keeps the views as N x N arrays rather than
-# per-agent lists.  Median time per dgba_run on complete-graph TableOracle
-# instances with N = M (Xeon, Python 3.11, numpy 2.4, one thread):
-#   N          4      8      9     10     16
-#   lists    308    456    470    540   1146 us
-#   arrays   424    458    451    461    707 us
+# per-agent lists.  Median time per run on complete-graph TableOracle
+# instances with N = M, medians of three interleaved runs (shared 2-CPU
+# Xeon, Python 3.11, numpy 2.4, one thread); N = 9 is within noise:
+#   N          4      6      8      9     10     12     16
+#   lists    268    485    493    563    587    778   1356 us
+#   arrays   349    595    510    585    545    651    982 us
 ARRAY_VIEWS_MIN_AGENTS = 9
 
 
@@ -76,15 +77,6 @@ class BundleState:
     @classmethod
     def empty(cls, n_agents: int) -> "BundleState":
         return cls(w=[0] * n_agents, b=[0.0] * n_agents, f=[0] * n_agents)
-
-
-@dataclass
-class AgentRuntime:
-    """Protocol-facing state of one agent."""
-
-    id: int  # 1-based
-    bundle: BundleState
-    budget: float  # at the start of the run
 
 
 @dataclass
@@ -129,9 +121,10 @@ class AllocationScenario:
     real dynamics in phase III.  The solvers read the world through one
     cost query, ``pair_costs``, and one budget query, ``budgets``.  A pair
     the world cannot serve (in the satellite world, one whose rendezvous
-    deadline has passed) costs infinity.  The round-by-round views ask
-    ``pair_costs`` for the rows of the agents still bidding only, and the
-    satellite world computes only the rows it is asked for.
+    deadline has passed) costs infinity.  In a protocol run only the round
+    driver makes these queries: ``budgets`` once, and each round
+    ``pair_costs`` for the rows of the agents still bidding; the satellite
+    world computes only the rows it is asked for.
     """
 
     n_agents: int
@@ -148,7 +141,8 @@ class AllocationScenario:
         raise NotImplementedError
 
     def pair_cost_row(self, agent: int) -> list[float]:
-        """All pair costs of one agent, indexable by target - 1."""
+        """All pair costs of one agent, indexable by target - 1: the one-row
+        query of tests and benchmarks (the solvers do not call it)."""
         return self.pair_costs()[agent - 1].tolist()
 
     def budgets(self) -> np.ndarray:
@@ -177,8 +171,8 @@ class AllocationScenario:
 
 
 class StaticScenario(AllocationScenario):
-    """Frozen positions: fixed oracle, cost table, budgets (all infinite
-    unless given) and communication graph."""
+    """Frozen positions: fixed oracle, N x M cost table (all zero unless
+    given), N budgets (all infinite unless given) and communication graph."""
 
     def __init__(self, oracle: UtilityOracle,
                  costs: Optional[Sequence[Sequence[float]]] = None,
@@ -191,6 +185,9 @@ class StaticScenario(AllocationScenario):
                        else np.asarray(costs, dtype=float))
         self._budgets = (np.full(self.n_agents, math.inf) if budgets is None
                          else np.asarray(budgets, dtype=float))
+        if (self._costs.shape, self._budgets.shape) != ((self.n_agents, self.n_targets),
+                                                        (self.n_agents,)):
+            raise ConfigurationError("cost table or budgets do not match the oracle's N x M")
         if adjacency is None:
             adjacency = np.ones((self.n_agents, self.n_agents)) - np.eye(self.n_agents)
         self._adjacency = np.asarray(adjacency, dtype=float)
@@ -199,7 +196,7 @@ class StaticScenario(AllocationScenario):
         return self._oracle
 
     def pair_costs(self, agents: Optional[np.ndarray] = None) -> np.ndarray:
-        return self._costs if agents is None else self._costs[agents]
+        return self._costs if agents is None else self._costs.take(agents, axis=0)
 
     def budgets(self) -> np.ndarray:
         return self._budgets
@@ -228,35 +225,28 @@ def allowed_pairs(costs: np.ndarray, budgets: np.ndarray) -> np.ndarray:
     return (costs <= budgets[:, None]) & np.isfinite(costs)
 
 
-def available_targets(scenario: AllocationScenario, agent: AgentRuntime) -> list[int]:
-    """Targets an agent may still bid on: unclaimed in its view, and allowed
-    by the rule of ``allowed_pairs`` (finite cost, within its budget)."""
-    bundle = agent.bundle
-    claimed = {int(j) for i, j in enumerate(bundle.w) if j != 0 and i + 1 != agent.id}
-    costs = scenario.pair_cost_row(agent.id)
-    return [j for j, c in enumerate(costs, start=1)
-            if j not in claimed and c <= agent.budget and c < math.inf]
+def available_targets(bundle: BundleState, self_id: int,
+                      allowed: Sequence[bool]) -> list[int]:
+    """Targets an agent may still bid on, ascending: those its row of
+    ``allowed_pairs`` allows (``allowed[j - 1]`` for target j) that no
+    other agent holds in its view."""
+    claimed = {j for i, j in enumerate(bundle.w) if j != 0 and i + 1 != self_id}
+    return [j for j, ok in enumerate(allowed, start=1) if ok and j not in claimed]
 
 
-def dgba_assignment_phase(agent: AgentRuntime, oracle: UtilityOracle,
+def dgba_assignment_phase(bundle: BundleState, self_id: int, oracle: UtilityOracle,
                           available: Sequence[int]) -> bool:
-    """Greedy claim of the best available target; updates the agent's own
-    bundle entries in place.
-
-    Finalized agents and agents with nothing available are left untouched.
-    Returns True if the agent placed (or kept) a claim, False if it had no
-    option; the run loop finalizes optionless agents with an empty claim.
-    """
-    k = agent.id - 1
-    bundle = agent.bundle
-    if bundle.f[k]:
-        return True
+    """Greedy claim of the best available target by an unfinalized agent,
+    in its own bundle entries.  Returns True if the agent placed a claim,
+    False if it had no option (its claim is then cleared); the views
+    finalize optionless agents with an empty claim."""
+    k = self_id - 1
     if not available:
         bundle.w[k] = 0
         bundle.b[k] = 0.0
         return False
-    policy = local_view_policy(bundle, agent.id)
-    gains = oracle.marginal_gains_for_agent(policy, agent.id, available)
+    policy = local_view_policy(bundle, self_id)
+    gains = oracle.marginal_gains_for_agent(policy, self_id, available)
     # Ties break toward the lowest target id; iterate ascending with strict >.
     best_j, best_gain = 0, -1.0
     for j in available:
@@ -371,34 +361,30 @@ class AgentViews:
     """Per-agent views: one ``BundleState`` per agent, updated by the
     per-agent phase kernels above.  The reference implementation."""
 
-    def __init__(self, scenario: AllocationScenario, oracle: UtilityOracle):
-        self.scenario, self.oracle = scenario, oracle
-        n = scenario.n_agents
-        self.agents = [
-            AgentRuntime(id=i + 1, bundle=BundleState.empty(n), budget=budget)
-            for i, budget in enumerate(scenario.budgets().tolist())
-        ]
+    def __init__(self, oracle: UtilityOracle):
+        self.oracle = oracle
+        self.bundles = [BundleState.empty(oracle.n_agents) for _ in range(oracle.n_agents)]
 
     def self_entries(self) -> tuple[list[int], list[bool]]:
         """Each agent's own claim (0 = none) and whether it is finalized."""
-        return ([int(a.bundle.w[a.id - 1]) for a in self.agents],
-                [bool(a.bundle.f[a.id - 1]) for a in self.agents])
+        return ([int(b.w[k]) for k, b in enumerate(self.bundles)],
+                [bool(b.f[k]) for k, b in enumerate(self.bundles)])
 
-    def assign(self) -> None:
-        """Phase I.  Finalized agents skip the candidate scan entirely;
-        agents with nothing available finalize with an empty claim."""
-        for agent in self.agents:
-            if agent.bundle.f[agent.id - 1]:
-                continue
-            avail = available_targets(self.scenario, agent)
-            if not dgba_assignment_phase(agent, self.oracle, avail):
-                agent.bundle.f[agent.id - 1] = 1
+    def assign(self, rows: np.ndarray, allowed: np.ndarray) -> None:
+        """Phase I for the unfinalized agents ``rows`` (0-based), agent
+        ``rows[r]`` allowed the targets of ``allowed[r]``.  Agents with
+        nothing available finalize with an empty claim."""
+        for k, row in zip(rows.tolist(), allowed.tolist()):
+            bundle = self.bundles[k]
+            avail = available_targets(bundle, k + 1, row)
+            if not dgba_assignment_phase(bundle, k + 1, self.oracle, avail):
+                bundle.f[k] = 1
 
     def communicate(self, linked: np.ndarray, components: Sequence[int]) -> int:
         """Phase II: one exchange over the links, updating each agent's
         bundle in place (``dgba_communication_phase``); returns 1, the
         exchanges made."""
-        dgba_communication_phase([a.bundle for a in self.agents], linked)
+        dgba_communication_phase(self.bundles, linked)
         return 1
 
 
@@ -409,38 +395,34 @@ class ArrayViews:
     with the same results as ``AgentViews``, bids included to the last
     bit."""
 
-    def __init__(self, scenario: AllocationScenario, oracle: UtilityOracle):
-        self.scenario = scenario
-        n, m = scenario.n_agents, scenario.n_targets
+    def __init__(self, oracle: UtilityOracle):
+        n, m = oracle.n_agents, oracle.n_targets
         self.w = np.zeros((n, n), dtype=np.int32)
         self.b = np.zeros((n, n))
         self.f = np.zeros((n, n), dtype=bool)
-        self.budgets = scenario.budgets()
         # Bid of each pair.  No one else holds an available target in the
         # agent's view, so its marginal gain is the gain on the empty
-        # policy: for a TableOracle value * prob, the product
-        # marginal_gains_for_agent forms.
+        # policy, as marginal_gains_for_agent gives it: for a TableOracle
+        # the product value * prob.
         if isinstance(oracle, TableOracle):
             self.gains = np.asarray(oracle.values) * oracle.prob_table
         else:
-            self.gains = _pair_table(n, m, lambda el: marginal_gain(oracle, frozenset(), el))
+            self.gains = _pair_table(n, m, lambda el: oracle.marginal_gains_for_agent(
+                frozenset(), el.agent, (el.target,))[el.target])
 
     def self_entries(self) -> tuple[list[int], list[bool]]:
         return self.w.diagonal().tolist(), self.f.diagonal().tolist()
 
-    def assign(self) -> None:
-        """Phase I with the rules of ``AgentViews.assign``."""
-        rows = np.flatnonzero(~self.f.diagonal())
-        if rows.size == 0:
-            return
+    def assign(self, rows: np.ndarray, allowed: np.ndarray) -> None:
+        """Phase I with the rules and arguments of ``AgentViews.assign``."""
         r = np.arange(rows.size)
         # Targets other agents hold in each view; column 0 collects "none".
         held = self.w[rows]
         held[r, rows] = 0
-        claimed = np.zeros((rows.size, self.scenario.n_targets + 1), dtype=bool)
+        claimed = np.zeros((rows.size, self.gains.shape[1] + 1), dtype=bool)
         claimed[r[:, None], held] = True
         avail = ~claimed[:, 1:]
-        avail &= allowed_pairs(self.scenario.pair_costs(rows), self.budgets[rows])
+        avail &= allowed
         has_option = avail.any(axis=1)
         idle = rows[~has_option]
         self.w[idle, idle] = 0
@@ -484,13 +466,11 @@ class AuctionViews:
     through the flooding, so disconnected components can duplicate
     targets."""
 
-    def __init__(self, scenario: AllocationScenario, oracle: UtilityOracle):
-        self.scenario = scenario
-        n, m = scenario.n_agents, scenario.n_targets
+    def __init__(self, oracle: UtilityOracle):
+        n, m = oracle.n_agents, oracle.n_targets
         self.target = np.zeros(n, dtype=np.intp)
         self.done = np.zeros(n, dtype=bool)
         self.taken = np.zeros((n, m), dtype=bool)
-        self.budgets = scenario.budgets()
         # Standalone utility of each pair: evaluate_target of the pair
         # alone, for a TableOracle value * (1 - (1 - prob)).
         if isinstance(oracle, TableOracle):
@@ -504,15 +484,14 @@ class AuctionViews:
     def self_entries(self) -> tuple[list[int], list[bool]]:
         return self.target.tolist(), self.done.tolist()
 
-    def assign(self) -> None:
-        """Bidding.  Every agent not done bids its best standalone utility
-        (the pair's utility on its own, ignoring what the allocation
-        already covers; ties to the lowest target id) on a target it has
-        not heard is won and that ``allowed_pairs`` allows.  An agent with
-        no positive bid is done, with no target."""
-        rows = np.flatnonzero(~self.done)
+    def assign(self, rows: np.ndarray, allowed: np.ndarray) -> None:
+        """Bidding.  Every agent not done (``rows``) bids its best
+        standalone utility (the pair's utility on its own, ignoring what
+        the allocation already covers; ties to the lowest target id) on a
+        target it has not heard is won and that its row of ``allowed``
+        allows.  An agent with no positive bid is done, with no target."""
         ok = ~self.taken[rows]
-        ok &= allowed_pairs(self.scenario.pair_costs(rows), self.budgets[rows])
+        ok &= allowed
         bids = np.where(ok, self.alone[rows], 0.0)
         best = bids.argmax(axis=1)  # first maximum: lowest target id
         bid = bids[np.arange(rows.size), best]
@@ -672,10 +651,14 @@ def run_rounds(views_type, scenario: AllocationScenario,
     ``AuctionViews`` for ``auction_baseline``.  The scenario's oracle is
     read once, before round 0, and scores every round.
 
-    The views protocol: ``views_type(scenario, oracle)`` is built once,
-    before round 0; it reads ``scenario.budgets()`` there and may tabulate
-    its bids.  Each round ``assign()`` does phase I on the round's pair
-    costs, under the rule of ``allowed_pairs``; ``communicate(linked,
+    The driver alone queries the world and applies the allowed-pair rule;
+    the views only keep protocol state and decide.  ``views_type(oracle)``
+    is built once, before round 0, and may tabulate its bids; the driver
+    then reads ``scenario.budgets()``, once.  Each round that still has
+    bidders, it takes their 0-based ``rows`` from its ``done`` state, asks
+    ``scenario.pair_costs(rows)`` and calls ``assign(rows, allowed)`` (phase
+    I), ``allowed`` being ``allowed_pairs`` of those costs and the start
+    budgets, row r for agent ``rows[r]``.  ``communicate(linked,
     components)`` does phase II over the round's graph and returns the
     exchanges it made: 1 for DGBA, the flooding sweeps for the auction.
     ``linked`` is the boolean N x N array ``graph > 0`` of a graph the
@@ -693,13 +676,13 @@ def run_rounds(views_type, scenario: AllocationScenario,
     gives the costs, and policies are built from the claims in agent order.
 
     ``phase_times`` holds seconds per phase: the three protocol phases
-    (``assignment`` includes building the views, ``implementation`` the
-    oracle read and the argument checks), ``components`` (checking,
-    linking, labelling and counting each distinct communication graph) and
-    ``bookkeeping`` (trace records, utilities and costs, kept by a
-    ``_TableTally`` for a ``TableOracle``).  ``lap`` charges the time since
-    the previous clock read to the phase it ends, so the intervals tile the
-    run.
+    (``assignment`` includes building the views, the budget read and the
+    cost queries, ``implementation`` the oracle read and the argument
+    checks), ``components`` (checking, linking, labelling and counting
+    each distinct communication graph) and ``bookkeeping`` (trace records,
+    utilities and costs, kept by a ``_TableTally`` for a ``TableOracle``).
+    ``lap`` charges the time since the previous clock read to the phase it
+    ends, so the intervals tile the run.
     """
     clock = time.perf_counter
     phase_times = dict.fromkeys(PHASES, 0.0)
@@ -725,8 +708,10 @@ def run_rounds(views_type, scenario: AllocationScenario,
         raise ConfigurationError("horizon must be at least 1")
     lap("implementation")
 
-    views = views_type(scenario, oracle)
+    views = views_type(oracle)
+    budgets = scenario.budgets()
     claims, done = views.self_entries()
+    finished = np.array(done, dtype=bool)  # ``done`` as an array, for rows and costs
     lap("assignment")
     tally = _TableTally(oracle) if isinstance(oracle, TableOracle) else None
     trace: list[RoundRecord] = []
@@ -748,7 +733,10 @@ def run_rounds(views_type, scenario: AllocationScenario,
         round_messages = 0
 
         if not all(done):
-            views.assign()  # Phase I
+            # Phase I, for the agents still bidding (``nonzero`` costs less
+            # than ``flatnonzero`` per call, which small teams feel).
+            rows = (~finished).nonzero()[0]
+            views.assign(rows, allowed_pairs(scenario.pair_costs(rows), budgets[rows]))
             lap("assignment")
             exchanges = views.communicate(linked, components)  # Phase II
             protocol_rounds += exchanges
@@ -757,6 +745,7 @@ def run_rounds(views_type, scenario: AllocationScenario,
 
         # Phase III: world dynamics.
         claims, done = views.self_entries()
+        finished = np.array(done, dtype=bool)
         scenario.advance(claims)
         lap("implementation")
 
@@ -777,7 +766,7 @@ def run_rounds(views_type, scenario: AllocationScenario,
                 before | frozenset(GroundElement(a, j) for a, j, _ in members))
         groups = _round_groups(newly, components, before_utility, after)
         utility = tally.add(newly) if tally is not None else oracle.evaluate(policy)
-        per_agent_cost = scenario.agent_costs(claims, done)
+        per_agent_cost = scenario.agent_costs(claims, finished)
         trace.append(RoundRecord(
             round=t,
             newly_finalized=tuple(newly),

@@ -56,6 +56,11 @@ class TestTableOracle:
         with pytest.raises(ContractViolation):
             TableOracle([1.0, 1.0], [[0.5], [0.5, 0.5]])
 
+    @pytest.mark.parametrize("value", [math.inf, math.nan])
+    def test_rejects_non_finite_value(self, value):
+        with pytest.raises(ContractViolation):
+            TableOracle([value], [[0.5]])
+
     def test_out_of_bounds_element(self):
         with pytest.raises(ContractViolation):
             single_target_oracle().evaluate(make_policy([(3, 1)]))
@@ -195,6 +200,20 @@ class TestBoundCertificate:
 
 
 class TestModularOracle:
+    @pytest.mark.parametrize("weights", [
+        [[1.0, -2.0], [0.5, 0.5]],
+        [[1.0, math.inf]],
+        [[1.0, 2.0], [0.5]],
+        [],
+        {},
+        {(0, 1): 1.0},
+        {(1, 0): 1.0},
+    ], ids=["negative", "infinite", "ragged", "empty-table", "empty-dict",
+            "agent-id-0", "target-id-0"])
+    def test_rejects_weights_that_break_the_contract(self, weights):
+        with pytest.raises(ContractViolation):
+            ModularOracle(weights)
+
     def test_dict_and_table_agree(self):
         table = ModularOracle([[1.0, 2.0], [3.0, 4.0]])
         mapping = ModularOracle({(1, 1): 1.0, (1, 2): 2.0,

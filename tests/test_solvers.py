@@ -21,16 +21,19 @@ from taskalloc.core import (
 )
 from taskalloc.solvers import (
     PHASES,
-    AgentRuntime,
+    AgentViews,
+    ArrayViews,
     BundleState,
     ConfigurationError,
     StaticScenario,
+    allowed_pairs,
     auction_baseline,
     check_allocation_trace,
     dgba_communication_phase,
     dgba_run,
     exact_oracle,
     graph_components,
+    run_rounds,
     sequential_greedy,
 )
 from taskalloc.scenario import ScenarioConfig, sample_scenario
@@ -158,6 +161,36 @@ class TestBudgetsAndConstraints:
         res = solver(StaticScenario(orc, costs=costs))
         assert res.policy
         assert all(costs[el.agent - 1, el.target - 1] < math.inf for el in res.policy)
+
+    def test_allowed_pair_rule(self):
+        inf, nan = math.inf, math.nan
+        costs = np.array([[inf, -inf, nan, 1.0, 1.5],
+                          [1.0, inf, -inf, nan, 0.0]])
+        assert allowed_pairs(costs, np.array([1.0, inf])).tolist() == [
+            # A cost equal to the budget is allowed; no non-finite cost is,
+            # even under an infinite budget.
+            [False, False, False, True, False],
+            [True, False, False, False, True],
+        ]
+
+    def test_minus_infinite_cost_barred_in_both_dgba_forms(self):
+        orc = TableOracle([2.0, 1.0], [[0.5, 0.4], [0.2, 0.6]])
+        costs = [[-math.inf, 1.0], [1.0, 1.0]]
+        for views_type in (AgentViews, ArrayViews):
+            res = run_rounds(views_type, StaticScenario(orc, costs=costs, budgets=[2.0, 2.0]))
+            assert res.policy == make_policy([(2, 2)])
+            assert res.utility == pytest.approx(0.6)
+
+    @pytest.mark.parametrize("tables", [
+        {"costs": [[1.0], [1.0], [1.0]]},
+        {"costs": np.ones((3, 4))},
+        {"budgets": [1.0, 1.0]},
+        {"budgets": [[1.0, 1.0, 1.0]]},
+    ], ids=["costs-3x1", "costs-3x4", "budgets-2", "budgets-1x3"])
+    def test_static_tables_must_match_the_oracle(self, tables):
+        orc = TableOracle(np.ones(3), np.full((3, 3), 0.5))
+        with pytest.raises(ConfigurationError):
+            StaticScenario(orc, **tables)
 
     def test_result_checked_against_constraints(self):
         constraints = CompositeConstraint([

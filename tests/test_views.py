@@ -7,6 +7,7 @@ flooding auction's ``AuctionViews`` must reproduce ``LoopAuction``, the
 same auction written as per-agent loops over dicts and sets.
 """
 
+import functools
 import math
 
 import numpy as np
@@ -14,13 +15,20 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from taskalloc.core import GroundElement, ModularOracle, TableOracle, marginal_gain
+from taskalloc.core import (
+    GroundElement,
+    ModularOracle,
+    TableOracle,
+    UtilityOracle,
+    marginal_gain,
+)
 from taskalloc.scenario import ScenarioConfig, sample_scenario
 from taskalloc.solvers import (
     AgentViews,
     ArrayViews,
     AuctionViews,
     StaticScenario,
+    allowed_pairs,
     auction_baseline,
     graph_components,
     run_rounds,
@@ -74,6 +82,21 @@ def graphs(kind, n, rng):
     return out
 
 
+class PlainTableOracle(UtilityOracle):
+    """``TableOracle``'s arithmetic in an oracle that is not one, so the
+    views tabulate its bids the generic way."""
+
+    def __init__(self, values, probs):
+        self.table = TableOracle(values, probs)
+        self.n_agents, self.n_targets = self.table.n_agents, self.table.n_targets
+
+    def evaluate_target(self, target, policy):
+        return self.table.evaluate_target(target, policy)
+
+    def marginal_gains_for_agent(self, policy, agent, targets):
+        return self.table.marginal_gains_for_agent(policy, agent, targets)
+
+
 @st.composite
 def instances(draw):
     """Arguments of a DeadlineScenario; each run builds its own."""
@@ -82,10 +105,11 @@ def instances(draw):
     rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
     # Few distinct levels make equal gains and equal bids common.
     probs = rng.choice([0.2, 0.5, 0.8], size=(n, m))
-    if draw(st.booleans()):
-        oracle = TableOracle(rng.choice([1.0, 2.0], size=m), probs)
-    else:
+    oracle_type = draw(st.sampled_from([TableOracle, PlainTableOracle, ModularOracle]))
+    if oracle_type is ModularOracle:
         oracle = ModularOracle(probs.tolist())
+    else:
+        oracle = oracle_type(rng.choice([1.0, 2.0], size=m), probs)
     costs = rng.uniform(0.5, 1.5, size=(n, m))
     budgets = rng.uniform(0.6, 1.5, size=n) if draw(st.booleans()) else None
     kind = draw(st.sampled_from(["complete", "sparse", "disconnected", "path", "ring"]))
@@ -96,9 +120,10 @@ def instances(draw):
 def assert_same_views(agent, array):
     """Equal views, bids to the last bit: an available target has no other
     holder in the view, so the array form's bid table (value * prob for a
-    TableOracle, the marginal gain on the empty policy otherwise) gives the
-    gain the per-agent kernel computes on the agent's view."""
-    bundles = [a.bundle for a in agent.agents]
+    TableOracle, ``marginal_gains_for_agent`` on the empty policy
+    otherwise) gives the gain the per-agent kernel computes on the agent's
+    view."""
+    bundles = agent.bundles
     assert array.w.tolist() == [[int(v) for v in x.w] for x in bundles]
     assert array.b.tolist() == [list(x.b) for x in bundles]
     assert array.f.tolist() == [[bool(v) for v in x.f] for x in bundles]
@@ -109,10 +134,15 @@ def assert_same_views(agent, array):
 def test_phase_kernels_agree_round_by_round(args):
     scenario = DeadlineScenario(*args)
     oracle = scenario.oracle()
-    agent, array = AgentViews(scenario, oracle), ArrayViews(scenario, oracle)
+    budgets = scenario.budgets()
+    agent, array = AgentViews(oracle), ArrayViews(oracle)
+    done = agent.self_entries()[1]
     for _ in range(scenario.default_horizon()):
-        agent.assign()
-        array.assign()
+        # The round driver's queries and rule, given to both views.
+        rows = np.flatnonzero(np.logical_not(done))
+        allowed = allowed_pairs(scenario.pair_costs(rows), budgets[rows])
+        agent.assign(rows, allowed)
+        array.assign(rows, allowed)
         assert_same_views(agent, array)
         adjacency = scenario.adjacency()
         components = graph_components(adjacency)
@@ -240,7 +270,10 @@ class LoopAuction:
     """The flooding auction one agent and one target at a time: bids are
     ``evaluate_target`` of the single pair, tables are dicts of
     target -> (bid, -agent) and sets of won targets.  A pair is allowed
-    when its cost is finite and within the agent's budget at the start."""
+    when its cost is finite and within the agent's budget at the start:
+    the rule is applied here from the one-row cost query of ``scenario``
+    (bind it with ``functools.partial``), and the driver's ``allowed``
+    must equal it entry by entry."""
 
     def __init__(self, scenario, oracle):
         n = scenario.n_agents
@@ -254,17 +287,17 @@ class LoopAuction:
     def self_entries(self):
         return list(self.target), list(self.done)
 
-    def assign(self):
+    def assign(self, rows, allowed):
         scenario, oracle = self.scenario, self.oracle
+        assert rows.tolist() == [i for i in range(scenario.n_agents) if not self.done[i]]
         self.bids = {}
-        for i in range(scenario.n_agents):
-            if self.done[i]:
-                continue
+        for i, driver_row in zip(rows.tolist(), allowed.tolist()):
             costs = scenario.pair_cost_row(i + 1)
+            ok = [math.isfinite(c) and c <= self.budgets[i] for c in costs]
+            assert driver_row == ok
             best_j, best_bid = 0, 0.0
             for j in range(1, scenario.n_targets + 1):
-                if (j in self.taken[i] or not math.isfinite(costs[j - 1])
-                        or costs[j - 1] > self.budgets[i]):
+                if j in self.taken[i] or not ok[j - 1]:
                     continue
                 v = oracle.evaluate_target(j, frozenset({GroundElement(i + 1, j)}))
                 if v > best_bid:
@@ -306,8 +339,9 @@ class LoopAuction:
 @settings(max_examples=60, deadline=None)
 @given(instances())
 def test_auction_matches_the_loop_reference(args):
+    scenario = DeadlineScenario(*args)
     assert_same_run(auction_baseline(DeadlineScenario(*args)),
-                    run_rounds(LoopAuction, DeadlineScenario(*args)))
+                    run_rounds(functools.partial(LoopAuction, scenario), scenario))
 
 
 def settle(adjacency, bidders):
@@ -318,10 +352,10 @@ def settle(adjacency, bidders):
     n = len(adjacency)
     probs = [[1.0 if i in bidders else 0.0] for i in range(n)]
     scenario = StaticScenario(TableOracle([1.0], probs), adjacency=adjacency)
+    rows, allowed = np.arange(n), np.ones((n, 1), dtype=bool)
     out = []
-    for views_type in (AuctionViews, LoopAuction):
-        views = views_type(scenario, scenario.oracle())
-        views.assign()
+    for views in (AuctionViews(scenario.oracle()), LoopAuction(scenario, scenario.oracle())):
+        views.assign(rows, allowed)
         sweeps = views.communicate(adjacency > 0, graph_components(adjacency))
         out.append((sweeps, views.self_entries()[0]))
     assert out[0] == out[1]
