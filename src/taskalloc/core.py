@@ -10,6 +10,7 @@ arguments; oracles must be reentrant.
 from __future__ import annotations
 
 import abc
+import functools
 import math
 from dataclasses import dataclass
 from itertools import combinations
@@ -244,9 +245,11 @@ class TableOracle(UtilityOracle):
     scenario instantiates from live positions; here the table is frozen,
     which is what the static bound-verification instances need.
 
-    ``values`` and ``probs`` are plain lists; ``prob_table`` is the same
-    N x M table as a float array, for the solvers' array kernels.  Both are
-    read-only after construction.
+    ``values`` is a plain list and ``prob_table`` the N x M table as a
+    float array, which the solvers' array kernels and the round driver's
+    tally read.  ``probs``, the same table as nested lists for the
+    per-pair methods, is built on its first read: the array path never
+    reads it.  All three are read-only.
     """
 
     def __init__(self, values, probs):
@@ -267,9 +270,12 @@ class TableOracle(UtilityOracle):
             # infinite one the empty policy's utility NaN.
             raise ContractViolation("target values must be finite and nonnegative")
         self.values = values.tolist()
-        self.probs = table.tolist()
         self.prob_table = table
         self.n_agents, self.n_targets = table.shape
+
+    @functools.cached_property
+    def probs(self) -> list[list[float]]:
+        return self.prob_table.tolist()
 
     def target_utilities(self, policy: Policy) -> list[float]:
         # One pass over the policy; each target's factors are multiplied in

@@ -13,8 +13,9 @@ One round driver, ``run_rounds``, runs the protocol over either of two
 exact implementations of the views: ``AgentViews`` keeps one
 ``BundleState`` per agent and runs the per-agent phase kernels (the
 reference, and the faster one for small teams); ``ArrayViews`` keeps the
-whole team's views as N x N arrays, row i being agent i's view, and runs
-each phase as a few array operations.  ``dgba_run`` picks by team size.
+views of the agents not yet finalized as the rows of L x N arrays, and
+runs each phase as a few array operations.  A finalized agent stops
+listening: no one reads its view again.  ``dgba_run`` picks by team size.
 
 Baselines: a centralized sequential greedy, a brute-force exact search, and
 a simplified flooding auction, which the same driver runs over its own
@@ -54,7 +55,7 @@ class ConfigurationError(ValueError):
 
 EXACT_SEARCH_CAP = 10 ** 7
 
-# Team size from which dgba_run keeps the views as N x N arrays rather than
+# Team size from which dgba_run keeps the views as arrays rather than
 # per-agent lists.  Median time per run on complete-graph TableOracle
 # instances with N = M, medians of three interleaved runs (shared 2-CPU
 # Xeon, Python 3.11, numpy 2.4, one thread); N = 9 is within noise:
@@ -279,7 +280,9 @@ def dgba_communication_phase(bundles: Sequence[BundleState], linked: np.ndarray)
 
     Every agent's self-entries are read into a snapshot first, and each
     agent's update reads only that snapshot and its own bundle, so the
-    result is independent of agent ordering.  Each agent copies the
+    result is independent of agent ordering.  An agent finalized before
+    the exchange no longer listens: its bundle is left as it is, since no
+    one reads it again.  Each other agent copies the
     self-entries of its neighbors (``linked[i][j]`` true), then resolves
     the conflict set of agents claiming its own target: the highest bid
     wins (ties to the lowest agent id), losers are reset in the local view.
@@ -299,6 +302,8 @@ def dgba_communication_phase(bundles: Sequence[BundleState], linked: np.ndarray)
     self_f = [b.f[k] for k, b in enumerate(bundles)]
 
     for i, row in enumerate(linked.tolist()):
+        if self_f[i]:
+            continue
         w, b, f = bundles[i].w, bundles[i].b, bundles[i].f
         for j in range(n):
             if row[j]:
@@ -389,17 +394,26 @@ class AgentViews:
 
 
 class ArrayViews:
-    """Team-wide views as N x N arrays: row i of ``w`` (int32 targets),
-    ``b`` (float bids) and ``f`` (bool finals) is agent i's view.  Each
-    phase is a few array operations over the rows of unfinalized agents,
-    with the same results as ``AgentViews``, bids included to the last
-    bit."""
+    """Team-wide views of the live agents, those not finalized by the last
+    exchange: ``live`` holds their 0-based ids in ascending order, and row
+    r of the L x N arrays ``w`` (int32 targets), ``b`` (float bids) and
+    ``f`` (bool finals) is agent ``live[r]``'s view.  ``self_w``,
+    ``self_b`` and ``self_f`` hold every agent's self-entries as
+    N-vectors: what the exchange broadcasts and ``self_entries`` reports.
+    A finalized agent's view is never read again, so phase II drops its
+    row; the arrays shrink as agents finalize.  Each phase is a few array
+    operations with the same results as ``AgentViews``, bids included to
+    the last bit."""
 
     def __init__(self, oracle: UtilityOracle):
         n, m = oracle.n_agents, oracle.n_targets
+        self.live = np.arange(n)
         self.w = np.zeros((n, n), dtype=np.int32)
         self.b = np.zeros((n, n))
         self.f = np.zeros((n, n), dtype=bool)
+        self.self_w = np.zeros(n, dtype=np.int32)
+        self.self_b = np.zeros(n)
+        self.self_f = np.zeros(n, dtype=bool)
         # Bid of each pair.  No one else holds an available target in the
         # agent's view, so its marginal gain is the gain on the empty
         # policy, as marginal_gains_for_agent gives it: for a TableOracle
@@ -411,51 +425,64 @@ class ArrayViews:
                 frozenset(), el.agent, (el.target,))[el.target])
 
     def self_entries(self) -> tuple[list[int], list[bool]]:
-        return self.w.diagonal().tolist(), self.f.diagonal().tolist()
+        return self.self_w.tolist(), self.self_f.tolist()
 
     def assign(self, rows: np.ndarray, allowed: np.ndarray) -> None:
-        """Phase I with the rules and arguments of ``AgentViews.assign``."""
+        """Phase I with the rules and arguments of ``AgentViews.assign``;
+        ``rows`` are the live agents, as the driver passes them."""
+        if rows.size != self.live.size:
+            raise ContractViolation("phase I rows are not the live agents")
         r = np.arange(rows.size)
-        # Targets other agents hold in each view; column 0 collects "none".
-        held = self.w[rows]
-        held[r, rows] = 0
-        claimed = np.zeros((rows.size, self.gains.shape[1] + 1), dtype=bool)
-        claimed[r[:, None], held] = True
-        avail = ~claimed[:, 1:]
-        avail &= allowed
-        has_option = avail.any(axis=1)
-        idle = rows[~has_option]
-        self.w[idle, idle] = 0
-        self.b[idle, idle] = 0.0
-        self.f[idle, idle] = True
-        rows, avail = rows[has_option], avail[has_option]
-        if rows.size == 0:
-            return
-        gains = np.where(avail, self.gains[rows], -np.inf)
-        best = gains.argmax(axis=1)  # first maximum: lowest target id
-        self.w[rows, rows] = best + 1
-        self.b[rows, rows] = gains[np.arange(rows.size), best]
+        m = self.gains.shape[1]
+        # Each row's bids by target id, -inf where the target is not
+        # allowed or another agent holds it in the view; column 0 ("none")
+        # stays -inf.  Every live self-entry is rewritten below, so the own
+        # entries are cleared in place first.
+        self.w[r, rows] = 0
+        bids = np.full((rows.size, m + 1), -np.inf)
+        np.copyto(bids[:, 1:], self.gains[rows], where=allowed)
+        bids.reshape(-1)[self.w + (r * (m + 1))[:, None]] = -np.inf
+        best = bids.argmax(axis=1)  # first maximum: lowest target id
+        bid = bids[r, best]
+        idle = best == 0  # nothing available: finalize with an empty claim
+        bid[idle] = 0.0
+        for view, own in ((self.w, best), (self.b, bid), (self.f, idle)):
+            view[r, rows] = own
+        self.self_w[rows], self.self_b[rows], self.self_f[rows] = best, bid, idle
 
     def communicate(self, linked: np.ndarray, components: Sequence[int]) -> int:
-        """Phase II with the rules of ``dgba_communication_phase``; returns
-        1, the exchanges made."""
-        for view in (self.w, self.b, self.f):
-            np.copyto(view, view.diagonal().copy(), where=linked)
-        rows = np.flatnonzero(~self.f.diagonal() & (self.w.diagonal() != 0))
-        holders = self.w[rows] == self.w[rows, rows][:, None]
+        """Phase II with the rules of ``dgba_communication_phase``, then the
+        rows of the agents that finalized are dropped; returns 1, the
+        exchanges made."""
+        live = self.live
+        heard = linked[live]
+        np.copyto(self.w, self.self_w, where=heard)
+        np.copyto(self.b, self.self_b, where=heard)
+        np.copyto(self.f, self.self_f, where=heard)
+        r = np.flatnonzero(~self.self_f[live] & (self.self_w[live] != 0))
+        rows = live[r]
+        holders = self.w[r] == self.self_w[rows][:, None]
         # Withdraw claims on a target some holder has finalized in the view.
-        yields = (holders & self.f[rows]).any(axis=1)
-        out = rows[yields]
-        self.w[out, out] = 0
-        self.b[out, out] = 0.0
-        rows, conflict = rows[~yields], holders[~yields]
+        yields = (holders & self.f[r]).any(axis=1)
+        self.w[r[yields], rows[yields]] = 0
+        self.b[r[yields], rows[yields]] = 0.0
+        r, conflict = r[~yields], holders[~yields]
         # Highest bid wins, ties to the lowest agent id; losers are reset.
-        winner = np.where(conflict, self.b[rows], -np.inf).argmax(axis=1)
-        self.f[rows, winner] = True
-        conflict[np.arange(rows.size), winner] = False
+        winner = np.where(conflict, self.b[r], -np.inf).argmax(axis=1)
+        self.f[r, winner] = True
+        conflict[np.arange(r.size), winner] = False
         lost_row, lost = np.nonzero(conflict)
-        self.w[rows[lost_row], lost] = 0
-        self.b[rows[lost_row], lost] = 0.0
+        self.w[r[lost_row], lost] = 0
+        self.b[r[lost_row], lost] = 0.0
+        # Only an agent's own row changes its self-entries.
+        r = np.arange(live.size)
+        self.self_w[live] = self.w[r, live]
+        self.self_b[live] = self.b[r, live]
+        self.self_f[live] = finals = self.f[r, live]
+        if finals.any():
+            keep = ~finals
+            self.live = live[keep]
+            self.w, self.b, self.f = self.w[keep], self.b[keep], self.f[keep]
         return 1
 
 
@@ -480,6 +507,8 @@ class AuctionViews:
                 n, m, lambda el: oracle.evaluate_target(el.target, frozenset({el})))
         # This round's bids, as bidder, target index and rank.
         self.bidders = self.bid_targets = self.ranks = np.zeros(0, dtype=np.intp)
+        # The last graph's links, and what communicate derives from them.
+        self.linked = self.graph = None
 
     def self_entries(self) -> tuple[list[int], list[bool]]:
         return self.target.tolist(), self.done.tolist()
@@ -507,7 +536,10 @@ class AuctionViews:
         and keeps, per agent and target, the best bid heard and whether the
         target is heard to be won; sweeps repeat until no table changes.
         Each bidder whose own table then names it top bidder on a target
-        not heard to be won wins it.  Returns the sweeps made.
+        not heard to be won wins it.  Returns the sweeps made.  What
+        depends only on the graph is derived again only when ``linked`` is
+        not the object of the last call (the driver passes one object per
+        distinct graph, with its labels).
 
         The sweeps are not run one by one.  After k sweeps an agent's entry
         is the minimum over its k-hop ball, so on a symmetric graph the
@@ -519,19 +551,22 @@ class AuctionViews:
         growing the set of entries that hold their final value one hop at a
         time."""
         n, m = self.taken.shape
+        if linked is not self.linked:
+            labels = np.asarray(components)
+            order = np.argsort(labels, kind="stable")
+            starts = np.searchsorted(labels[order], np.arange(labels.max() + 1))
+            reach = (linked | np.eye(n, dtype=bool)).astype(float)
+            self.linked, self.graph = linked, (labels, order, starts, reach)
+        labels, order, starts, reach = self.graph
         # Per agent: the best bid rank heard per target (n = none), then per
         # target 0 if heard to be won, else 1.  A sweep keeps the minimum of
         # each entry over the agent and its neighbours.
         tables = np.hstack([np.full((n, m), n), ~self.taken])
         tables[self.bidders, self.bid_targets] = self.ranks
-        labels = np.asarray(components)
-        order = np.argsort(labels, kind="stable")
-        starts = np.searchsorted(labels[order], np.arange(labels.max() + 1))
         final = np.minimum.reduceat(tables[order], starts, axis=0)[labels]
         # Only the columns some agent does not yet hold take part.
         know = tables == final
         know = know[:, ~know.all(axis=0)].astype(float)
-        reach = (linked | np.eye(n, dtype=bool)).astype(float)
         sweeps = 1
         while not know.all():
             if sweeps > n:  # every hop distance in a component is below n
@@ -579,10 +614,11 @@ class _TableTally:
     kept across rounds so that a round touches only its new pairs' targets.
     They have the bits of ``target_utilities`` while no target has three
     holders: a product of two miss factors commutes, but one of three
-    depends on the policy's iteration order."""
+    depends on the policy's iteration order.  Probabilities are read from
+    ``prob_table`` as Python floats, the bits of ``probs``."""
 
     def __init__(self, oracle: TableOracle):
-        self.values, self.probs = oracle.values, oracle.probs
+        self.values, self.prob_table = oracle.values, oracle.prob_table
         self.miss = [1.0] * oracle.n_targets
         self.utils = oracle.target_utilities(frozenset())
         self.holders = [0] * oracle.n_targets
@@ -595,15 +631,15 @@ class _TableTally:
 
     def deltas(self, pairs) -> list[tuple[int, int, float]]:
         """Each pair's ``marginal_gain`` on the policy so far."""
-        values, probs, miss, utils = self.values, self.probs, self.miss, self.utils
-        return [(i, j, max(0.0, values[j - 1] * (1.0 - miss[j - 1] * (1.0 - probs[i - 1][j - 1]))
+        values, probs, miss, utils = self.values, self.prob_table, self.miss, self.utils
+        return [(i, j, max(0.0, values[j - 1] * (1.0 - miss[j - 1] * (1.0 - probs.item(i - 1, j - 1)))
                            - utils[j - 1])) for i, j in pairs]
 
     def with_pairs(self, newly) -> tuple[list[float], list[float]]:
         """Per-target utilities and miss products with ``newly``'s pairs added."""
         utils, miss = list(self.utils), list(self.miss)
         for i, j, _ in newly:
-            miss[j - 1] *= 1.0 - self.probs[i - 1][j - 1]
+            miss[j - 1] *= 1.0 - self.prob_table.item(i - 1, j - 1)
             utils[j - 1] = self.values[j - 1] * (1.0 - miss[j - 1])
         return utils, miss
 
@@ -730,6 +766,7 @@ def run_rounds(views_type, scenario: AllocationScenario,
             components = graph_components(linked)
         lap("components")
         before_utility, claims_before, done_before = utility, claims, done
+        finished_before = finished
         round_messages = 0
 
         if not all(done):
@@ -749,8 +786,9 @@ def run_rounds(views_type, scenario: AllocationScenario,
         scenario.advance(claims)
         lap("implementation")
 
-        fresh = [GroundElement(k + 1, j) for k, j in enumerate(claims)
-                 if done[k] and not done_before[k] and j != 0]
+        # The agents this round finalized: done now (True > False), not before.
+        fresh = [GroundElement(k + 1, claims[k])
+                 for k in (finished > finished_before).nonzero()[0].tolist() if claims[k]]
         if tally is not None:
             oracle.check_bounds(fresh)
             if not tally.admit(fresh):  # a third holder: the plain path from now on

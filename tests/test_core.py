@@ -61,6 +61,13 @@ class TestTableOracle:
         with pytest.raises(ContractViolation):
             TableOracle([value], [[0.5]])
 
+    def test_list_form_is_built_on_first_read(self):
+        orc = TableOracle([2.0, 1.5, 1.0], np.random.default_rng(3).uniform(size=(4, 3)))
+        assert "probs" not in vars(orc)
+        first = orc.probs
+        assert first == orc.prob_table.tolist()
+        assert orc.probs is first
+
     def test_out_of_bounds_element(self):
         with pytest.raises(ContractViolation):
             single_target_oracle().evaluate(make_policy([(3, 1)]))

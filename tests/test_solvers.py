@@ -237,6 +237,14 @@ class TestCommunicationPhase:
         dgba_communication_phase([a, b], adj > 0)
         assert b.w[1] == 0 and b.f[1] == 0
 
+    def test_finalized_agent_stops_listening(self):
+        a = BundleState(w=[1, 0], b=[0.9, 0.0], f=[1, 0])
+        b = BundleState(w=[0, 2], b=[0.0, 0.4], f=[0, 0])
+        adj = np.array([[0.0, 1.0], [1.0, 0.0]])
+        dgba_communication_phase([a, b], adj > 0)
+        assert (a.w, a.b, a.f) == ([1, 0], [0.9, 0.0], [1, 0])
+        assert (b.w, b.f) == ([1, 2], [1, 1])
+
     def test_graph_components(self):
         adj = np.array([
             [0, 1, 0, 0],

@@ -1,10 +1,11 @@
 """The implementations of the round driver's views, run side by side.
 
 ``AgentViews`` (per-agent lists and kernels) is the reference;
-``ArrayViews`` (team-wide N x N arrays) must reproduce it.  Both are driven
-directly, whatever team size ``dgba_run`` would pick them for.  The
-flooding auction's ``AuctionViews`` must reproduce ``LoopAuction``, the
-same auction written as per-agent loops over dicts and sets.
+``ArrayViews`` (the live agents' views as rows of arrays) must reproduce
+it.  Both are driven directly, whatever team size ``dgba_run`` would pick
+them for.  The flooding auction's ``AuctionViews`` must reproduce
+``LoopAuction``, the same auction written as per-agent loops over dicts
+and sets.
 """
 
 import functools
@@ -30,6 +31,7 @@ from taskalloc.solvers import (
     StaticScenario,
     allowed_pairs,
     auction_baseline,
+    dgba_run,
     graph_components,
     run_rounds,
 )
@@ -117,16 +119,26 @@ def instances(draw):
             rng.integers(0, 2 * n + 3, size=m).tolist())
 
 
-def assert_same_views(agent, array):
-    """Equal views, bids to the last bit: an available target has no other
+def bits(floats):
+    return np.asarray(floats, dtype=float).view(np.uint64).tolist()
+
+
+def assert_same_views(agent, array, live):
+    """The array form holds the views of the agents ``live`` (0-based,
+    ascending), each equal to that agent's bundle, and every agent's
+    self-entries, bids to the last bit: an available target has no other
     holder in the view, so the array form's bid table (value * prob for a
     TableOracle, ``marginal_gains_for_agent`` on the empty policy
     otherwise) gives the gain the per-agent kernel computes on the agent's
-    view."""
+    view.  A finalized agent's view is not state: no one reads it."""
     bundles = agent.bundles
-    assert array.w.tolist() == [[int(v) for v in x.w] for x in bundles]
-    assert array.b.tolist() == [list(x.b) for x in bundles]
-    assert array.f.tolist() == [[bool(v) for v in x.f] for x in bundles]
+    assert array.live.tolist() == live
+    assert array.w.tolist() == [[int(v) for v in bundles[k].w] for k in live]
+    assert [bits(row) for row in array.b] == [bits(bundles[k].b) for k in live]
+    assert array.f.tolist() == [[bool(v) for v in bundles[k].f] for k in live]
+    assert array.self_w.tolist() == [int(x.w[k]) for k, x in enumerate(bundles)]
+    assert bits(array.self_b) == bits([x.b[k] for k, x in enumerate(bundles)])
+    assert array.self_f.tolist() == [bool(x.f[k]) for k, x in enumerate(bundles)]
 
 
 @settings(max_examples=60, deadline=None)
@@ -143,17 +155,56 @@ def test_phase_kernels_agree_round_by_round(args):
         allowed = allowed_pairs(scenario.pair_costs(rows), budgets[rows])
         agent.assign(rows, allowed)
         array.assign(rows, allowed)
-        assert_same_views(agent, array)
+        # Agents left without options finalized here, but drop out of the
+        # live rows only at the end of the exchange.
+        assert_same_views(agent, array, rows.tolist())
         adjacency = scenario.adjacency()
         components = graph_components(adjacency)
         assert (agent.communicate(adjacency > 0, components)
                 == array.communicate(adjacency > 0, components))
-        assert_same_views(agent, array)
         claims, done = agent.self_entries()
+        assert_same_views(agent, array, [k for k, d in enumerate(done) if not d])
         assert array.self_entries() == (claims, done)
         if all(done):
             break
         scenario.advance(claims)
+
+
+@pytest.mark.parametrize("kind", ["sparse", "ring", "disconnected"])
+def test_array_views_hold_only_the_live_rows(kind):
+    # Whenever the driver reads the self-entries (before round 0 and after
+    # every round), the rows are exactly the agents not done.  More agents
+    # than targets, so some finalize without a claim.
+    rng = np.random.default_rng(16)
+    n, m = 24, 18
+    live_counts = []
+
+    class CheckedViews(ArrayViews):
+        def self_entries(self):
+            claims, done = super().self_entries()
+            live = [k for k, d in enumerate(done) if not d]
+            assert self.live.tolist() == live
+            assert [view.shape for view in (self.w, self.b, self.f)] == [(len(live), n)] * 3
+            live_counts.append(len(live))
+            return claims, done
+
+    oracle = TableOracle(rng.uniform(1.0, 2.0, m), rng.uniform(0.1, 0.9, (n, m)))
+    res = run_rounds(CheckedViews, DeadlineScenario(
+        oracle, rng.uniform(0.5, 1.5, (n, m)), None, graphs(kind, n, rng),
+        rng.integers(0, 2 * n + 3, size=m).tolist()))
+    assert len(live_counts) == len(res.trace) + 1
+    assert live_counts[0] == n and live_counts[-1] == 0
+    if kind != "disconnected":  # there every agent finalizes in round 0
+        assert any(0 < count < n for count in live_counts)
+
+
+def test_a_large_table_run_leaves_the_list_form_unbuilt():
+    # The array views and the driver's tally read ``prob_table`` only.
+    rng = np.random.default_rng(200)
+    oracle = TableOracle(rng.uniform(2.0, 2.5, 200), rng.uniform(0.1, 0.9, (200, 200)))
+    res = dgba_run(StaticScenario(oracle))
+    assert "probs" not in vars(oracle)
+    assert repr(res.utility) == repr(oracle.evaluate(res.policy))
 
 
 def assert_same_run(got, ref):
@@ -342,6 +393,22 @@ def test_auction_matches_the_loop_reference(args):
     scenario = DeadlineScenario(*args)
     assert_same_run(auction_baseline(DeadlineScenario(*args)),
                     run_rounds(functools.partial(LoopAuction, scenario), scenario))
+
+
+def test_auction_follows_a_graph_that_changes_mid_run():
+    # All agents rank the targets alike.  Round 0 (complete graph): agent
+    # 1 wins target 1.  Round 1 (a path): the others, not yet told, bid on
+    # target 1 again and flood along the path to learn it is won.  Round 2
+    # (no edges): each of them wins target 2 in its own component.
+    n = 8
+    adjacency = np.ones((n, n)) - np.eye(n)
+    probs = np.outer(np.linspace(0.9, 0.5, n), np.linspace(0.9, 0.6, 3))
+    args = (TableOracle([1.0, 1.0, 1.0], probs), None, None,
+            [adjacency, path(n), np.zeros((n, n)), adjacency], [99] * 3)
+    got = auction_baseline(DeadlineScenario(*args))
+    scenario = DeadlineScenario(*args)
+    assert_same_run(got, run_rounds(functools.partial(LoopAuction, scenario), scenario))
+    assert [len(rec.newly_finalized) for rec in got.trace] == [1, 0, n - 1]
 
 
 def settle(adjacency, bidders):
