@@ -124,7 +124,7 @@ def cmd_verify_bounds(args: argparse.Namespace) -> int:
 def cmd_trace(args: argparse.Namespace) -> int:
     config = load_config(args.config, args.set, args.seed)
     world = sample_draw(config, args.size_index, args.draw)
-    result = dgba_run(world, horizon=config.horizon)
+    result = dgba_run(world)
     print(f"instance: N={world.n_agents} M={world.n_targets} "
           f"seed={config.seed} draw={args.draw}")
     print("round  utility      messages  finalized")

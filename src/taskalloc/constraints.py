@@ -16,6 +16,8 @@ from typing import Iterable, Optional, Sequence, Tuple
 
 from .core import ContractViolation, GroundElement, Policy, SizeLimitExceeded
 
+Q_VERIFY_CAP = 10  # largest ground set verify_q_property enumerates (2^n subsets)
+
 
 class IndependenceSystem(abc.ABC):
     """Predicate over policies: hereditary and containing the empty set."""
@@ -178,8 +180,7 @@ def _maximal_independent_subsets(system: IndependenceSystem,
 
 def verify_q_property(system: IndependenceSystem,
                       ground: Iterable[GroundElement],
-                      q_claim: float,
-                      cap: int = 10) -> QVerification:
+                      q_claim: float) -> QVerification:
     """Exhaustively check the basis-size ratio bound on a small ground set.
 
     For every subset of the ground set, enumerates its maximal independent
@@ -187,9 +188,9 @@ def verify_q_property(system: IndependenceSystem,
     ``q_claim``.  Returns the worst witnessing (subset, largest, smallest).
     """
     elements = sorted(set(ground))
-    if len(elements) > cap:
+    if len(elements) > Q_VERIFY_CAP:
         raise SizeLimitExceeded(
-            f"ground set of {len(elements)} elements exceeds enumeration cap {cap}"
+            f"ground set of {len(elements)} elements exceeds enumeration cap {Q_VERIFY_CAP}"
         )
     worst = 0.0
     witness = None

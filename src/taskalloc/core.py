@@ -42,6 +42,9 @@ class GroundElement(NamedTuple):
 # required set semantics (unordered, no duplicates) and hashability.
 Policy = FrozenSet[GroundElement]
 
+CURVATURE_EPSILON = 1e-9  # a gain below this leaves a curvature ratio undefined
+BOUND_TOL = 1e-9          # a ratio this far below a bound threshold still meets it
+
 
 def make_policy(pairs: Iterable[Tuple[int, int]]) -> Policy:
     return frozenset(GroundElement(a, t) for a, t in pairs)
@@ -63,7 +66,7 @@ class UtilityOracle(abc.ABC):
 
     def evaluate(self, policy: Policy) -> float:
         self.check_bounds(policy)
-        return sum(self.target_utilities(policy))
+        return sum(self.target_utilities(policy), 0.0)
 
     def target_utilities(self, policy: Policy) -> list[float]:
         """evaluate_target(j, policy) for j = 1..M, in order.  Subclasses
@@ -124,20 +127,18 @@ class CurvatureReport:
 
 def estimate_elemental_curvature(oracle: UtilityOracle,
                                  ground: Iterable[GroundElement],
-                                 epsilon: float = 1e-9,
                                  cap: int = 12) -> CurvatureReport:
     """Exhaustive elemental curvature of an oracle over a small ground set.
 
     Maximizes gain(pi | P + {pi'}) / gain(pi | P) over all subsets P of the
     ground set and all distinct pi, pi' outside P.  Pairs whose denominator
-    falls below ``epsilon`` are skipped and counted: the ratio is undefined
-    there and the maximum over well-defined ratios is what gets reported.
-    The result is clamped to [0, 1]; since 1 is the largest attainable value
-    for a submodular oracle, the scan stops early once a ratio reaches it.
+    falls below ``CURVATURE_EPSILON`` are skipped and counted; the maximum
+    over well-defined ratios is reported, clamped to [0, 1].  Since 1 is the
+    largest attainable value for a submodular oracle, the scan stops early
+    once a ratio reaches it.
     """
     elements = sorted(set(ground))
-    if epsilon <= 0:
-        raise ContractViolation("epsilon must be positive")
+    epsilon = CURVATURE_EPSILON
     if len(elements) > cap:
         raise SizeLimitExceeded(
             f"ground set of {len(elements)} elements exceeds enumeration cap {cap}"
@@ -201,7 +202,7 @@ class BoundCertificate:
 
 
 def bound_certificate(achieved: float, optimal: float, kappa_e: float,
-                      q: float, n_agents: int, tol: float = 1e-9) -> BoundCertificate:
+                      q: float, n_agents: int) -> BoundCertificate:
     """Certify an achieved utility against the greedy approximation bounds.
 
     The third threshold evaluates the attenuation factor at
@@ -225,9 +226,9 @@ def bound_certificate(achieved: float, optimal: float, kappa_e: float,
     t_qsys = 1.0 / (1.0 + kappa_e * xi_factor(xi_arg, kappa_e))
     return BoundCertificate(
         ratio=ratio,
-        half_bound_holds=ratio >= t_half - tol,
-        curvature_bound_holds=ratio >= t_curv - tol,
-        q_system_bound_holds=ratio >= t_qsys - tol,
+        half_bound_holds=ratio >= t_half - BOUND_TOL,
+        curvature_bound_holds=ratio >= t_curv - BOUND_TOL,
+        q_system_bound_holds=ratio >= t_qsys - BOUND_TOL,
         half_threshold=t_half,
         curvature_threshold=t_curv,
         q_system_threshold=t_qsys,

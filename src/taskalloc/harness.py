@@ -84,14 +84,11 @@ class ExperimentConfig:
     draws: int = 10
     sizes: list = field(default_factory=lambda: [(5, 5)])
     solvers: list = field(default_factory=lambda: ["dgba", "auction"])
-    horizon: Optional[int] = None
     scenario: ScenarioConfig = field(default_factory=ScenarioConfig)
 
     def __post_init__(self):
         _check_count("seed", self.seed, 0)
         _check_count("draws", self.draws, 1)
-        if self.horizon is not None:
-            _check_count("horizon", self.horizon, 1)
         if not self.sizes:
             raise ConfigError("at least one (agents, targets) size is required")
         for n, m in self.sizes:
@@ -205,7 +202,7 @@ def _allocation_constraints(costs, budgets) -> CompositeConstraint:
     ])
 
 
-def _run_one(name: str, base: SatelliteScenario, horizon: Optional[int]):
+def _run_one(name: str, base: SatelliteScenario):
     """Run one solver on the instance, the distributed ones on a fresh copy
     of it; returns the solver result plus the wall time of the call."""
     if name in ("dgba", "auction"):
@@ -213,7 +210,7 @@ def _run_one(name: str, base: SatelliteScenario, horizon: Optional[int]):
         solver = dgba_run if name == "dgba" else auction_baseline
         world = copy.deepcopy(base)
         start = time.perf_counter()
-        result = solver(world, horizon=horizon)
+        result = solver(world)
         return result, time.perf_counter() - start
     if name not in ("greedy", "exact"):
         raise ConfigError(f"unknown solver {name!r}")
@@ -303,7 +300,7 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
             draw_results: dict[str, RunMetrics] = {}
             for name in config.solvers:
                 try:
-                    result, wall = _run_one(name, base, config.horizon)
+                    result, wall = _run_one(name, base)
                     draw_results[name] = _metrics_from(name, draw, base, result, wall)
                 except Exception as exc:  # recorded, not fatal
                     errors.append(_error(name, (n, m), draw, exc))

@@ -54,6 +54,7 @@ class ConfigurationError(ValueError):
 
 
 EXACT_SEARCH_CAP = 10 ** 7
+TRACE_TOL = 1e-9  # largest increment-to-gains gap check_allocation_trace accepts
 
 # Team size from which dgba_run keeps the views as arrays rather than
 # per-agent lists.  Median time per run on complete-graph TableOracle
@@ -168,6 +169,7 @@ class AllocationScenario:
         return costs
 
     def default_horizon(self) -> int:
+        """The most rounds a run on this world takes (a static one: 2N + 2)."""
         return 2 * self.n_agents + 2
 
 
@@ -519,6 +521,9 @@ class AuctionViews:
         the allocation already covers; ties to the lowest target id) on a
         target it has not heard is won and that its row of ``allowed``
         allows.  An agent with no positive bid is done, with no target."""
+        if not self.taken.shape[1]:  # no targets to bid on
+            self.done[rows] = True
+            return
         ok = ~self.taken[rows]
         ok &= allowed
         bids = np.where(ok, self.alone[rows], 0.0)
@@ -646,7 +651,7 @@ class _TableTally:
     def add(self, newly) -> float:
         """Add the pairs for good; returns the utility, ``evaluate``'s sum."""
         self.utils, self.miss = self.with_pairs(newly)
-        return sum(self.utils)
+        return sum(self.utils, 0.0)
 
 
 def _policy(claims: Sequence[int], done: Sequence[bool]) -> Policy:
@@ -659,13 +664,12 @@ PHASES = ("assignment", "communication", "implementation", "components", "bookke
 
 
 def dgba_run(scenario: AllocationScenario,
-             constraints: Optional[IndependenceSystem] = None,
-             horizon: Optional[int] = None) -> SolverResult:
+             constraints: Optional[IndependenceSystem] = None) -> SolverResult:
     """Run the distributed bundles protocol to completion.
 
     Phases run in lockstep each round: assignment, communication, then
     implementation (world dynamics and a fresh adjacency).  The run stops
-    once every agent is finalized.
+    once every agent is finalized, or after the world's ``default_horizon()``.
 
     Bids, trace deltas and the utility series all use the scenario's
     oracle as it is when the run starts, so the per-round increment
@@ -676,16 +680,15 @@ def dgba_run(scenario: AllocationScenario,
     are the same either way.
     """
     views = ArrayViews if scenario.n_agents >= ARRAY_VIEWS_MIN_AGENTS else AgentViews
-    return run_rounds(views, scenario, constraints, horizon)
+    return run_rounds(views, scenario, constraints)
 
 
 def run_rounds(views_type, scenario: AllocationScenario,
-               constraints: Optional[IndependenceSystem] = None,
-               horizon: Optional[int] = None) -> SolverResult:
+               constraints: Optional[IndependenceSystem] = None) -> SolverResult:
     """The round driver of both distributed solvers, over the given views
-    type: ``AgentViews`` or ``ArrayViews`` for ``dgba_run``,
-    ``AuctionViews`` for ``auction_baseline``.  The scenario's oracle is
-    read once, before round 0, and scores every round.
+    type: ``AgentViews`` or ``ArrayViews`` for ``dgba_run``, ``AuctionViews``
+    for ``auction_baseline``.  The scenario's oracle is read once, before
+    round 0, and scores every round, of ``scenario.default_horizon()`` at most.
 
     The driver alone queries the world and applies the allowed-pair rule;
     the views only keep protocol state and decide.  ``views_type(oracle)``
@@ -738,10 +741,9 @@ def run_rounds(views_type, scenario: AllocationScenario,
         raise ConfigurationError("constraint dimensions do not match scenario")
     if (oracle.n_agents, oracle.n_targets) != (scenario.n_agents, scenario.n_targets):
         raise ConfigurationError("oracle dimensions do not match scenario")
-    if horizon is None:
-        horizon = scenario.default_horizon()
-    if horizon < 1:
-        raise ConfigurationError("horizon must be at least 1")
+    max_rounds = scenario.default_horizon()
+    if max_rounds < 1:
+        raise ConfigurationError("default_horizon() must be at least 1")
     lap("implementation")
 
     views = views_type(oracle)
@@ -756,7 +758,7 @@ def run_rounds(views_type, scenario: AllocationScenario,
     graph = None
     lap("bookkeeping")
 
-    for t in range(horizon):
+    for t in range(max_rounds):
         adjacency = scenario.adjacency()
         lap("implementation")
         if graph is None or not np.array_equal(adjacency, graph):
@@ -899,8 +901,7 @@ def exact_oracle(oracle: UtilityOracle,
     )
 
 
-def auction_baseline(scenario: AllocationScenario,
-                     horizon: Optional[int] = None) -> SolverResult:
+def auction_baseline(scenario: AllocationScenario) -> SolverResult:
     """Simplified flooding auction used as a communication-cost yardstick.
 
     Per round, every unassigned agent bids its best standalone utility (the
@@ -909,10 +910,10 @@ def auction_baseline(scenario: AllocationScenario,
     targets are flooded over the current graph until every agent's local
     tables stabilize, and each target's top bidder within a component is
     fixed.  The rounds run on the driver of ``dgba_run`` (``run_rounds``
-    over ``AuctionViews``).  ``rounds`` counts flooding sweeps, so it grows
-    with graph diameter.
+    over ``AuctionViews``, bounded by the world).  ``rounds`` counts
+    flooding sweeps, so it grows with graph diameter.
     """
-    return run_rounds(AuctionViews, scenario, horizon=horizon)
+    return run_rounds(AuctionViews, scenario)
 
 
 # ---------------------------------------------------------------------------
@@ -925,8 +926,7 @@ class TraceCheck:
     failures: list[str]
 
 
-def check_allocation_trace(trace: Sequence[RoundRecord], final_policy: Policy,
-                           tol: float = 1e-9) -> TraceCheck:
+def check_allocation_trace(trace: Sequence[RoundRecord], final_policy: Policy) -> TraceCheck:
     """Verify the decision-set properties of a protocol trace.
 
     Checks that (1) no agent finalizes twice, (2) the finalized agents are
@@ -949,7 +949,7 @@ def check_allocation_trace(trace: Sequence[RoundRecord], final_policy: Policy,
         for g in rec.groups:
             if len(set(g.targets)) != len(g.targets):
                 continue
-            if abs(g.increment - g.sum_deltas) > tol:
+            if abs(g.increment - g.sum_deltas) > TRACE_TOL:
                 failures.append(
                     f"round {rec.round}: component increment {g.increment!r} != "
                     f"sum of gains {g.sum_deltas!r} for agents {g.agents}"
@@ -957,7 +957,7 @@ def check_allocation_trace(trace: Sequence[RoundRecord], final_policy: Policy,
         targets = [j for _a, j, _d in rec.newly_finalized]
         if len(targets) == len(set(targets)):
             total = sum(g.sum_deltas for g in rec.groups)
-            if abs(rec.increment - total) > tol:
+            if abs(rec.increment - total) > TRACE_TOL:
                 failures.append(
                     f"round {rec.round}: round increment {rec.increment!r} != "
                     f"sum of gains {total!r}"

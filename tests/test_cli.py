@@ -147,6 +147,15 @@ class TestRunCommand:
         assert "configuration error" in capsys.readouterr().err
         assert not (tmp_path / "x").exists()
 
+    @pytest.mark.parametrize("command", ["run", "trace"])
+    def test_horizon_is_an_unknown_key(self, config_file, tmp_path, capsys, command):
+        out = ["--output-dir", str(tmp_path / "x")] if command == "run" else []
+        code = main([command, "--config", config_file, *out, "--set", "horizon=5"])
+        assert code == EXIT_CONFIG_ERROR
+        assert capsys.readouterr().err.strip() == (
+            "configuration error: unknown config key 'horizon'")
+        assert not (tmp_path / "x").exists()
+
     @pytest.mark.parametrize("key", ["n_agents", "n_targets"])
     def test_team_size_setting_names_sizes(self, config_file, capsys, key):
         code = main(["trace", "--config", config_file, "--set", f"scenario.{key}=7"])

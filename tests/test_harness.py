@@ -49,6 +49,11 @@ class TestExperimentConfig:
         with pytest.raises(ConfigError):
             ExperimentConfig.from_dict({"bogus": 1})
 
+    def test_horizon_is_not_a_config_key(self):
+        # A run is bounded by its world's default_horizon(); nothing sets it.
+        with pytest.raises(ConfigError, match="unknown config key 'horizon'"):
+            ExperimentConfig.from_dict({"horizon": 3})
+
     def test_unknown_scenario_key_rejected(self):
         with pytest.raises(ConfigError):
             ExperimentConfig.from_dict({"scenario": {"bogus": 1}})
@@ -66,9 +71,6 @@ class TestExperimentConfig:
             small_config(sizes=[(30, 30)], solvers=["exact"])
 
     @pytest.mark.parametrize("overrides", [
-        {"horizon": 0},
-        {"horizon": 2.5},
-        {"horizon": True},
         {"seed": -1},
         {"seed": 1.5},
         {"draws": 0},
@@ -167,7 +169,7 @@ class TestRunExperiment:
         res = run_experiment(cfg)
         for run in res.metrics:
             base = sample_draw(cfg, 0, run.draw)
-            result, _wall = _run_one(run.solver, base, None)
+            result, _wall = _run_one(run.solver, base)
             assert result.policy
             planned = [0.0] * base.n_agents
             for el in result.policy:
@@ -188,7 +190,7 @@ class TestRunExperiment:
                       [0.07251340829183478, 0.07355032991413177, 0.08829195593282313]),
         }
         for name, (policy, utility, planned) in pins.items():
-            result, _wall = _run_one(name, sample_draw(cfg, 0, 6), None)
+            result, _wall = _run_one(name, sample_draw(cfg, 0, 6))
             assert sorted(tuple(el) for el in result.policy) == policy
             assert repr(result.utility) == repr(utility)
             assert repr([float(c) for c in result.per_agent_cost]) == repr(planned)

@@ -205,10 +205,6 @@ class TestBudgetsAndConstraints:
             dgba_run(StaticScenario(two_agent_oracle()),
                      constraints=PartitionConstraint(3, 2))
 
-    def test_bad_horizon_rejected(self):
-        with pytest.raises(ConfigurationError):
-            dgba_run(StaticScenario(two_agent_oracle()), horizon=0)
-
 
 class TestCommunicationPhase:
     def test_neighbor_entries_copied(self):
@@ -303,9 +299,23 @@ class TestBaselines:
         with pytest.raises(ConfigurationError):
             auction_baseline(MisshapenScenario(two_agent_oracle()))
 
-    def test_auction_rejects_zero_horizon(self):
+    @pytest.mark.parametrize("solver", [dgba_run, auction_baseline])
+    @pytest.mark.parametrize("n", [1, 3, 12])
+    def test_world_with_no_targets_finishes_empty(self, solver, n):
+        res = solver(StaticScenario(TableOracle([], np.zeros((n, 0)))))
+        assert res.policy == frozenset()
+        assert repr(res.utility) == "0.0"
+        assert [rec.utility for rec in res.trace] == [0.0]
+        assert check_allocation_trace(res.trace, res.policy).ok
+
+    @pytest.mark.parametrize("solver", [dgba_run, auction_baseline])
+    def test_world_without_rounds_rejected(self, solver):
+        class NoRounds(StaticScenario):
+            def default_horizon(self):
+                return 0
+
         with pytest.raises(ConfigurationError):
-            auction_baseline(StaticScenario(two_agent_oracle()), horizon=0)
+            solver(NoRounds(two_agent_oracle()))
 
     def test_auction_shares_the_dgba_phase_clocks(self):
         res = auction_baseline(StaticScenario(two_agent_oracle()))
