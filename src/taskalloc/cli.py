@@ -154,9 +154,9 @@ def cmd_scaling(args: argparse.Namespace) -> int:
     else:
         sizes = list(SCALING_GRID)
     report = measure_scaling(sizes=sizes, rounds=args.rounds, seed=args.seed)
-    print("N    M    mean round time (s)")
-    for (n, m), mean in zip(report.sizes, report.mean_round_s):
-        print(f"{n:<4} {m:<4} {mean:.3e}")
+    print("N    M    median round time (s)")
+    for (n, m), median in zip(report.sizes, report.mean_round_s):
+        print(f"{n:<4} {m:<4} {median:.3e}")
     if report.coefficients:
         a, b, c = report.coefficients
         print(f"fit: {a:.3e} + {b:.3e}*N^2 + {c:.3e}*N*M")
@@ -179,7 +179,7 @@ def build_parser() -> argparse.ArgumentParser:
                      help="directory for summary.json, series.csv, sizes.csv")
     run.add_argument("--seed", type=int, help="override the master seed")
     run.add_argument("--set", action="append", default=[], metavar="KEY=VALUE",
-                     help="dotted config override, e.g. scenario.lambda=0.8")
+                     help="dotted config override, e.g. scenario.decay=0.8")
     run.set_defaults(func=cmd_run)
 
     vb = sub.add_parser("verify-bounds",
@@ -199,9 +199,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     sc = sub.add_parser(
         "scaling", help="per-round time scaling regression of the per-agent round",
-        description="Time one assignment-plus-communication round of the "
-                    "per-agent reference kernels over a size grid and fit "
-                    "a + b*N^2 + c*N*M.  dgba_run runs teams of "
+        description="Time assignment-plus-communication rounds of the per-agent "
+                    "reference kernels, the grid sizes taking turns, and fit each "
+                    "size's median to a + b*N^2 + c*N*M.  dgba_run runs teams of "
                     f"{ARRAY_VIEWS_MIN_AGENTS} or more agents on array views "
                     "instead, whose round time is nearly flat over the grid; "
                     "that round is not what is timed here.")

@@ -20,7 +20,7 @@ import math
 import numbers
 import os
 import time
-from dataclasses import asdict, dataclass, field, fields, replace
+from dataclasses import asdict, dataclass, field, fields
 from typing import Optional, Sequence
 
 import numpy as np
@@ -58,11 +58,6 @@ class ConfigError(ValueError):
 
 KNOWN_SOLVERS = ("dgba", "auction", "greedy", "exact")
 
-# Aliases accepted in config files for scenario parameters whose natural
-# symbol is not a valid field name.
-_SCENARIO_ALIASES = {"lambda": "decay", "phi": "comm_factor"}
-_SIZE_KEYS = ("n_agents", "n_targets")  # scenario fields ``sizes`` sets per draw
-
 # Exhaustive curvature estimation is only attempted up to this many ground
 # elements (2^n subsets are scanned).
 CURVATURE_GROUND_CAP = 16
@@ -95,6 +90,8 @@ class ExperimentConfig:
             _check_count("agents in each size", n, 1)
             _check_count("targets in each size", m, 1)
         self.sizes = [(int(n), int(m)) for n, m in self.sizes]
+        if len(set(self.sizes)) != len(self.sizes):
+            raise ConfigError(f"sizes must be distinct; got {self.sizes!r}")
         if not self.solvers:
             raise ConfigError("at least one solver is required")
         for s in self.solvers:
@@ -118,24 +115,16 @@ class ExperimentConfig:
         scen_raw = raw.pop("scenario", {}) or {}
         if not isinstance(scen_raw, dict):
             raise ConfigError("'scenario' must be a mapping")
-        scen_kwargs = {}
         valid = {f.name for f in fields(ScenarioConfig)}
-        for key, value in scen_raw.items():
-            name = _SCENARIO_ALIASES.get(key, key)
-            if name in _SIZE_KEYS:
-                raise ConfigError(f"scenario key {key!r} is set per size by 'sizes'")
-            if name not in valid:
+        for key in scen_raw:
+            if key not in valid:
                 raise ConfigError(f"unknown scenario key {key!r}")
-            scen_kwargs[name] = value
         top_valid = {f.name for f in fields(cls)} - {"scenario"}
-        kwargs = {}
-        for key, value in raw.items():
+        for key in raw:
             if key not in top_valid:
                 raise ConfigError(f"unknown config key {key!r}")
-            kwargs[key] = value
         try:
-            scenario = ScenarioConfig(**scen_kwargs)
-            return cls(scenario=scenario, **kwargs)
+            return cls(scenario=ScenarioConfig(**scen_raw), **raw)
         except (TypeError, ValueError) as exc:
             if isinstance(exc, ConfigError):
                 raise
@@ -145,8 +134,7 @@ class ExperimentConfig:
         out = asdict(self)
         out["sizes"] = [list(s) for s in self.sizes]
         out["scenario"] = {key: list(value) if isinstance(value, tuple) else value
-                           for key, value in out["scenario"].items()
-                           if key not in _SIZE_KEYS}
+                           for key, value in out["scenario"].items()}
         return out
 
 
@@ -186,8 +174,7 @@ def sample_draw(config: ExperimentConfig, size_index: int, draw: int) -> Satelli
     if not 0 <= size_index < len(config.sizes):
         raise ConfigError(f"size index {size_index} out of range")
     _check_count("draw", draw, 0)
-    n, m = config.sizes[size_index]
-    return sample_scenario(replace(config.scenario, n_agents=n, n_targets=m),
+    return sample_scenario(config.scenario, *config.sizes[size_index],
                            np.random.default_rng([config.seed, size_index, draw]))
 
 
@@ -279,7 +266,7 @@ def _warm_up() -> None:
     """Exercise both solver code paths once per process, so first-call
     interpreter and array-library setup does not land in a timed draw."""
     rng = np.random.default_rng(0)
-    tiny = sample_scenario(ScenarioConfig(n_agents=2, n_targets=2), rng)
+    tiny = sample_scenario(ScenarioConfig(), 2, 2, rng)
     dgba_run(copy.deepcopy(tiny))
     auction_baseline(copy.deepcopy(tiny))
 
@@ -539,61 +526,64 @@ SCALING_GRID = tuple((n, m) for n in (5, 10, 20, 40) for m in (5, 10, 20, 40))
 
 @dataclass
 class ScalingReport:
+    """Each size's median round time (``mean_round_s``) and their fit."""
+
     sizes: list           # (n, m) pairs
-    mean_round_s: list    # mean per-round time per size
+    mean_round_s: list    # median per-round time per size
     coefficients: list    # [a, b, c] of a + b*N^2 + c*N*M
     r_squared: float
 
 
-def _time_one_round(oracle: TableOracle, adjacency: np.ndarray,
-                    rounds: int) -> float:
-    """Mean wall time of one assignment-plus-communication round of the
+def _time_one_round(oracle: TableOracle, linked: np.ndarray,
+                    components: list) -> float:
+    """Wall time of one assignment-plus-communication round of the
     per-agent reference kernels (``AgentViews``), measured on fresh views
     so every repetition does the same work.
 
     The array round that ``dgba_run`` uses for larger teams is not timed:
     it costs about the same at every grid size, so the fit below has
     nothing to explain there."""
-    linked, components = adjacency > 0, graph_components(adjacency)
     # Round 0 without costs or budget limits: every agent bids on every pair.
     rows, allowed = np.arange(oracle.n_agents), np.ones(oracle.prob_table.shape, dtype=bool)
-    total = 0.0
-    for _ in range(rounds):
-        views = AgentViews(oracle)
-        start = time.perf_counter()
-        views.assign(rows, allowed)
-        views.communicate(linked, components)
-        total += time.perf_counter() - start
-    return total / rounds
+    views = AgentViews(oracle)
+    start = time.perf_counter()
+    views.assign(rows, allowed)
+    views.communicate(linked, components)
+    return time.perf_counter() - start
 
 
 def measure_scaling(sizes: Sequence = SCALING_GRID, rounds: int = 50,
                     seed: int = 0) -> ScalingReport:
-    """Fit the mean per-round time of the per-agent reference round to
-    a + b*N^2 + c*N*M (see ``_time_one_round``)."""
+    """Fit each size's median time of the per-agent reference round (see
+    ``_time_one_round``) to a + b*N^2 + c*N*M.  The sizes take turns, one
+    round each per pass, so outside load skews them all alike."""
     _check_count("rounds", rounds, 1)
     _check_count("seed", seed, 0)
     if any(n < 1 or m < 1 for n, m in sizes):
         raise ConfigError(f"grid sizes must be at least 1x1; got {list(sizes)}")
     rng = np.random.default_rng(seed)
-    means = []
+    cases = []
     for n, m in sizes:
         probs = rng.uniform(0.1, 0.9, size=(n, m))
         values = rng.uniform(2.0, 2.5, size=m)
-        oracle = TableOracle(values, probs)
         adjacency = np.ones((n, n)) - np.eye(n)
-        _time_one_round(oracle, adjacency, rounds=3)  # warm-up
-        means.append(_time_one_round(oracle, adjacency, rounds))
+        cases.append((TableOracle(values, probs), adjacency > 0,
+                      graph_components(adjacency)))
+    times = [[] for _ in cases]
+    for _ in range(3 + rounds):  # the first three passes warm up
+        for case, timed in zip(cases, times):
+            timed.append(_time_one_round(*case))
+    medians = [float(np.median(timed[3:])) for timed in times]
     if len(sizes) <= 3:
         # Too few measurements to fit three coefficients meaningfully.
         return ScalingReport(
             sizes=[tuple(s) for s in sizes],
-            mean_round_s=means,
+            mean_round_s=medians,
             coefficients=[],
             r_squared=math.nan,
         )
     design = np.array([[1.0, n * n, n * m] for n, m in sizes])
-    y = np.array(means)
+    y = np.array(medians)
     coeffs, *_ = np.linalg.lstsq(design, y, rcond=None)
     residuals = y - design @ coeffs
     ss_res = float(residuals @ residuals)
@@ -601,7 +591,7 @@ def measure_scaling(sizes: Sequence = SCALING_GRID, rounds: int = 50,
     r2 = 1.0 - ss_res / ss_tot if ss_tot > 0 else 1.0
     return ScalingReport(
         sizes=[tuple(s) for s in sizes],
-        mean_round_s=means,
+        mean_round_s=medians,
         coefficients=[float(c) for c in coeffs],
         r_squared=r2,
     )

@@ -364,10 +364,8 @@ def estimate_pair_cost(agent: AgentBody, target: TargetBody, time_now: float,
 
 @dataclass
 class ScenarioConfig:
-    """Sampling intervals and physical parameters of a random instance."""
+    """Sampling intervals and physical parameters shared by every team size."""
 
-    n_agents: int = 5
-    n_targets: int = 5
     comm_factor: float = 0.3
     decay: float = 0.8
     drag_coeff: float = 0.05
@@ -393,8 +391,8 @@ class ScenarioConfig:
             raise ContractViolation("box_side must be positive and finite")
         if not 0 <= self.initial_speed < math.inf:
             raise ContractViolation("initial_speed must be nonnegative and finite")
-        if not self.decay > 0:
-            raise ContractViolation("decay factor must be positive")
+        if not 0 < self.decay < math.inf:
+            raise ContractViolation("decay factor must be positive and finite")
         if not self.comm_factor >= 0:
             raise ContractViolation("comm_factor must be nonnegative")
         if not 0 <= self.drag_coeff < math.inf:
@@ -425,9 +423,11 @@ def _uniform(u: np.ndarray, lo: float, hi: float) -> np.ndarray:
     return lo + (hi - lo) * u
 
 
-def sample_scenario(config: ScenarioConfig, rng: np.random.Generator) -> "SatelliteScenario":
-    """Draw a random instance: uniform positions in the box, uniform small
-    velocities, per-target parameters from the configured intervals.
+def sample_scenario(config: ScenarioConfig, n_agents: int, n_targets: int,
+                    rng: np.random.Generator) -> "SatelliteScenario":
+    """Draw a random instance of ``n_agents`` agents and ``n_targets``
+    targets: uniform positions in the box, uniform small velocities,
+    per-target parameters from the configured intervals.
 
     The draw order is that of drawing body by body with ``rng.uniform``, so
     each seed keeps its world to the bit: each agent's position then
@@ -437,7 +437,7 @@ def sample_scenario(config: ScenarioConfig, rng: np.random.Generator) -> "Satell
     ``rng.uniform`` would.  ``ScenarioConfig`` has already rejected the
     reversed and non-finite intervals ``rng.uniform`` would reject.
     """
-    n, m = config.n_agents, config.n_targets
+    n, m = n_agents, n_targets
     speed = config.initial_speed
     u = rng.random((n, 6))
     agent_states = np.concatenate([_uniform(u[:, :3], 0.0, config.box_side),

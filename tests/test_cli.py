@@ -24,15 +24,15 @@ def config_file(tmp_path):
         "draws": 2,
         "sizes": [[3, 3]],
         "solvers": ["dgba", "auction"],
-        "scenario": {"lambda": 0.8, "phi": 0.3},
+        "scenario": {"decay": 0.8, "comm_factor": 0.3},
     }))
     return str(path)
 
 
 class TestApplyOverrides:
     def test_nested_assignment(self):
-        raw = apply_overrides({}, ["scenario.lambda=0.5"])
-        assert raw == {"scenario": {"lambda": 0.5}}
+        raw = apply_overrides({}, ["scenario.decay=0.5"])
+        assert raw == {"scenario": {"decay": 0.5}}
 
     def test_yaml_typed_values(self):
         raw = apply_overrides({}, ["draws=5", "sizes=[[4, 4]]"])
@@ -60,12 +60,12 @@ class TestRunCommand:
     def test_overrides_echoed_in_summary(self, config_file, tmp_path):
         out = tmp_path / "results"
         code = main(["run", "--config", config_file, "--output-dir", str(out),
-                     "--set", "scenario.lambda=0.6", "--set", "draws=1"])
+                     "--set", "scenario.decay=0.6", "--set", "draws=1"])
         assert code == EXIT_OK
         summary = json.loads((out / "summary.json").read_text())
         assert summary["config"]["scenario"]["decay"] == 0.6
         assert summary["config"]["draws"] == 1
-        assert "scenario.lambda=0.6" in summary["overrides"]
+        assert "scenario.decay=0.6" in summary["overrides"]
 
     def test_seed_flag_overrides_config(self, config_file, tmp_path):
         out = tmp_path / "results"
@@ -96,12 +96,11 @@ class TestRunCommand:
         "scenario.end_time_range=[3, 2]",
         "scenario.box_side=0",
         "scenario.initial_speed=-0.1",
-        "scenario.lambda=0",
+        "scenario.decay=0",
+        "scenario.decay=.inf",
         "scenario.obs_radius_range=[0, 1]",
         "scenario.info_value_range=[2, .inf]",
         "scenario.decay=true",
-        "scenario.lambda=true",
-        "scenario.phi=true",
         "scenario.box_side=true",
         "scenario.fuel=true",
         "scenario.comm_factor=true",
@@ -139,6 +138,7 @@ class TestRunCommand:
         ["--set", "scenario.drag_coeff=-0.5"],
         ["--set", "scenario.drag_coeff=.inf"],
         ["--set", "solvers=[dgba,dgba]"],
+        ["--set", "sizes=[[3, 3], [3, 3]]"],
     ], ids=" ".join)
     def test_malformed_run_setting(self, config_file, tmp_path, capsys, args):
         code = main(["run", "--config", config_file, "--output-dir", str(tmp_path / "x"),
@@ -156,11 +156,25 @@ class TestRunCommand:
             "configuration error: unknown config key 'horizon'")
         assert not (tmp_path / "x").exists()
 
-    @pytest.mark.parametrize("key", ["n_agents", "n_targets"])
-    def test_team_size_setting_names_sizes(self, config_file, capsys, key):
-        code = main(["trace", "--config", config_file, "--set", f"scenario.{key}=7"])
+    @pytest.mark.parametrize("in_file", [False, True], ids=["set", "file"])
+    @pytest.mark.parametrize("command", ["run", "trace"])
+    @pytest.mark.parametrize("key", ["lambda", "phi", "n_agents", "n_targets"])
+    def test_alias_and_team_size_are_unknown_keys(self, config_file, tmp_path, capsys,
+                                                  key, command, in_file):
+        setting = ["--set", f"scenario.{key}=3"]
+        if in_file:
+            with open(config_file) as fh:
+                raw = yaml.safe_load(fh)
+            raw["scenario"][key] = 3
+            with open(config_file, "w") as fh:
+                yaml.safe_dump(raw, fh)
+            setting = []
+        out = ["--output-dir", str(tmp_path / "x")] if command == "run" else []
+        code = main([command, "--config", config_file, *out, *setting])
         assert code == EXIT_CONFIG_ERROR
-        assert "'sizes'" in capsys.readouterr().err
+        assert capsys.readouterr().err.strip() == (
+            f"configuration error: unknown scenario key '{key}'")
+        assert not (tmp_path / "x").exists()
 
 
 @pytest.mark.parametrize("argv", [

@@ -32,10 +32,10 @@ class TestExperimentConfig:
         cfg = ExperimentConfig()
         assert cfg.seed == 42 and cfg.sizes == [(5, 5)]
 
-    def test_from_dict_with_aliases(self):
+    def test_from_dict_sets_scenario_by_field_name(self):
         cfg = ExperimentConfig.from_dict({
             "seed": 1,
-            "scenario": {"lambda": 0.5, "phi": 0.2},
+            "scenario": {"decay": 0.5, "comm_factor": 0.2},
         })
         assert cfg.scenario.decay == 0.5
         assert cfg.scenario.comm_factor == 0.2
@@ -54,9 +54,12 @@ class TestExperimentConfig:
         with pytest.raises(ConfigError, match="unknown config key 'horizon'"):
             ExperimentConfig.from_dict({"horizon": 3})
 
-    def test_unknown_scenario_key_rejected(self):
-        with pytest.raises(ConfigError):
-            ExperimentConfig.from_dict({"scenario": {"bogus": 1}})
+    # Each setting has one name, the one summary.json reports: no ``lambda``
+    # or ``phi`` aliases, and the team size is set by ``sizes`` alone.
+    @pytest.mark.parametrize("key", ["bogus", "lambda", "phi", "n_agents", "n_targets"])
+    def test_unknown_scenario_key_rejected(self, key):
+        with pytest.raises(ConfigError, match=f"^unknown scenario key '{key}'$"):
+            ExperimentConfig.from_dict({"scenario": {key: 1}})
 
     def test_unknown_solver_rejected(self):
         with pytest.raises(ConfigError):
@@ -80,6 +83,7 @@ class TestExperimentConfig:
         {"sizes": [(3, True)]},
         {"sizes": [(3, 3), (2, 3.0)]},
         {"solvers": ["dgba", "dgba"]},
+        {"sizes": [(3, 3), (4, 4), (3, 3)]},
     ])
     def test_malformed_setting_rejected(self, overrides):
         with pytest.raises(ConfigError):
@@ -99,7 +103,7 @@ class TestExperimentConfig:
         {"drag_coeff": -0.5},
         {"drag_coeff": float("inf")},
         {"decay": True},
-        {"lambda": True},
+        {"decay": float("inf")},
         {"box_side": True},
         {"fuel": True},
         {"comm_factor": True},

@@ -152,7 +152,7 @@ def test_static_sparse_records_match_reference(instance):
 
 
 def _satellite(n, m, key, draw):
-    return sample_scenario(ScenarioConfig(n_agents=n, n_targets=m),
+    return sample_scenario(ScenarioConfig(), n, m,
                            np.random.default_rng([key, n, m, draw]))
 
 

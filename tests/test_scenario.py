@@ -223,6 +223,7 @@ class TestScenarioConfig:
         {"info_value_range": (math.nan, 2.0)},
         {"obs_radius_range": (0.0, 1.0)},
         {"obs_radius_range": (1.0,)},
+        {"decay": math.inf},
     ])
     def test_malformed_setting_rejected(self, overrides):
         with pytest.raises(ContractViolation):
@@ -230,35 +231,35 @@ class TestScenarioConfig:
 
     def test_degenerate_intervals_accepted(self):
         cfg = ScenarioConfig(initial_speed=0.0, obs_radius_range=(1.0, 1.0))
-        scen = sample_scenario(cfg, np.random.default_rng(3))
+        scen = sample_scenario(cfg, 5, 5, np.random.default_rng(3))
         assert (scen.agent_states[:, 3:] == 0.0).all()
-        assert scen.obs_radii.tolist() == [1.0] * cfg.n_targets
+        assert scen.obs_radii.tolist() == [1.0] * 5
 
     def test_window_closing_before_it_opens_rejected_at_sampling(self):
         cfg = ScenarioConfig(end_time_range=(1.0, 1.5), obs_duration_range=(2.0, 2.5))
         with pytest.raises(ContractViolation, match="window closes"):
-            sample_scenario(cfg, np.random.default_rng(0))
+            sample_scenario(cfg, 5, 5, np.random.default_rng(0))
 
 
 class TestSampledScenario:
     def test_reproducible_from_seed(self):
-        cfg = ScenarioConfig(n_agents=3, n_targets=3)
-        s1 = sample_scenario(cfg, np.random.default_rng(11))
-        s2 = sample_scenario(cfg, np.random.default_rng(11))
+        cfg = ScenarioConfig()
+        s1 = sample_scenario(cfg, 3, 3, np.random.default_rng(11))
+        s2 = sample_scenario(cfg, 3, 3, np.random.default_rng(11))
         assert np.array_equal(s1.agent_states, s2.agent_states)
         assert s1.pair_costs()[0, 0] == s2.pair_costs()[0, 0]
 
     def test_oracle_tracks_positions(self):
-        cfg = ScenarioConfig(n_agents=2, n_targets=2)
-        scen = sample_scenario(cfg, np.random.default_rng(4))
+        cfg = ScenarioConfig()
+        scen = sample_scenario(cfg, 2, 2, np.random.default_rng(4))
         before = scen.oracle().evaluate(make_policy([(1, 1)]))
         scen.advance([1, 0])
         after = scen.oracle().evaluate(make_policy([(1, 1)]))
         assert before != after  # the world moved
 
     def test_budget_set_from_median_pair_cost(self):
-        cfg = ScenarioConfig(n_agents=3, n_targets=3)
-        scen = sample_scenario(cfg, np.random.default_rng(8))
+        cfg = ScenarioConfig()
+        scen = sample_scenario(cfg, 3, 3, np.random.default_rng(8))
         estimates = [scen.pair_costs()[i, j]
                      for i in (0, 1, 2) for j in (0, 1, 2)]
         assert scen.fuel[0] == pytest.approx(
@@ -267,9 +268,8 @@ class TestSampledScenario:
     def test_budget_from_the_finite_pair_costs_only(self):
         # Two steps span half the deadlines: half the pair costs are
         # infinite, and so is the median over all of them.
-        cfg = ScenarioConfig(n_agents=3, n_targets=4, n_steps=2,
-                             end_time_range=(5.0, 30.0))
-        scen = sample_scenario(cfg, np.random.default_rng(4))
+        cfg = ScenarioConfig(n_steps=2, end_time_range=(5.0, 30.0))
+        scen = sample_scenario(cfg, 3, 4, np.random.default_rng(4))
         costs = scen.pair_costs()
         finite = costs[np.isfinite(costs)]
         assert 0 < finite.size <= costs.size / 2
@@ -277,14 +277,14 @@ class TestSampledScenario:
 
     def test_no_budget_when_no_pair_cost_is_finite(self):
         # One step spans every deadline.
-        cfg = ScenarioConfig(n_agents=2, n_targets=2, n_steps=1)
-        scen = sample_scenario(cfg, np.random.default_rng(4))
+        cfg = ScenarioConfig(n_steps=1)
+        scen = sample_scenario(cfg, 2, 2, np.random.default_rng(4))
         assert np.isinf(scen.pair_costs()).all()
         assert scen.fuel.tolist() == [0.0, 0.0]
 
     def test_assigned_agent_coasts_after_its_deadline(self):
-        cfg = ScenarioConfig(n_agents=2, n_targets=2)
-        scen = sample_scenario(cfg, np.random.default_rng(4))
+        cfg = ScenarioConfig()
+        scen = sample_scenario(cfg, 2, 2, np.random.default_rng(4))
         scen._round = int(scen.final_times[0] / scen.dt) + 1
         scen._costs = scen._predicted = None  # as ``advance`` ends a round
         before = scen.agent_states[0].copy(), scen.accrued_cost[0]
@@ -293,7 +293,7 @@ class TestSampledScenario:
         assert scen.accrued_cost[0] == before[1]
 
     def test_cost_row_matches_closed_form(self):
-        cfg = ScenarioConfig(n_agents=2, n_targets=3)
+        cfg = ScenarioConfig()
         body = AgentBody(position=[0.5, 1.0, 2.0], velocity=[0.1, -0.2, 0.05],
                          comm_factor=0.3, fuel=math.inf)
         targets = [make_target([4.0, 3.0, 1.0], velocity=[0.2, -0.1, 0.05],

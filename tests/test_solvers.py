@@ -323,7 +323,7 @@ class TestBaselines:
 
 
 def _sampled(n, draw):
-    return sample_scenario(ScenarioConfig(n_agents=n, n_targets=n),
+    return sample_scenario(ScenarioConfig(), n, n,
                            np.random.default_rng([11, n, draw]))
 
 

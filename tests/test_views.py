@@ -309,7 +309,7 @@ def test_trace_deltas_are_marginal_gains_past_three_holders():
     # three-factor gain depends on the iteration order of the policy it is
     # taken on: the record before that round must hold the driver's policy.
     def draw():
-        return sample_scenario(ScenarioConfig(n_agents=20, n_targets=5),
+        return sample_scenario(ScenarioConfig(), 20, 5,
                                np.random.default_rng([99, 20, 5, 143]))
 
     oracle = draw().oracle()

@@ -247,10 +247,9 @@ def test_empty_assignment_moves_everything_freely():
 def test_past_deadline_columns_cost_infinity(n, m, seed, n_steps, fuel):
     # Deadlines spread over the horizon and few steps, so the run crosses
     # them; infinite fuel leaves the infinite costs as the only bar.
-    config = ScenarioConfig(n_agents=n, n_targets=m, n_steps=n_steps,
-                            end_time_range=(3.0, 20.0), fuel=fuel)
+    config = ScenarioConfig(n_steps=n_steps, end_time_range=(3.0, 20.0), fuel=fuel)
     rng = np.random.default_rng(seed)
-    scen = sample_scenario(config, rng)
+    scen = sample_scenario(config, n, m, rng)
     for claims in random_schedule(rng, n, m, steps=n_steps + 1):
         passed = [final - scen.time <= scen.dt for final in scen.final_times]
         assert np.isinf(scen.pair_costs()).tolist() == [passed] * n
@@ -278,10 +277,9 @@ def test_cost_rows_are_the_rows_of_the_full_matrix(n, m, seed, n_steps):
     # Every round caches the full matrix; on odd rounds rows are asked for
     # before that as well.  The reference is computed without the caches,
     # so a row served from the round before fails.
-    config = ScenarioConfig(n_agents=n, n_targets=m, n_steps=n_steps,
-                            end_time_range=(3.0, 20.0))
+    config = ScenarioConfig(n_steps=n_steps, end_time_range=(3.0, 20.0))
     rng = np.random.default_rng(seed)
-    scen = sample_scenario(config, rng)  # caches round 0 for the fuel
+    scen = sample_scenario(config, n, m, rng)  # caches round 0 for the fuel
     for step, claims in enumerate(random_schedule(rng, n, m, steps=6)):
         full = uncached_costs(scen)
         subsets = [np.arange(0), np.arange(n),
@@ -300,10 +298,9 @@ def test_cost_rows_are_the_rows_of_the_full_matrix(n, m, seed, n_steps):
 @given(st.integers(1, 12), st.integers(1, 12), st.integers(0, 2 ** 32 - 1),
        st.sampled_from([4, 40, 2000]))
 def test_predicted_targets_follow_the_moved_world(n, m, seed, n_steps):
-    config = ScenarioConfig(n_agents=n, n_targets=m, n_steps=n_steps,
-                            end_time_range=(3.0, 20.0))
+    config = ScenarioConfig(n_steps=n_steps, end_time_range=(3.0, 20.0))
     rng = np.random.default_rng(seed)
-    scen = sample_scenario(config, rng)
+    scen = sample_scenario(config, n, m, rng)
     for claims in random_schedule(rng, n, m, steps=4):
         scen._predicted_targets()  # cached for the round about to end
         scen.advance([claims.get(i, 0) for i in range(1, n + 1)])
@@ -321,7 +318,7 @@ def test_predicted_targets_follow_the_moved_world(n, m, seed, n_steps):
             assert tau[j] == final - scen.time
 
 
-def body_sample(config, rng):
+def body_sample(config, n, m, rng):
     """``sample_scenario`` as it was written body by body: each agent's
     position and velocity, then each target's position, velocity,
     information value, window end, observation duration and radius, each
@@ -333,7 +330,7 @@ def body_sample(config, rng):
         AgentBody(position=uniform3(0.0, config.box_side),
                   velocity=uniform3(-config.initial_speed, config.initial_speed),
                   comm_factor=config.comm_factor, fuel=math.inf)
-        for _ in range(config.n_agents)
+        for _ in range(n)
     ]
     targets = [
         TargetBody(position=uniform3(0.0, config.box_side),
@@ -344,7 +341,7 @@ def body_sample(config, rng):
                    obs_duration=float(rng.uniform(*config.obs_duration_range)),
                    obs_radius=float(rng.uniform(*config.obs_radius_range)),
                    drag_coeff=config.drag_coeff)
-        for _ in range(config.n_targets)
+        for _ in range(m)
     ]
     scen = world_from_bodies(agents, targets, config)
     if config.fuel is not None:
@@ -370,9 +367,9 @@ SAMPLED_CONFIGS = [
 @given(st.integers(1, 40), st.integers(1, 40), st.integers(0, 2 ** 32 - 1),
        st.sampled_from(SAMPLED_CONFIGS))
 def test_sampler_draws_the_body_by_body_world(n, m, seed, overrides):
-    config = ScenarioConfig(n_agents=n, n_targets=m, **overrides)
+    config = ScenarioConfig(**overrides)
     rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
-    scen, ref = sample_scenario(config, rng), body_sample(config, ref_rng)
+    scen, ref = sample_scenario(config, n, m, rng), body_sample(config, n, m, ref_rng)
     for name in ("agent_states", "target_states", "comm_factors", "fuel",
                  "accrued_cost", "obs_radii", "_loiter_costs"):
         assert same_bits(getattr(scen, name), getattr(ref, name)), name
