@@ -33,12 +33,6 @@ EXIT_CONFIG_ERROR = 2
 EXIT_RUNTIME_ERROR = 3
 
 
-def _coerce(text: str):
-    """Interpret an override value with YAML scalar rules (int, float,
-    bool, list, or plain string)."""
-    return yaml.safe_load(text)
-
-
 def apply_overrides(raw: dict, overrides: list[str]) -> dict:
     """Apply dotted key=value overrides to a nested config mapping."""
     for item in overrides:
@@ -52,8 +46,8 @@ def apply_overrides(raw: dict, overrides: list[str]) -> dict:
             if not isinstance(nxt, dict):
                 raise ConfigError(f"override {dotted!r} descends into a scalar")
             node = nxt
-        try:
-            node[keys[-1]] = _coerce(value)
+        try:  # YAML scalar rules: int, float, bool, list or plain string
+            node[keys[-1]] = yaml.safe_load(value)
         except yaml.YAMLError as exc:
             raise ConfigError(f"override {item!r} has an unparsable value: {exc}")
     return raw

@@ -14,7 +14,7 @@ import math
 from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence, Tuple
 
-from .core import ContractViolation, GroundElement, Policy, SizeLimitExceeded
+from .core import ContractViolation, GroundElement, Policy, SizeLimitExceeded, check_bounds
 
 Q_VERIFY_CAP = 10  # largest ground set verify_q_property enumerates (2^n subsets)
 
@@ -29,11 +29,6 @@ class IndependenceSystem(abc.ABC):
     def is_independent(self, policy: Policy) -> bool:
         ...
 
-    def check_bounds(self, policy: Policy) -> None:
-        for el in policy:
-            if not (1 <= el.agent <= self.n_agents and 1 <= el.target <= self.n_targets):
-                raise ContractViolation(f"element {el} outside ground dimensions")
-
 
 class PartitionConstraint(IndependenceSystem):
     """Each agent holds at most one target."""
@@ -43,7 +38,7 @@ class PartitionConstraint(IndependenceSystem):
         self.n_targets = n_targets
 
     def is_independent(self, policy: Policy) -> bool:
-        self.check_bounds(policy)
+        check_bounds(policy, self.n_agents, self.n_targets)
         agents = [el.agent for el in policy]
         return len(agents) == len(set(agents))
 
@@ -56,7 +51,7 @@ class ConflictFreeConstraint(IndependenceSystem):
         self.n_targets = n_targets
 
     def is_independent(self, policy: Policy) -> bool:
-        self.check_bounds(policy)
+        check_bounds(policy, self.n_agents, self.n_targets)
         targets = [el.target for el in policy]
         return len(targets) == len(set(targets))
 
@@ -78,14 +73,11 @@ class BudgetConstraint(IndependenceSystem):
         if any(c <= 0 for row in self.costs for c in row):
             raise ContractViolation("pair costs must be strictly positive")
 
-    def pair_cost(self, agent: int, target: int) -> float:
-        return self.costs[agent - 1][target - 1]
-
     def is_independent(self, policy: Policy) -> bool:
-        self.check_bounds(policy)
+        check_bounds(policy, self.n_agents, self.n_targets)
         spent = [0.0] * self.n_agents
         for el in policy:
-            spent[el.agent - 1] += self.pair_cost(el.agent, el.target)
+            spent[el.agent - 1] += self.costs[el.agent - 1][el.target - 1]
         return all(s <= b and s < math.inf for s, b in zip(spent, self.budgets))
 
 
@@ -151,9 +143,9 @@ class QVerification:
 
 def _maximal_independent_subsets(system: IndependenceSystem,
                                  ground: Sequence[GroundElement]) -> list[Policy]:
-    """All maximal independent subsets of the given ground subset."""
+    """All maximal independent subsets of the given ground subset of distinct
+    elements; added in ground order, each subset is reached once."""
     bases: list[Policy] = []
-    seen: set[Policy] = set()
 
     def extend(current: Policy, candidates: Sequence[GroundElement]) -> None:
         grew = False
@@ -165,13 +157,10 @@ def _maximal_independent_subsets(system: IndependenceSystem,
         if not grew:
             # Maximality must be checked against the whole ground subset, not
             # just the remaining candidates of this branch.
-            if current in seen:
-                return
             if all(
                 el in current or not system.is_independent(current | {el})
                 for el in ground
             ):
-                seen.add(current)
                 bases.append(current)
 
     extend(frozenset(), list(ground))

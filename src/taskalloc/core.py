@@ -50,6 +50,15 @@ def make_policy(pairs: Iterable[Tuple[int, int]]) -> Policy:
     return frozenset(GroundElement(a, t) for a, t in pairs)
 
 
+def check_bounds(policy: Iterable[GroundElement], n_agents: int, n_targets: int) -> None:
+    """Raise ContractViolation unless every element's ids are in range."""
+    for el in policy:
+        if not (1 <= el.agent <= n_agents and 1 <= el.target <= n_targets):
+            raise ContractViolation(
+                f"element {el} outside ground set ({n_agents} agents x {n_targets} targets)"
+            )
+
+
 class UtilityOracle(abc.ABC):
     """Normalized, non-decreasing, submodular utility over agent-target pairs.
 
@@ -65,21 +74,13 @@ class UtilityOracle(abc.ABC):
         """Utility contributed by one target under the given policy."""
 
     def evaluate(self, policy: Policy) -> float:
-        self.check_bounds(policy)
+        check_bounds(policy, self.n_agents, self.n_targets)
         return sum(self.target_utilities(policy), 0.0)
 
     def target_utilities(self, policy: Policy) -> list[float]:
         """evaluate_target(j, policy) for j = 1..M, in order.  Subclasses
         with per-target structure override this with a single pass."""
         return [self.evaluate_target(j, policy) for j in range(1, self.n_targets + 1)]
-
-    def check_bounds(self, policy: Policy) -> None:
-        for el in policy:
-            if not (1 <= el.agent <= self.n_agents and 1 <= el.target <= self.n_targets):
-                raise ContractViolation(
-                    f"element {el} outside ground set "
-                    f"({self.n_agents} agents x {self.n_targets} targets)"
-                )
 
     def ground_set(self) -> list[GroundElement]:
         return [
@@ -278,29 +279,23 @@ class TableOracle(UtilityOracle):
     def probs(self) -> list[list[float]]:
         return self.prob_table.tolist()
 
-    def target_utilities(self, policy: Policy) -> list[float]:
-        # One pass over the policy; each target's factors are multiplied in
-        # the policy's iteration order, as evaluate_target multiplies them.
+    def _miss_products(self, policy: Policy) -> list[float]:
+        """Per target, the product of 1 - prob over its holders in the
+        policy, multiplied in the policy's iteration order."""
         miss = [1.0] * self.n_targets
         for el in policy:
             miss[el.target - 1] *= 1.0 - self.probs[el.agent - 1][el.target - 1]
-        return [v * (1.0 - q) for v, q in zip(self.values, miss)]
+        return miss
+
+    def target_utilities(self, policy: Policy) -> list[float]:
+        return [v * (1.0 - q) for v, q in zip(self.values, self._miss_products(policy))]
 
     def evaluate_target(self, target: int, policy: Policy) -> float:
-        miss = 1.0
-        for el in policy:
-            if el.target == target:
-                miss *= 1.0 - self.probs[el.agent - 1][target - 1]
-        return self.values[target - 1] * (1.0 - miss)
+        return self.values[target - 1] * (1.0 - self._miss_products(policy)[target - 1])
 
     def marginal_gains_for_agent(self, policy, agent, targets):
-        miss = [1.0] * (self.n_targets + 1)
-        for el in policy:
-            miss[el.target] *= 1.0 - self.probs[el.agent - 1][el.target - 1]
-        return {
-            j: self.values[j - 1] * miss[j] * self.probs[agent - 1][j - 1]
-            for j in targets
-        }
+        miss, row = self._miss_products(policy), self.probs[agent - 1]
+        return {j: self.values[j - 1] * miss[j - 1] * row[j - 1] for j in targets}
 
 
 class ModularOracle(UtilityOracle):

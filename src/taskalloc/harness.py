@@ -358,14 +358,6 @@ def _aggregate(config: ExperimentConfig, metrics: Sequence[RunMetrics]) -> dict:
 # Output files
 # ---------------------------------------------------------------------------
 
-def _fmt(value) -> str:
-    """Shortest round-tripping decimal form; identical bits give identical
-    text, which makes equal-seed runs byte-identical."""
-    if isinstance(value, float):
-        return repr(value)
-    return str(value)
-
-
 def write_outputs(result: ExperimentResult, out_dir: str) -> dict:
     """Write summary.json, series.csv and sizes.csv; returns the paths."""
     os.makedirs(out_dir, exist_ok=True)
@@ -386,6 +378,7 @@ def write_outputs(result: ExperimentResult, out_dir: str) -> dict:
         json.dump(summary, fh, indent=2, sort_keys=True)
         fh.write("\n")
 
+    # repr, the shortest round-tripping form: equal seeds, equal bytes.
     with open(paths["series"], "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(
@@ -395,9 +388,9 @@ def write_outputs(result: ExperimentResult, out_dir: str) -> dict:
             for step in range(len(run.utility)):
                 writer.writerow([
                     run.solver, run.draw, step,
-                    _fmt(run.utility[step]),
+                    repr(run.utility[step]),
                     run.messages[step],
-                    _fmt(run.cumulative_cost[step]),
+                    repr(run.cumulative_cost[step]),
                 ])
 
     with open(paths["sizes"], "w", encoding="utf-8", newline="") as fh:
@@ -410,8 +403,8 @@ def write_outputs(result: ExperimentResult, out_dir: str) -> dict:
                     continue
                 writer.writerow([
                     name, n, m,
-                    _fmt(agg["mean_total_cost"]),
-                    _fmt(agg["mean_wall_time_s"]),
+                    repr(agg["mean_total_cost"]),
+                    repr(agg["mean_wall_time_s"]),
                 ])
     return paths
 
@@ -492,8 +485,8 @@ def verify_bound_suite(n_instances: int = 100, master_seed: int = 0) -> BoundSui
     worst = math.inf
     violations = []
     for k in range(n_instances):
-        seed = master_seed * 1_000_003 + k
-        cert = run_bound_instance(random_bound_instance(seed))
+        inst = random_bound_instance(master_seed * 1_000_003 + k)
+        cert = run_bound_instance(inst)
         half += cert.half_bound_holds
         curv += cert.curvature_bound_holds
         qsys += cert.q_system_bound_holds
@@ -501,7 +494,7 @@ def verify_bound_suite(n_instances: int = 100, master_seed: int = 0) -> BoundSui
         if not (cert.half_bound_holds and cert.curvature_bound_holds
                 and cert.q_system_bound_holds):
             violations.append({
-                "seed": seed,
+                "seed": inst.seed,
                 "ratio": cert.ratio,
                 "half_threshold": cert.half_threshold,
                 "curvature_threshold": cert.curvature_threshold,
@@ -574,24 +567,19 @@ def measure_scaling(sizes: Sequence = SCALING_GRID, rounds: int = 50,
         for case, timed in zip(cases, times):
             timed.append(_time_one_round(*case))
     medians = [float(np.median(timed[3:])) for timed in times]
-    if len(sizes) <= 3:
-        # Too few measurements to fit three coefficients meaningfully.
-        return ScalingReport(
-            sizes=[tuple(s) for s in sizes],
-            mean_round_s=medians,
-            coefficients=[],
-            r_squared=math.nan,
-        )
-    design = np.array([[1.0, n * n, n * m] for n, m in sizes])
-    y = np.array(medians)
-    coeffs, *_ = np.linalg.lstsq(design, y, rcond=None)
-    residuals = y - design @ coeffs
-    ss_res = float(residuals @ residuals)
-    ss_tot = float(((y - y.mean()) ** 2).sum())
-    r2 = 1.0 - ss_res / ss_tot if ss_tot > 0 else 1.0
+    coefficients, r2 = [], math.nan
+    if len(sizes) > 3:  # fewer measurements cannot fit three coefficients
+        design = np.array([[1.0, n * n, n * m] for n, m in sizes])
+        y = np.array(medians)
+        coeffs, *_ = np.linalg.lstsq(design, y, rcond=None)
+        residuals = y - design @ coeffs
+        ss_res = float(residuals @ residuals)
+        ss_tot = float(((y - y.mean()) ** 2).sum())
+        coefficients = [float(c) for c in coeffs]
+        r2 = 1.0 - ss_res / ss_tot if ss_tot > 0 else 1.0
     return ScalingReport(
         sizes=[tuple(s) for s in sizes],
         mean_round_s=medians,
-        coefficients=[float(c) for c in coeffs],
+        coefficients=coefficients,
         r_squared=r2,
     )

@@ -45,6 +45,7 @@ from .core import (
     SizeLimitExceeded,
     TableOracle,
     UtilityOracle,
+    check_bounds,
     marginal_gain,
 )
 
@@ -75,10 +76,6 @@ class BundleState:
     w: list  # int, entries in 0..M, 0 = unassigned
     b: list  # float, nonnegative bids
     f: list  # int, 1 = finalized
-
-    @classmethod
-    def empty(cls, n_agents: int) -> "BundleState":
-        return cls(w=[0] * n_agents, b=[0.0] * n_agents, f=[0] * n_agents)
 
 
 @dataclass
@@ -370,7 +367,8 @@ class AgentViews:
 
     def __init__(self, oracle: UtilityOracle):
         self.oracle = oracle
-        self.bundles = [BundleState.empty(oracle.n_agents) for _ in range(oracle.n_agents)]
+        n = oracle.n_agents
+        self.bundles = [BundleState(w=[0] * n, b=[0.0] * n, f=[0] * n) for _ in range(n)]
 
     def self_entries(self) -> tuple[list[int], list[bool]]:
         """Each agent's own claim (0 = none) and whether it is finalized."""
@@ -792,7 +790,7 @@ def run_rounds(views_type, scenario: AllocationScenario,
         fresh = [GroundElement(k + 1, claims[k])
                  for k in (finished > finished_before).nonzero()[0].tolist() if claims[k]]
         if tally is not None:
-            oracle.check_bounds(fresh)
+            check_bounds(fresh, oracle.n_agents, oracle.n_targets)
             if not tally.admit(fresh):  # a third holder: the plain path from now on
                 tally = None
         if tally is not None:
@@ -958,9 +956,10 @@ def check_allocation_trace(trace: Sequence[RoundRecord], final_policy: Policy) -
         if len(targets) == len(set(targets)):
             total = sum(g.sum_deltas for g in rec.groups)
             if abs(rec.increment - total) > TRACE_TOL:
+                agents = tuple(a for a, _j, _d in rec.newly_finalized)
                 failures.append(
                     f"round {rec.round}: round increment {rec.increment!r} != "
-                    f"sum of gains {total!r}"
+                    f"sum of gains {total!r} for agents {agents}"
                 )
     assigned = {el.agent for el in final_policy}
     if seen != assigned:

@@ -5,6 +5,7 @@ import json
 import pytest
 import yaml
 
+from taskalloc import harness
 from taskalloc.cli import (
     EXIT_BOUND_VIOLATION,
     EXIT_CONFIG_ERROR,
@@ -202,8 +203,14 @@ class TestVerifyBoundsCommand:
         assert "15/15" in output
         assert "worst ratio" in output
 
-    def test_exit_code_reserved_for_violations(self):
-        assert EXIT_BOUND_VIOLATION == 1
+    def test_exit_code_reserved_for_violations(self, monkeypatch, capsys):
+        # A real instance on which DGBA reaches 0.484 of the optimum.
+        failing = harness.random_bound_instance(8022498)
+        monkeypatch.setattr(harness, "random_bound_instance", lambda seed: failing)
+        assert main(["verify-bounds", "--instances", "1"]) == EXIT_BOUND_VIOLATION == 1
+        captured = capsys.readouterr()
+        assert "half bound:      0/1" in captured.out
+        assert captured.err.startswith("violation at seed 8022498: ratio 0.484024 vs thresholds ")
 
 
 class TestTraceCommand:

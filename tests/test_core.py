@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from taskalloc.core import (
     ContractViolation,
+    CurvatureReport,
     DegenerateOracleError,
     GroundElement,
     ModularOracle,
@@ -147,6 +148,14 @@ class TestCurvature:
         orc = TableOracle([1.0], [[0.5]])
         with pytest.raises(DegenerateOracleError):
             estimate_elemental_curvature(orc, orc.ground_set())
+
+    def test_gain_below_epsilon_is_skipped(self):
+        # Agent 1 never succeeds, so its gain, the ratio's denominator, is
+        # 0 on every policy; the ratio is taken the other way round only.
+        orc = TableOracle([1.0], [[0.0], [0.5]])
+        rep = estimate_elemental_curvature(orc, orc.ground_set())
+        assert rep == CurvatureReport(
+            1.0, (frozenset(), GroundElement(2, 1), GroundElement(1, 1)), 1)
 
 
 class TestXiFactor:

@@ -225,6 +225,37 @@ class TestRunExperiment:
             ("dgba", 0), ("exact", 0), ("dgba", 1), ("exact", 1)]
         assert all(r.certificate is None for r in res.metrics)
 
+    def test_failing_solver_is_a_draw_error(self, monkeypatch):
+        clean = run_experiment(small_config(draws=2))
+        real = harness._run_one
+
+        def auction_fails(name, base):
+            if name == "auction":
+                raise ValueError("auction down")
+            return real(name, base)
+
+        monkeypatch.setattr(harness, "_run_one", auction_fails)
+        res = run_experiment(small_config(draws=2))
+        assert res.errors == [
+            {"solver": "auction", "size": [3, 3], "draw": draw,
+             "message": "ValueError: auction down"}
+            for draw in (0, 1)
+        ]
+        assert [(r.solver, r.draw) for r in res.metrics] == [("dgba", 0), ("dgba", 1)]
+        kept = [r for r in clean.metrics if r.solver == "dgba"]
+        assert [(r.utility, r.messages, r.cumulative_cost) for r in res.metrics] == \
+            [(r.utility, r.messages, r.cumulative_cost) for r in kept]
+
+    def test_every_run_failing_fails_the_experiment(self, monkeypatch):
+        def fail(name, base):
+            raise ValueError(f"{name} down")
+
+        monkeypatch.setattr(harness, "_run_one", fail)
+        with pytest.raises(RuntimeError) as info:
+            run_experiment(small_config(draws=1))
+        assert str(info.value) == (
+            "every solver run failed: ValueError: dgba down; ValueError: auction down")
+
     def test_sample_draw_leaves_config_as_it_is(self):
         cfg = small_config(sizes=[(3, 3), (4, 2)])
         before = cfg.to_dict()
@@ -303,6 +334,18 @@ class TestBoundSuite:
                 break
         else:
             pytest.fail("no 1x1 instance in the first 200 seeds")
+
+    def test_violation_records_its_seed(self, monkeypatch):
+        # A real instance on which DGBA reaches 0.484 of the optimum, below
+        # every bound.
+        failing = random_bound_instance(8022498)
+        monkeypatch.setattr(harness, "random_bound_instance", lambda seed: failing)
+        report = verify_bound_suite(n_instances=1)
+        assert not report.all_pass
+        assert (report.half_passes, report.curvature_passes, report.q_system_passes) == (0, 0, 0)
+        (violation,) = report.violations
+        assert violation["seed"] == 8022498
+        assert violation["ratio"] == report.worst_ratio == pytest.approx(0.484, abs=1e-3)
 
     def test_small_suite_passes(self):
         report = verify_bound_suite(n_instances=25, master_seed=3)

@@ -10,6 +10,7 @@ from taskalloc.core import ContractViolation, make_policy
 from taskalloc.scenario import (
     ORBIT_SPEED,
     AgentBody,
+    NumericalBlowupError,
     ScenarioConfig,
     TargetBody,
     build_comm_graph,
@@ -119,6 +120,16 @@ class TestDynamics:
         with pytest.raises(ContractViolation):
             step_dynamics(np.zeros((1, 6)), np.zeros((1, 3)), np.zeros(1),
                           np.ones(1), np.zeros((0, 6)), [], dt=0.0)
+
+    @pytest.mark.parametrize("kind, row", [("agent", 1), ("target", 0)])
+    def test_non_finite_state_raises(self, kind, row):
+        # A speed near the float maximum overflows the position in one step.
+        agents, targets = np.zeros((2, 6)), np.zeros((1, 6))
+        (agents if kind == "agent" else targets)[row, 3] = 1e308
+        with np.errstate(over="ignore", invalid="ignore"), pytest.raises(
+                NumericalBlowupError, match=f"non-finite {kind} state after step: row {row} "):
+            step_dynamics(agents, np.zeros((2, 3)), np.zeros(2), np.ones(2),
+                          targets, [0.0], dt=10.0)
 
 
 class TestRendezvousController:

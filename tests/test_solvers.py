@@ -1,5 +1,6 @@
 """Tests for the bundle protocol, its baselines, and trace checks."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -204,6 +205,13 @@ class TestBudgetsAndConstraints:
         with pytest.raises(ConfigurationError):
             dgba_run(StaticScenario(two_agent_oracle()),
                      constraints=PartitionConstraint(3, 2))
+
+    def test_infeasible_result_rejected(self):
+        # Two isolated agents cannot see each other's claim on the one
+        # target, so both take it, which the conflict-free rule forbids.
+        scen = StaticScenario(TableOracle([1.0], [[0.5], [0.4]]), adjacency=np.zeros((2, 2)))
+        with pytest.raises(ContractViolation, match="protocol produced an infeasible policy"):
+            dgba_run(scen, constraints=ConflictFreeConstraint(2, 1))
 
 
 class TestCommunicationPhase:
@@ -502,3 +510,37 @@ class TestTraceChecks:
         smaller = res.policy - {next(iter(res.policy))}
         check = check_allocation_trace(res.trace, smaller)
         assert not check.ok
+
+    @staticmethod
+    def four_agent_run():
+        """A complete-graph run whose first round finalizes several agents."""
+        rng = np.random.default_rng(5)
+        res = dgba_run(StaticScenario(TableOracle(rng.uniform(1.0, 2.0, 4),
+                                                  rng.uniform(0.1, 0.9, (4, 4)))))
+        assert check_allocation_trace(res.trace, res.policy).ok
+        assert len(res.trace[0].newly_finalized) > 1
+        return res
+
+    def test_detects_component_increment_mismatch(self):
+        res = self.four_agent_run()
+        rec = res.trace[0]
+        (group,) = rec.groups
+        wrong = group.increment + 0.5
+        trace = [dataclasses.replace(rec, groups=(dataclasses.replace(group, increment=wrong),))]
+        check = check_allocation_trace(trace + res.trace[1:], res.policy)
+        assert check.failures == [
+            f"round 0: component increment {wrong!r} != "
+            f"sum of gains {group.sum_deltas!r} for agents {group.agents}"
+        ]
+
+    def test_detects_round_increment_mismatch(self):
+        res = self.four_agent_run()
+        rec = res.trace[0]
+        wrong = rec.increment + 0.5
+        trace = [dataclasses.replace(rec, increment=wrong)]
+        check = check_allocation_trace(trace + res.trace[1:], res.policy)
+        agents = tuple(a for a, _j, _d in rec.newly_finalized)
+        assert check.failures == [
+            f"round 0: round increment {wrong!r} != "
+            f"sum of gains {rec.groups[0].sum_deltas!r} for agents {agents}"
+        ]

@@ -17,6 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from taskalloc.core import (
+    ContractViolation,
     GroundElement,
     ModularOracle,
     TableOracle,
@@ -463,3 +464,18 @@ def test_flooding_disjoint_components_settles_at_the_deeper_one():
     (messages, sweeps), won = settle(adjacency, {0, 6})
     assert (messages, sweeps) == (5 * 2 * (4 + 2), 5)
     assert won == [1, 0, 0, 0, 0, 0, 1, 0]
+
+
+def test_array_views_refuse_rows_that_are_not_the_live_agents():
+    views = ArrayViews(TableOracle(np.ones(3), np.full((3, 3), 0.5)))
+    with pytest.raises(ContractViolation, match="phase I rows are not the live agents"):
+        views.assign(np.arange(2), np.ones((2, 3), dtype=bool))
+
+
+def test_auction_refuses_component_labels_the_graph_does_not_have():
+    # Labelled one component, but with no edge no sweep can spread the
+    # top bid to the other bidder.
+    views = AuctionViews(TableOracle([1.0], [[0.5], [0.4]]))
+    views.assign(np.arange(2), np.ones((2, 1), dtype=bool))
+    with pytest.raises(ContractViolation, match="component labels do not match the graph"):
+        views.communicate(np.zeros((2, 2), dtype=bool), [0, 0])
