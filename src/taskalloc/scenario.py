@@ -586,14 +586,14 @@ class SatelliteScenario(AllocationScenario):
         return build_comm_graph(self.agent_states[:, :3], self.comm_factors,
                                 self.config.domain_diameter)
 
-    def agent_costs(self, claims: Sequence[int], done: Sequence[bool]) -> np.ndarray:
+    def agent_costs(self, claims: np.ndarray, done: np.ndarray) -> np.ndarray:
         """The cost each agent has accrued so far, flying or not."""
         return self.accrued_cost.copy()
 
     def default_horizon(self) -> int:
         return self.config.n_steps
 
-    def advance(self, claims: Sequence[int]) -> None:
+    def advance(self, claims: np.ndarray) -> None:
         self.agent_states, self.target_states, inc = step_dynamics(
             self.agent_states, self._controls(claims), self.accrued_cost,
             self.fuel, self.target_states, self.drag_coeffs, self.dt,
@@ -624,7 +624,7 @@ class SatelliteScenario(AllocationScenario):
                 array.flags.writeable = False
         return self._predicted
 
-    def _controls(self, claims: Sequence[int]) -> np.ndarray:
+    def _controls(self, claims: np.ndarray) -> np.ndarray:
         """Rendezvous acceleration (N x 3) of each agent with a claim (agent
         k + 1 on target ``claims[k]``, 0 = none) before its target's
         rendezvous deadline, as ``rendezvous_point`` and
@@ -632,7 +632,7 @@ class SatelliteScenario(AllocationScenario):
         otherwise."""
         controls = np.zeros((self.n_agents, 3))
         now = self.time
-        pairs = [(i, j - 1) for i, j in enumerate(claims)
+        pairs = [(i, j - 1) for i, j in enumerate(np.asarray(claims).tolist())
                  if j != 0 and now < self.final_times[j - 1]]
         if not pairs:
             return controls

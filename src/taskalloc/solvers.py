@@ -152,15 +152,16 @@ class AllocationScenario:
     def adjacency(self) -> np.ndarray:
         raise NotImplementedError
 
-    def advance(self, claims: Sequence[int]) -> None:
+    def advance(self, claims: np.ndarray) -> None:
         """Advance world dynamics one step, agent k + 1 flying toward
         target ``claims[k]`` (0 = none); a no-op for static worlds."""
 
-    def agent_costs(self, claims: Sequence[int], done: Sequence[bool]) -> np.ndarray:
+    def agent_costs(self, claims: np.ndarray, done: np.ndarray) -> np.ndarray:
         """Per agent, the cost of the pair it holds: ``pair_costs()`` at its
-        claim if it is finalized with one, else 0.0."""
-        claims = np.asarray(claims, dtype=np.intp)
-        rows = np.flatnonzero(np.asarray(done, dtype=bool) & (claims != 0))
+        claim if it is finalized with one, else 0.0.  ``claims`` and
+        ``done`` are the driver's N-vectors, int and bool, as the views'
+        ``self_entries()`` return them."""
+        rows = np.flatnonzero(done & (claims != 0))
         costs = np.zeros(self.n_agents)
         costs[rows] = self.pair_costs()[rows, claims[rows] - 1]
         return costs
@@ -308,7 +309,7 @@ def dgba_communication_phase(bundles: Sequence[BundleState], linked: np.ndarray)
             if row[j]:
                 w[j], b[j], f[j] = self_w[j], self_b[j], self_f[j]
         my_target = w[i]
-        if not f[i] and my_target != 0:
+        if my_target != 0:
             holders = [k for k in range(n) if w[k] == my_target]
             if any(f[k] for k in holders if k != i):
                 # Yield to an already-finalized holder.
@@ -370,10 +371,11 @@ class AgentViews:
         n = oracle.n_agents
         self.bundles = [BundleState(w=[0] * n, b=[0.0] * n, f=[0] * n) for _ in range(n)]
 
-    def self_entries(self) -> tuple[list[int], list[bool]]:
-        """Each agent's own claim (0 = none) and whether it is finalized."""
-        return ([int(b.w[k]) for k, b in enumerate(self.bundles)],
-                [bool(b.f[k]) for k, b in enumerate(self.bundles)])
+    def self_entries(self) -> tuple[np.ndarray, np.ndarray]:
+        """Each agent's own claim (0 = none) and whether it is finalized,
+        as fresh N-vectors, int and bool."""
+        return (np.array([b.w[k] for k, b in enumerate(self.bundles)], dtype=np.intp),
+                np.array([b.f[k] for k, b in enumerate(self.bundles)], dtype=bool))
 
     def assign(self, rows: np.ndarray, allowed: np.ndarray) -> None:
         """Phase I for the unfinalized agents ``rows`` (0-based), agent
@@ -424,8 +426,8 @@ class ArrayViews:
             self.gains = _pair_table(n, m, lambda el: oracle.marginal_gains_for_agent(
                 frozenset(), el.agent, (el.target,))[el.target])
 
-    def self_entries(self) -> tuple[list[int], list[bool]]:
-        return self.self_w.tolist(), self.self_f.tolist()
+    def self_entries(self) -> tuple[np.ndarray, np.ndarray]:
+        return self.self_w.astype(np.intp), self.self_f.copy()
 
     def assign(self, rows: np.ndarray, allowed: np.ndarray) -> None:
         """Phase I with the rules and arguments of ``AgentViews.assign``;
@@ -459,7 +461,7 @@ class ArrayViews:
         np.copyto(self.w, self.self_w, where=heard)
         np.copyto(self.b, self.self_b, where=heard)
         np.copyto(self.f, self.self_f, where=heard)
-        r = np.flatnonzero(~self.self_f[live] & (self.self_w[live] != 0))
+        r = np.flatnonzero(self.self_w[live] != 0)  # idle agents claim 0
         rows = live[r]
         holders = self.w[r] == self.self_w[rows][:, None]
         # Withdraw claims on a target some holder has finalized in the view.
@@ -491,7 +493,8 @@ class AuctionViews:
     whether it is done, and, as row i of the N x M ``taken``, the won
     targets agent i has heard of.  Knowledge of won targets spreads only
     through the flooding, so disconnected components can duplicate
-    targets."""
+    targets.  Nothing of the graph is kept between rounds: each
+    ``communicate`` call reads the links and labels it is given."""
 
     def __init__(self, oracle: UtilityOracle):
         n, m = oracle.n_agents, oracle.n_targets
@@ -507,11 +510,9 @@ class AuctionViews:
                 n, m, lambda el: oracle.evaluate_target(el.target, frozenset({el})))
         # This round's bids, as bidder, target index and rank.
         self.bidders = self.bid_targets = self.ranks = np.zeros(0, dtype=np.intp)
-        # The last graph's links, and what communicate derives from them.
-        self.linked = self.graph = None
 
-    def self_entries(self) -> tuple[list[int], list[bool]]:
-        return self.target.tolist(), self.done.tolist()
+    def self_entries(self) -> tuple[np.ndarray, np.ndarray]:
+        return self.target.copy(), self.done.copy()
 
     def assign(self, rows: np.ndarray, allowed: np.ndarray) -> None:
         """Bidding.  Every agent not done (``rows``) bids its best
@@ -519,17 +520,16 @@ class AuctionViews:
         the allocation already covers; ties to the lowest target id) on a
         target it has not heard is won and that its row of ``allowed``
         allows.  An agent with no positive bid is done, with no target."""
-        if not self.taken.shape[1]:  # no targets to bid on
-            self.done[rows] = True
-            return
-        ok = ~self.taken[rows]
-        ok &= allowed
-        bids = np.where(ok, self.alone[rows], 0.0)
+        # Each row's bids by target id, 0.0 where the target is not allowed
+        # or heard to be won; column 0 ("none") is 0.0 too, so a row with
+        # no positive bid picks it.
+        bids = np.zeros((rows.size, self.taken.shape[1] + 1))
+        np.copyto(bids[:, 1:], self.alone[rows], where=allowed & ~self.taken[rows])
         best = bids.argmax(axis=1)  # first maximum: lowest target id
         bid = bids[np.arange(rows.size), best]
-        placed = bid > 0.0
+        placed = best != 0
         self.done[rows[~placed]] = True
-        self.bidders, self.bid_targets = rows[placed], best[placed]
+        self.bidders, self.bid_targets = rows[placed], best[placed] - 1
         # Rank 0 is the highest bid; ties go to the lowest agent id.
         self.ranks = np.empty(placed.sum(), dtype=np.intp)
         self.ranks[np.argsort(-bid[placed], kind="stable")] = np.arange(self.ranks.size)
@@ -539,10 +539,8 @@ class AuctionViews:
         and keeps, per agent and target, the best bid heard and whether the
         target is heard to be won; sweeps repeat until no table changes.
         Each bidder whose own table then names it top bidder on a target
-        not heard to be won wins it.  Returns the sweeps made.  What
-        depends only on the graph is derived again only when ``linked`` is
-        not the object of the last call (the driver passes one object per
-        distinct graph, with its labels).
+        not heard to be won wins it.  Returns the sweeps made.  Each call
+        derives what it needs of the graph from its arguments alone.
 
         The sweeps are not run one by one.  After k sweeps an agent's entry
         is the minimum over its k-hop ball, so on a symmetric graph the
@@ -554,13 +552,10 @@ class AuctionViews:
         growing the set of entries that hold their final value one hop at a
         time."""
         n, m = self.taken.shape
-        if linked is not self.linked:
-            labels = np.asarray(components)
-            order = np.argsort(labels, kind="stable")
-            starts = np.searchsorted(labels[order], np.arange(labels.max() + 1))
-            reach = (linked | np.eye(n, dtype=bool)).astype(float)
-            self.linked, self.graph = linked, (labels, order, starts, reach)
-        labels, order, starts, reach = self.graph
+        labels = np.asarray(components)
+        order = np.argsort(labels, kind="stable")
+        starts = np.searchsorted(labels[order], np.arange(labels.max() + 1))
+        reach = (linked | np.eye(n, dtype=bool)).astype(float)
         # Per agent: the best bid rank heard per target (n = none), then per
         # target 0 if heard to be won, else 1.  A sweep keeps the minimum of
         # each entry over the agent and its neighbours.
@@ -652,9 +647,11 @@ class _TableTally:
         return sum(self.utils, 0.0)
 
 
-def _policy(claims: Sequence[int], done: Sequence[bool]) -> Policy:
-    """The finalized pairs, inserted in agent order."""
-    return frozenset(GroundElement(k + 1, j) for k, j in enumerate(claims) if done[k] and j != 0)
+def _held_pairs(claims: np.ndarray, mask: np.ndarray) -> list[GroundElement]:
+    """The pairs of the agents in ``mask`` that hold a target, in agent
+    order: the insertion order of every policy the driver builds."""
+    rows = mask.nonzero()[0]
+    return [GroundElement(k + 1, j) for k, j in zip(rows.tolist(), claims[rows].tolist()) if j]
 
 
 # A run's phase clocks; ``components`` includes the work per distinct graph.
@@ -689,28 +686,36 @@ def run_rounds(views_type, scenario: AllocationScenario,
     round 0, and scores every round, of ``scenario.default_horizon()`` at most.
 
     The driver alone queries the world and applies the allowed-pair rule;
-    the views only keep protocol state and decide.  ``views_type(oracle)``
-    is built once, before round 0, and may tabulate its bids; the driver
-    then reads ``scenario.budgets()``, once.  Each round that still has
-    bidders, it takes their 0-based ``rows`` from its ``done`` state, asks
-    ``scenario.pair_costs(rows)`` and calls ``assign(rows, allowed)`` (phase
-    I), ``allowed`` being ``allowed_pairs`` of those costs and the start
-    budgets, row r for agent ``rows[r]``.  ``communicate(linked,
-    components)`` does phase II over the round's graph and returns the
-    exchanges it made: 1 for DGBA, the flooding sweeps for the auction.
-    ``linked`` is the boolean N x N array ``graph > 0`` of a graph the
-    driver has passed through ``_check_adjacency``, ``components`` the
-    component label per agent (only the auction reads them).  The driver
-    owns the graph: it checks, links, labels and counts the directed edges
-    of each distinct graph once, when it differs from the last round's.  A
-    message is one agent's state sent over one directed edge in one
-    exchange, so a round's ``messages`` is its exchanges times the graph's
-    edges, and ``rounds`` sums the exchanges.  ``self_entries()`` gives
-    each agent's claim (0 = none), which phase III passes to
-    ``scenario.advance``, and whether it is done.  These
-    ``(claims, done)`` are the driver's one allocation state: records hold
-    the pairs each round finalized, ``scenario.agent_costs(claims, done)``
-    gives the costs, and policies are built from the claims in agent order.
+    the views only keep protocol state and decide.  The views and the
+    driver trade plain values, never state objects:
+
+    - ``views_type(oracle)`` is built once, before round 0, and may
+      tabulate its bids; the driver then reads ``scenario.budgets()``, once.
+    - ``assign(rows, allowed)`` is phase I, in each round that still has
+      bidders: ``rows`` are their 0-based ids, from the driver's ``done``
+      vector, and row r of the boolean ``allowed`` is ``allowed_pairs`` of
+      ``scenario.pair_costs(rows)`` and the start budgets for agent
+      ``rows[r]``.
+    - ``communicate(linked, components)`` is phase II over the round's
+      graph and returns the exchanges it made: 1 for DGBA, the flooding
+      sweeps for the auction.  ``linked`` is the boolean N x N array
+      ``graph > 0`` of a graph the driver has passed through
+      ``_check_adjacency``, ``components`` the component label per agent
+      (only the auction reads them).  The result depends on the values of
+      the arguments only.
+    - ``self_entries()`` returns fresh N-vectors: each agent's claim (int,
+      0 = none) and whether it is done (bool).  Later calls to the views
+      leave them as they are.
+
+    The driver owns the graph: it checks, links, labels and counts the
+    directed edges of each distinct graph once, when it differs from the
+    last round's.  A message is one agent's state sent over one directed
+    edge in one exchange, so a round's ``messages`` is its exchanges times
+    the graph's edges, and ``rounds`` sums the exchanges.  The ``(claims,
+    done)`` vectors are the driver's one allocation state, passed as they
+    are to ``scenario.advance(claims)`` (phase III) and
+    ``scenario.agent_costs(claims, done)``; records hold the pairs each
+    round finalized, and policies are built from the claims in agent order.
 
     ``phase_times`` holds seconds per phase: the three protocol phases
     (``assignment`` includes building the views, the budget read and the
@@ -747,7 +752,6 @@ def run_rounds(views_type, scenario: AllocationScenario,
     views = views_type(oracle)
     budgets = scenario.budgets()
     claims, done = views.self_entries()
-    finished = np.array(done, dtype=bool)  # ``done`` as an array, for rows and costs
     lap("assignment")
     tally = _TableTally(oracle) if isinstance(oracle, TableOracle) else None
     trace: list[RoundRecord] = []
@@ -766,13 +770,12 @@ def run_rounds(views_type, scenario: AllocationScenario,
             components = graph_components(linked)
         lap("components")
         before_utility, claims_before, done_before = utility, claims, done
-        finished_before = finished
         round_messages = 0
+        # The agents still bidding (``nonzero`` costs less than
+        # ``flatnonzero`` per call, which small teams feel).
+        rows = (~done).nonzero()[0]
 
-        if not all(done):
-            # Phase I, for the agents still bidding (``nonzero`` costs less
-            # than ``flatnonzero`` per call, which small teams feel).
-            rows = (~finished).nonzero()[0]
+        if rows.size:  # Phase I
             views.assign(rows, allowed_pairs(scenario.pair_costs(rows), budgets[rows]))
             lap("assignment")
             exchanges = views.communicate(linked, components)  # Phase II
@@ -782,13 +785,10 @@ def run_rounds(views_type, scenario: AllocationScenario,
 
         # Phase III: world dynamics.
         claims, done = views.self_entries()
-        finished = np.array(done, dtype=bool)
         scenario.advance(claims)
         lap("implementation")
 
-        # The agents this round finalized: done now (True > False), not before.
-        fresh = [GroundElement(k + 1, claims[k])
-                 for k in (finished > finished_before).nonzero()[0].tolist() if claims[k]]
+        fresh = _held_pairs(claims, done & ~done_before)  # finalized this round
         if tally is not None:
             check_bounds(fresh, oracle.n_agents, oracle.n_targets)
             if not tally.admit(fresh):  # a third holder: the plain path from now on
@@ -798,13 +798,14 @@ def run_rounds(views_type, scenario: AllocationScenario,
             after = lambda members: sum(tally.with_pairs(members)[0])
         else:
             # Three-factor gains depend on order: take them on agent-order policies.
-            before, policy = _policy(claims_before, done_before), _policy(claims, done)
+            before = frozenset(_held_pairs(claims_before, done_before))
+            policy = frozenset(_held_pairs(claims, done))
             newly = _finalized_deltas(oracle, before, fresh)
             after = lambda members: oracle.evaluate(
                 before | frozenset(GroundElement(a, j) for a, j, _ in members))
         groups = _round_groups(newly, components, before_utility, after)
         utility = tally.add(newly) if tally is not None else oracle.evaluate(policy)
-        per_agent_cost = scenario.agent_costs(claims, finished)
+        per_agent_cost = scenario.agent_costs(claims, done)
         trace.append(RoundRecord(
             round=t,
             newly_finalized=tuple(newly),
@@ -816,10 +817,10 @@ def run_rounds(views_type, scenario: AllocationScenario,
         ))
         lap("bookkeeping")
 
-        if all(done):
+        if done.all():
             break
 
-    policy = _policy(claims, done)
+    policy = frozenset(_held_pairs(claims, done))
     if constraints is not None and not constraints.is_independent(policy):
         raise ContractViolation("protocol produced an infeasible policy")
     lap("bookkeeping")

@@ -5,16 +5,18 @@ import json
 import pytest
 import yaml
 
-from taskalloc import harness
+from taskalloc import cli, harness
 from taskalloc.cli import (
     EXIT_BOUND_VIOLATION,
     EXIT_CONFIG_ERROR,
     EXIT_OK,
+    EXIT_RUNTIME_ERROR,
     apply_overrides,
     load_config,
     main,
 )
 from taskalloc.harness import ConfigError, run_experiment
+from taskalloc.solvers import TraceCheck
 
 
 @pytest.fixture
@@ -74,6 +76,34 @@ class TestRunCommand:
               "--seed", "99", "--set", "draws=1"])
         summary = json.loads((out / "summary.json").read_text())
         assert summary["seed"] == 99
+
+    def test_failed_runs_are_warned_of(self, config_file, tmp_path, capsys, monkeypatch):
+        real = harness._run_one
+
+        def auction_fails(name, base):
+            if name == "auction":
+                raise ValueError("auction down")
+            return real(name, base)
+
+        monkeypatch.setattr(harness, "_run_one", auction_fails)
+        code = main(["run", "--config", config_file, "--output-dir", str(tmp_path / "x")])
+        assert code == EXIT_OK
+        assert capsys.readouterr().err.splitlines() == [
+            f"warning: auction draw {draw} size [3, 3]: ValueError: auction down"
+            for draw in (0, 1)]
+
+    def test_every_run_failing_is_a_runtime_error(self, config_file, tmp_path, capsys,
+                                                  monkeypatch):
+        def fail(name, base):
+            raise ValueError(f"{name} down")
+
+        monkeypatch.setattr(harness, "_run_one", fail)
+        code = main(["run", "--config", config_file, "--output-dir", str(tmp_path / "x")])
+        assert code == EXIT_RUNTIME_ERROR == 3
+        assert capsys.readouterr().err.strip() == (
+            "error: RuntimeError: every solver run failed: ValueError: dgba down; "
+            "ValueError: auction down; ValueError: dgba down; ValueError: auction down")
+        assert not (tmp_path / "x").exists()
 
     def test_missing_config_file(self, tmp_path, capsys):
         code = main(["run", "--config", str(tmp_path / "missing.yaml")])
@@ -236,6 +266,17 @@ class TestTraceCommand:
         assert lines[2 + len(run.utility)] == (
             f"final utility {run.final_utility:.6f}, "
             f"{run.total_messages} messages over {run.rounds} rounds")
+
+    def test_failed_check_is_a_runtime_error(self, config_file, capsys, monkeypatch):
+        monkeypatch.setattr(cli, "check_allocation_trace", lambda trace, policy: TraceCheck(
+            ok=False, failures=["round 0: agent 1 finalized twice", "finalized agents"]))
+        code = main(["trace", "--config", config_file, "--draw", "0"])
+        assert code == EXIT_RUNTIME_ERROR == 3
+        captured = capsys.readouterr()
+        assert captured.err.splitlines() == [
+            "trace check failed: round 0: agent 1 finalized twice",
+            "trace check failed: finalized agents"]
+        assert "trace checks passed" not in captured.out
 
     def test_bad_size_index(self, config_file):
         code = main(["trace", "--config", config_file, "--size-index", "9"])

@@ -62,7 +62,7 @@ def recorded_run(views_type, scenario):
     class Recorded(views_type):
         def self_entries(self):
             claims, done = super().self_entries()
-            entries.append((list(claims), list(done)))
+            entries.append((claims.tolist(), done.tolist()))
             return claims, done
 
     adjacency, agent_costs = scenario.adjacency, scenario.agent_costs

@@ -165,7 +165,7 @@ def test_phase_kernels_agree_round_by_round(args):
                 == array.communicate(adjacency > 0, components))
         claims, done = agent.self_entries()
         assert_same_views(agent, array, [k for k, d in enumerate(done) if not d])
-        assert array.self_entries() == (claims, done)
+        assert [v.tolist() for v in array.self_entries()] == [claims.tolist(), done.tolist()]
         if all(done):
             break
         scenario.advance(claims)
@@ -337,7 +337,7 @@ class LoopAuction:
         self.bids = {}
 
     def self_entries(self):
-        return list(self.target), list(self.done)
+        return np.array(self.target), np.array(self.done)
 
     def assign(self, rows, allowed):
         scenario, oracle = self.scenario, self.oracle
@@ -425,7 +425,7 @@ def settle(adjacency, bidders):
     for views in (AuctionViews(scenario.oracle()), LoopAuction(scenario, scenario.oracle())):
         views.assign(rows, allowed)
         sweeps = views.communicate(adjacency > 0, graph_components(adjacency))
-        out.append((sweeps, views.self_entries()[0]))
+        out.append((sweeps, views.self_entries()[0].tolist()))
     assert out[0] == out[1]
     sweeps, won = out[0]
     return (run_rounds(AuctionViews, scenario).trace[0].messages, sweeps), won
@@ -464,6 +464,52 @@ def test_flooding_disjoint_components_settles_at_the_deeper_one():
     (messages, sweeps), won = settle(adjacency, {0, 6})
     assert (messages, sweeps) == (5 * 2 * (4 + 2), 5)
     assert won == [1, 0, 0, 0, 0, 0, 1, 0]
+
+
+def test_auction_flooding_reads_the_values_of_linked_not_its_identity():
+    # A round on the complete graph with no bidder, then one on a 6-path
+    # bid on from one end: the second round takes one sweep per agent
+    # whether ``linked`` is a new array or the last one overwritten.
+    n = 6
+    complete = np.ones((n, n)) - np.eye(n)
+    for in_place in (False, True):
+        views = AuctionViews(TableOracle([1.0], [[1.0]] + [[0.0]] * (n - 1)))
+        linked = complete > 0
+        views.assign(np.arange(0), np.ones((0, 1), dtype=bool))
+        sweeps = [views.communicate(linked, graph_components(complete))]
+        if in_place:
+            linked[...] = path(n) > 0
+        else:
+            linked = path(n) > 0
+        views.assign(np.arange(n), np.ones((n, 1), dtype=bool))
+        sweeps.append(views.communicate(linked, graph_components(path(n))))
+        assert sweeps == [1, n]
+        assert list(views.self_entries()[0]) == [1] + [0] * (n - 1)
+
+
+@pytest.mark.parametrize("views_type", [AgentViews, ArrayViews, AuctionViews])
+def test_self_entries_are_fresh_vectors(views_type):
+    # The driver keeps the last round's vectors beside the new ones, so
+    # later assign and communicate calls must leave them as returned.
+    returned = []
+
+    class Kept(views_type):
+        def self_entries(self):
+            claims, done = super().self_entries()
+            assert (claims.dtype.kind, done.dtype) == ("i", np.dtype(bool))
+            returned.append((claims, done, claims.tolist(), done.tolist()))
+            return claims, done
+
+    rng = np.random.default_rng(20)
+    n, m = 12, 8
+    oracle = TableOracle(rng.uniform(1.0, 2.0, m), rng.uniform(0.1, 0.9, (n, m)))
+    res = run_rounds(Kept, DeadlineScenario(
+        oracle, rng.uniform(0.5, 1.5, (n, m)), None, graphs("sparse", n, rng),
+        rng.integers(0, 2 * n + 3, size=m).tolist()))
+    assert len(returned) == len(res.trace) + 1 > 2
+    assert [(c.tolist(), d.tolist()) for c, d, _, _ in returned] == [
+        (c, d) for _, _, c, d in returned]
+    assert len({tuple(d) for _, _, _, d in returned}) > 2  # done changed twice
 
 
 def test_array_views_refuse_rows_that_are_not_the_live_agents():
