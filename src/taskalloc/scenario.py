@@ -36,16 +36,65 @@ MIN_TIME_TO_GO = 1e-6      # controller floor: keeps the gains finite
 CENTRE_EPS = 1e-12         # an agent this near a target's centre aims along x
 
 
+# Each world rule is written once, as a kernel over rows that the scenario
+# calls with all bodies at once; each per-body helper (``step_agent``,
+# ``rendezvous_point``, ``survival_probability``, ...) is the one-row call
+# of its kernel.  The kernels must give the same bits as the per-body
+# arithmetic of ``tests/bodies.py``, which ``tests/test_world.py`` runs as
+# the reference.  Three numpy forms do not:
+#   - ``np.linalg.norm(x, axis=-1)`` sums the squares in another order than
+#     the 1-D norm, a BLAS dot, and differs in about 12% of rows;
+#     ``_row_norms`` takes the dot of each row through a stacked matmul.
+#   - ``np.exp`` differs from ``math.exp`` in about 5% of cases, so
+#     exponentials are taken per entry with ``math.exp``.
+#   - numpy's ``t ** 2`` differs from Python's in about 0.07% of cases, so
+#     the controller gains are formed from Python floats.
+# The closed form of RK4 under a constant control is not bit-identical to
+# the RK4 arithmetic either, so the steps keep that arithmetic.  Pair costs
+# are not under this contract.
+
+def _row_dots(x: np.ndarray) -> np.ndarray:
+    """Squared norm of each row of ``x`` (rows along the last axis), equal
+    bit for bit to ``row @ row`` on that row alone."""
+    return (x[..., None, :] @ x[..., :, None])[..., 0, 0]
+
+
+def _row_norms(x: np.ndarray) -> np.ndarray:
+    """Norm of each row of ``x``, equal bit for bit to ``np.linalg.norm``
+    of that row alone."""
+    return np.sqrt(_row_dots(x))
+
+
 # ---------------------------------------------------------------------------
 # Utility model
 # ---------------------------------------------------------------------------
 
+def _survival(agent_positions, target_positions, decays) -> np.ndarray:
+    """N x M table of ``survival_probability``."""
+    lam = np.asarray(decays, dtype=float)
+    if (lam <= 0).any():
+        raise ContractViolation("decay factor must be positive")
+    p = np.asarray(agent_positions, dtype=float).reshape(-1, 3)
+    q = np.asarray(target_positions, dtype=float).reshape(-1, 3)
+    exponents = -lam * _row_norms(p[:, None, :] - q[None, :, :])
+    probs = np.fromiter(map(math.exp, exponents.ravel().tolist()),
+                        dtype=float, count=exponents.size)
+    return probs.reshape(exponents.shape)
+
+
 def survival_probability(agent_pos, target_pos, decay: float) -> float:
     """exp(-decay * distance); 1 at zero distance, strictly decreasing."""
-    if decay <= 0:
-        raise ContractViolation("decay factor must be positive")
-    d = float(np.linalg.norm(np.asarray(agent_pos, float) - np.asarray(target_pos, float)))
-    return math.exp(-decay * d)
+    return float(_survival([agent_pos], [target_pos], [decay])[0, 0])
+
+
+def position_oracle(agent_positions: Sequence,
+                    target_positions: Sequence,
+                    info_values: Sequence[float],
+                    decays: Sequence[float]) -> TableOracle:
+    """Freeze the observation utility at the given positions: entry (i, j)
+    of the table is ``survival_probability`` of agent i for target j."""
+    return TableOracle(values=info_values,
+                       probs=_survival(agent_positions, target_positions, decays))
 
 
 def observation_utility(policy: Policy,
@@ -58,57 +107,9 @@ def observation_utility(policy: Policy,
     Target j contributes value_j * (1 - prod over assigned agents of
     (1 - survival)).  The empty policy is worth exactly 0.
     """
-    per_target = []
-    for j, (q, rho, lam) in enumerate(zip(target_positions, info_values, decays), start=1):
-        miss = 1.0
-        for el in policy:
-            if el.target == j:
-                miss *= 1.0 - survival_probability(agent_positions[el.agent - 1], q, lam)
-        per_target.append(rho * (1.0 - miss))
+    per_target = position_oracle(agent_positions, target_positions,
+                                 info_values, decays).target_utilities(policy)
     return sum(per_target), per_target
-
-
-def position_oracle(agent_positions: Sequence,
-                    target_positions: Sequence,
-                    info_values: Sequence[float],
-                    decays: Sequence[float]) -> TableOracle:
-    """Freeze the observation utility at the given positions: entry (i, j)
-    of the table is ``survival_probability`` of agent i for target j."""
-    lam = np.asarray(decays, dtype=float)
-    if (lam <= 0).any():
-        raise ContractViolation("decay factor must be positive")
-    p = np.asarray(agent_positions, dtype=float).reshape(-1, 3)
-    q = np.asarray(target_positions, dtype=float).reshape(-1, 3)
-    exponents = -lam * _row_norms(p[:, None, :] - q[None, :, :])
-    probs = np.fromiter(map(math.exp, exponents.ravel().tolist()),
-                        dtype=float, count=exponents.size)
-    return TableOracle(values=info_values, probs=probs.reshape(exponents.shape))
-
-
-# The world is advanced as arrays, one pass over all bodies per step, and
-# must give the same bits as the per-body helpers below (``step_agent``,
-# ``rendezvous_point``, ``rendezvous_control``, ``survival_probability``).
-# Three numpy forms do not:
-#   - ``np.linalg.norm(x, axis=-1)`` sums the squares in another order than
-#     the 1-D norm, a BLAS dot, and differs in about 12% of rows;
-#     ``_row_norms`` takes the dot of each row through a stacked matmul.
-#   - ``np.exp`` differs from ``math.exp`` in about 5% of cases, so
-#     exponentials are taken per entry with ``math.exp``.
-#   - numpy's ``t ** 2`` differs from Python's in about 0.07% of cases, so
-#     the controller gains are formed from Python floats.
-# The closed form of RK4 under a constant control is not bit-identical to
-# the RK4 arithmetic either, so the steps keep that arithmetic.
-
-def _row_dots(x: np.ndarray) -> np.ndarray:
-    """Squared norm of each row of ``x`` (rows along the last axis), equal
-    bit for bit to ``row @ row`` on that row alone."""
-    return (x[..., None, :] @ x[..., :, None])[..., 0, 0]
-
-
-def _row_norms(x: np.ndarray) -> np.ndarray:
-    """Norm of each row of ``x``, equal bit for bit to ``np.linalg.norm``
-    of that row alone."""
-    return np.sqrt(_row_dots(x))
 
 
 # ---------------------------------------------------------------------------
@@ -157,51 +158,68 @@ class TargetBody:
         return self.end_time - self.obs_duration
 
 
+def _predict(states: np.ndarray, drag_coeffs: list, horizons: np.ndarray) -> tuple:
+    """``predict_target`` over state rows, drags (floats) and horizons."""
+    decay = [math.exp(-k * h) if k > 0 else 1.0
+             for k, h in zip(drag_coeffs, horizons.tolist())]
+    q, w = states[:, :3], states[:, 3:]
+    k = np.array(drag_coeffs)[:, None]
+    decay = np.array(decay)[:, None]
+    pos = np.where(k > 0, q + w * (1.0 - decay) / np.where(k > 0, k, 1.0),
+                   q + w * horizons[:, None])
+    return pos, w * decay
+
+
 def predict_target(target: TargetBody, horizon: float) -> tuple[np.ndarray, np.ndarray]:
     """Analytic drag propagation of a target state by ``horizon`` time units."""
-    k = target.drag_coeff
-    w0 = target.velocity
-    if k > 0:
-        decay = math.exp(-k * horizon)
-        pos = target.position + w0 * (1.0 - decay) / k
-        vel = w0 * decay
-    else:
-        pos = target.position + w0 * horizon
-        vel = w0.copy()
-    return pos, vel
+    pos, vel = _predict(np.atleast_2d(np.concatenate([target.position, target.velocity])),
+                        [target.drag_coeff], np.array([horizon], dtype=float))
+    return pos[0], vel[0]
+
+
+def _aim_points(positions, centres, radii: np.ndarray) -> np.ndarray:
+    """``rendezvous_point``'s aim over rows, radii over the leading axes."""
+    offset = positions - centres
+    norm = _row_norms(offset)
+    centred = norm < CENTRE_EPS
+    offset[centred] = [1.0, 0.0, 0.0]
+    norm[centred] = 1.0
+    return centres + radii[..., None] * offset / norm[..., None]
 
 
 def rendezvous_point(agent_pos, target: TargetBody,
                      time_now: float) -> tuple[np.ndarray, np.ndarray]:
-    """Point on the observation circle to steer for, and its velocity.
-
-    The target state is propagated to the rendezvous deadline and the
-    aim point is the spot on the observation circle nearest the agent's
-    current position (an arbitrary fixed axis breaks the dead-center case).
-    """
+    """Point on the observation circle to steer for, and its velocity: the
+    target is propagated to the rendezvous deadline and the aim point is
+    the spot on its circle nearest the agent (an arbitrary fixed axis
+    breaks the dead-center case)."""
     q_hat, w_hat = predict_target(target, target.final_time - time_now)
-    offset = np.asarray(agent_pos, float) - q_hat
-    norm = np.linalg.norm(offset)
-    if norm < CENTRE_EPS:
-        offset, norm = np.array([1.0, 0.0, 0.0]), 1.0
-    return q_hat + target.obs_radius * offset / norm, w_hat
+    p, q_hat_row = np.atleast_2d(agent_pos, q_hat)
+    return _aim_points(p, q_hat_row, np.array([target.obs_radius]))[0], w_hat
 
 
 # ---------------------------------------------------------------------------
 # Controllers
 # ---------------------------------------------------------------------------
 
+def _rendezvous_controls(positions, velocities, points, point_velocities,
+                         times_to_go: list) -> np.ndarray:
+    """``rendezvous_control`` over rows, times to go as floats."""
+    tau = [max(t, MIN_TIME_TO_GO) for t in times_to_go]
+    gain_v = np.array([4.0 / t for t in tau])[:, None]
+    gain_p = np.array([6.0 / t ** 2 for t in tau])[:, None]
+    tau = np.array(tau)[:, None]
+    return (gain_v * (point_velocities - velocities)
+            + gain_p * (points - positions - point_velocities * tau))
+
+
 def rendezvous_control(position, velocity, point, point_velocity,
                        time_now: float, deadline: float) -> np.ndarray:
     """Minimum-effort acceleration steering to (point, point_velocity) by
     the deadline.  The time-to-go is floored at ``MIN_TIME_TO_GO`` so the
     gains stay finite as the deadline is reached."""
-    p = np.asarray(position, float)
-    v = np.asarray(velocity, float)
-    r_hat = np.asarray(point, float)
-    v_hat = np.asarray(point_velocity, float)
-    tau = max(deadline - time_now, MIN_TIME_TO_GO)
-    return 4.0 / tau * (v_hat - v) + 6.0 / tau ** 2 * (r_hat - p - v_hat * tau)
+    rows = np.atleast_2d(position, velocity, point, point_velocity)
+    return _rendezvous_controls(*rows, [deadline - time_now])[0]
 
 
 # ---------------------------------------------------------------------------
@@ -216,20 +234,27 @@ def _rk4(state: np.ndarray, deriv, dt: float) -> np.ndarray:
     return state + dt / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 
 
+def _step_agents(states: np.ndarray, controls: np.ndarray, dt: float) -> np.ndarray:
+    """``step_agent`` over state rows (position then velocity)."""
+    return _rk4(states, lambda s: np.concatenate([s[:, 3:], controls], axis=1), dt)
+
+
+def _step_targets(states: np.ndarray, drag_coeffs: Sequence[float], dt: float) -> np.ndarray:
+    """``step_target`` over state rows (position then velocity)."""
+    minus_k = -np.asarray(drag_coeffs, dtype=float)[:, None]
+    return _rk4(states, lambda s: np.concatenate([s[:, 3:], minus_k * s[:, 3:]], axis=1), dt)
+
+
 def step_agent(position, velocity, accel, dt: float) -> tuple[np.ndarray, np.ndarray]:
     """One fixed-step RK4 advance of a double integrator under a control
     held constant over the step (for which RK4 is exact)."""
-    u = np.asarray(accel, float)
-    state = np.concatenate([position, velocity])
-    out = _rk4(state, lambda s: np.concatenate([s[3:], u]), dt)
+    out = _step_agents(*np.atleast_2d(np.concatenate([position, velocity]), accel), dt)[0]
     return out[:3], out[3:]
 
 
 def step_target(position, velocity, drag_coeff: float, dt: float) -> tuple[np.ndarray, np.ndarray]:
     """One fixed-step RK4 advance of a drag-decelerated drifting target."""
-    k = drag_coeff
-    state = np.concatenate([position, velocity])
-    out = _rk4(state, lambda s: np.concatenate([s[3:], -k * s[3:]]), dt)
+    out = _step_targets(np.atleast_2d(np.concatenate([position, velocity])), [drag_coeff], dt)[0]
     return out[:3], out[3:]
 
 
@@ -241,10 +266,9 @@ def step_dynamics(agent_states: np.ndarray, controls: np.ndarray,
     states (rows of position then velocity, N x 6 and M x 6) and the control
     cost charged to each agent.
 
-    Row for row this is ``step_agent`` and ``step_target``.  Controls (N x 3)
-    are held constant over the step; the cost increment per agent is
-    0.5 * |u|^2 * dt.  An agent whose cost increment would exceed its
-    remaining fuel coasts instead (u = 0, no charge).
+    Controls (N x 3) are held constant over the step; the cost increment
+    per agent is 0.5 * |u|^2 * dt.  An agent whose cost increment would
+    exceed its remaining fuel coasts instead (u = 0, no charge).
     """
     if dt <= 0:
         raise ContractViolation("dt must be positive")
@@ -253,10 +277,8 @@ def step_dynamics(agent_states: np.ndarray, controls: np.ndarray,
     out_of_fuel = accrued_cost + inc > fuel
     u = np.where(out_of_fuel[:, None], 0.0, u)
     inc = np.where(out_of_fuel, 0.0, inc)
-    agents = _rk4(agent_states, lambda s: np.concatenate([s[:, 3:], u], axis=1), dt)
-    minus_k = -np.asarray(drag_coeffs, dtype=float)[:, None]
-    targets = _rk4(target_states,
-                   lambda s: np.concatenate([s[:, 3:], minus_k * s[:, 3:]], axis=1), dt)
+    agents = _step_agents(agent_states, u, dt)
+    targets = _step_targets(target_states, drag_coeffs, dt)
     for kind, states in (("agent", agents), ("target", targets)):
         bad = np.flatnonzero(~np.isfinite(states).all(axis=1))
         if bad.size:
@@ -289,6 +311,19 @@ def build_comm_graph(positions: np.ndarray, comm_factors: Sequence[float],
 # Pair costs
 # ---------------------------------------------------------------------------
 
+def _transfer_costs(positions, velocities, points, point_velocities,
+                    horizons: np.ndarray) -> np.ndarray:
+    """``minimum_effort_cost`` over rows, horizons over the leading axes."""
+    t = horizons[..., None]
+    dv = point_velocities - velocities
+    dp = points - positions - velocities * t
+    a = -2.0 * dv / t + 6.0 * dp / t ** 2
+    b = (6.0 * dv * t - 12.0 * dp) / t ** 3
+    return 0.5 * (np.sum(a * a, axis=-1) * horizons
+                  + np.sum(a * b, axis=-1) * horizons ** 2
+                  + np.sum(b * b, axis=-1) * horizons ** 3 / 3.0)
+
+
 def minimum_effort_cost(position, velocity, point, point_velocity, horizon: float) -> float:
     """Closed-form optimal control effort for a double-integrator transfer.
 
@@ -298,20 +333,14 @@ def minimum_effort_cost(position, velocity, point, point_velocity, horizon: floa
     """
     if horizon <= 0:
         raise ContractViolation("transfer horizon must be positive")
-    p = np.asarray(position, float)
-    v = np.asarray(velocity, float)
-    dv = np.asarray(point_velocity, float) - v
-    dp = np.asarray(point, float) - p - v * horizon
-    a = -2.0 * dv / horizon + 6.0 * dp / horizon ** 2
-    b = (6.0 * dv * horizon - 12.0 * dp) / horizon ** 3
-    return 0.5 * (float(a @ a) * horizon
-                  + float(a @ b) * horizon ** 2
-                  + float(b @ b) * horizon ** 3 / 3.0)
+    rows = np.atleast_2d(position, velocity, point, point_velocity)
+    return float(_transfer_costs(*rows, np.array([horizon], dtype=float))[0])
 
 
-def loiter_cost(orbit_speed: float, obs_radius: float, duration: float) -> float:
+def loiter_cost(orbit_speed: float, obs_radius, duration):
     """Effort of holding a circular orbit: constant centripetal magnitude
-    speed^2 / radius for the whole observation duration."""
+    speed^2 / radius for the whole observation duration (elementwise over
+    arrays of radii and durations)."""
     a = orbit_speed ** 2 / obs_radius
     return 0.5 * a * a * duration
 
@@ -349,7 +378,7 @@ def estimate_pair_cost(agent: AgentBody, target: TargetBody, time_now: float,
     while t < t_final - 1e-12:
         h = min(dt, t_final - t)
         u = rendezvous_control(p, v, r_hat, v_hat, t, t_final)
-        cost += 0.5 * float(u @ u) * h
+        cost += 0.5 * float(_row_dots(u)) * h
         p, v = step_agent(p, v, u, h)
         t += h
     return PairCost(maneuver=cost,
@@ -411,6 +440,11 @@ class ScenarioConfig:
             setattr(self, name, (float(bounds[0]), float(bounds[1])))
         if not self.obs_radius_range[0] > 0:
             raise ContractViolation("observation radius must be positive")
+        if not self.info_value_range[0] >= 0:
+            raise ContractViolation("information values must be nonnegative")
+        if not self.obs_duration_range[1] < self.end_time_range[0]:
+            raise ContractViolation("observation window closes before it opens: "
+                                    "obs_duration_range must end below end_time_range")
 
     @property
     def domain_diameter(self) -> float:
@@ -483,10 +517,9 @@ class SatelliteScenario(AllocationScenario):
     The world is held as arrays, agent i and target j in row i - 1 and
     j - 1: ``agent_states`` and ``target_states`` (position then velocity
     per row), the agents' ``comm_factors``, ``fuel`` and ``accrued_cost``,
-    and the targets' fixed parameters.  Each step is one array pass over
-    all bodies with the arithmetic of the per-body helpers.  The world is
-    built from these rows by keyword; ``AgentBody`` and ``TargetBody`` serve
-    the per-body helpers only.
+    and the targets' fixed parameters.  Each step is one pass of the row
+    kernels over all bodies.  The world is built from these rows by keyword;
+    ``AgentBody`` and ``TargetBody`` serve the per-body helpers only.
     """
 
     def __init__(self, config: ScenarioConfig, *, agent_states, comm_factors,
@@ -517,10 +550,8 @@ class SatelliteScenario(AllocationScenario):
         # Python floats: the controller gains are formed from them.
         self.final_times = final_times
         self.dt = max(end_times) / config.n_steps
-        self._loiter_costs = np.array([
-            loiter_cost(ORBIT_SPEED, radius, duration)
-            for radius, duration in zip(obs_radii, obs_durations)
-        ])
+        self._loiter_costs = loiter_cost(ORBIT_SPEED, self.obs_radii,
+                                         np.array(obs_durations, dtype=float))
         self._round = 0
         # The round's full cost matrix and its targets predicted to their
         # deadlines, computed on first use; ``advance`` drops both.
@@ -556,27 +587,11 @@ class SatelliteScenario(AllocationScenario):
 
     def _cost_matrix(self, agent_states: np.ndarray) -> np.ndarray:
         q_hat, w_hat, tau = self._predicted_targets()
-        radius = self.obs_radii
         # Agents along axis 0, targets along axis 1, space along axis 2.
-        p = agent_states[:, None, :3]
-        v = agent_states[:, None, 3:]
-        offset = p - q_hat
-        norm = np.linalg.norm(offset, axis=2)
-        centred = norm < CENTRE_EPS
-        safe = np.where(centred, 1.0, norm)
-        unit = np.where(centred[..., None],
-                        np.array([1.0, 0.0, 0.0]), offset / safe[..., None])
-        r_hat = q_hat + radius[:, None] * unit
-        t_ok = np.maximum(tau, 1e-12)[:, None]
-        dv = w_hat - v
-        dp = r_hat - p - v * t_ok
-        a = -2.0 * dv / t_ok + 6.0 * dp / t_ok ** 2
-        b = (6.0 * dv * t_ok - 12.0 * dp) / t_ok ** 3
-        t1 = t_ok[:, 0]
-        costs = 0.5 * (np.sum(a * a, axis=2) * t1
-                       + np.sum(a * b, axis=2) * t1 ** 2
-                       + np.sum(b * b, axis=2) * t1 ** 3 / 3.0) + self._loiter_costs
-        return np.where(tau <= self.dt, math.inf, costs)
+        p, v = agent_states[:, None, :3], agent_states[:, None, 3:]
+        r_hat = _aim_points(p, q_hat, self.obs_radii)
+        costs = _transfer_costs(p, v, r_hat, w_hat, np.maximum(tau, 1e-12))
+        return np.where(tau <= self.dt, math.inf, costs + self._loiter_costs)
 
     def budgets(self) -> np.ndarray:
         """Fuel not yet spent, per agent."""
@@ -605,21 +620,16 @@ class SatelliteScenario(AllocationScenario):
     # -- internals --------------------------------------------------------
 
     def _predicted_targets(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Every target's state propagated to its rendezvous deadline, as
-        ``predict_target`` computes it, and the time left to the deadline;
-        computed once per round, as read-only arrays."""
+        """Every target's state propagated to its rendezvous deadline, and
+        the time left to the deadline, 0 once it has passed; computed once
+        per round, as read-only arrays.  A target whose deadline has passed
+        is predicted where it is: nothing reads it, and exp(-k * h) would
+        overflow for h far below 0."""
         if self._predicted is None:
             now = self.time
-            horizon = [final - now for final in self.final_times]
-            decay = [math.exp(-k * h) if k > 0 else 1.0
-                     for k, h in zip(self.drag_coeffs, horizon)]
-            q, w = self.target_states[:, :3], self.target_states[:, 3:]
-            k = np.array(self.drag_coeffs)[:, None]
-            tau = np.array(horizon)
-            decay = np.array(decay)[:, None]
-            pos = np.where(k > 0, q + w * (1.0 - decay) / np.where(k > 0, k, 1.0),
-                           q + w * tau[:, None])
-            self._predicted = pos, w * decay, tau
+            tau = np.array([final - now if final > now else 0.0
+                            for final in self.final_times])
+            self._predicted = (*_predict(self.target_states, self.drag_coeffs, tau), tau)
             for array in self._predicted:
                 array.flags.writeable = False
         return self._predicted
@@ -627,9 +637,7 @@ class SatelliteScenario(AllocationScenario):
     def _controls(self, claims: np.ndarray) -> np.ndarray:
         """Rendezvous acceleration (N x 3) of each agent with a claim (agent
         k + 1 on target ``claims[k]``, 0 = none) before its target's
-        rendezvous deadline, as ``rendezvous_point`` and
-        ``rendezvous_control`` compute it; zero, so the agent coasts,
-        otherwise."""
+        rendezvous deadline; zero, so the agent coasts, otherwise."""
         controls = np.zeros((self.n_agents, 3))
         now = self.time
         pairs = [(i, j - 1) for i, j in enumerate(np.asarray(claims).tolist())
@@ -639,17 +647,8 @@ class SatelliteScenario(AllocationScenario):
         agents, targets = np.array(pairs).T
         q_hat, w_hat, _ = self._predicted_targets()
         q_hat, w_hat = q_hat[targets], w_hat[targets]
-        p = self.agent_states[agents, :3]
-        v = self.agent_states[agents, 3:]
-        offset = p - q_hat
-        norm = _row_norms(offset)
-        centred = norm < CENTRE_EPS
-        offset[centred] = [1.0, 0.0, 0.0]
-        norm[centred] = 1.0
-        r_hat = q_hat + self.obs_radii[targets, None] * offset / norm[:, None]
-        tau = [max(self.final_times[j] - now, MIN_TIME_TO_GO) for j in targets.tolist()]
-        gain_v = np.array([4.0 / t for t in tau])[:, None]
-        gain_p = np.array([6.0 / t ** 2 for t in tau])[:, None]
-        tau = np.array(tau)[:, None]
-        controls[agents] = gain_v * (w_hat - v) + gain_p * (r_hat - p - w_hat * tau)
+        p, v = self.agent_states[agents, :3], self.agent_states[agents, 3:]
+        r_hat = _aim_points(p, q_hat, self.obs_radii[targets])
+        controls[agents] = _rendezvous_controls(
+            p, v, r_hat, w_hat, [self.final_times[j] - now for j in targets.tolist()])
         return controls

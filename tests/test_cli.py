@@ -131,6 +131,8 @@ class TestRunCommand:
         "scenario.decay=.inf",
         "scenario.obs_radius_range=[0, 1]",
         "scenario.info_value_range=[2, .inf]",
+        "scenario.info_value_range=[-1, 2]",
+        "scenario.obs_duration_range=[30, 31]",
         "scenario.decay=true",
         "scenario.box_side=true",
         "scenario.fuel=true",

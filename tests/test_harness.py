@@ -2,9 +2,12 @@
 
 import csv
 import json
+import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, seed, settings
+from hypothesis import strategies as st
 
 from taskalloc import harness
 from taskalloc.harness import (
@@ -138,6 +141,48 @@ class TestExperimentConfig:
     def test_dict_leaves_team_size_to_sizes(self):
         scen = small_config(sizes=[(3, 3), (4, 2)]).to_dict()["scenario"]
         assert "n_agents" not in scen and "n_targets" not in scen
+
+
+def interval(*edges):
+    return st.tuples(st.sampled_from(edges), st.sampled_from(edges)).map(sorted)
+
+
+EDGE_SCENARIOS = st.fixed_dictionaries({
+    "comm_factor": st.sampled_from([0.0, 1e-9, 0.3, 1.0, math.inf]),
+    "decay": st.sampled_from([1e-9, 0.8, 50.0, 1e6]),
+    "drag_coeff": st.sampled_from([0.0, 1e-9, 0.05, 5.0, 1e3]),
+    "box_side": st.sampled_from([1e-6, 6.0, 1e6]),
+    "initial_speed": st.sampled_from([0.0, 0.2, 1e3]),
+    "end_time_range": interval(0.5, 1.0, 19.0, 20.0, 1000.0, 3000.0),
+    "obs_duration_range": interval(-1.0, 0.0, 1e-9, 0.4, 2.5, 30.0),
+    "obs_radius_range": interval(0.0, 1e-9, 1.0, 1.15, 1e3),
+    "info_value_range": interval(-1.0, 0.0, 2.0, 2.5, 1e6),
+    "n_steps": st.sampled_from([1, 2, 5, 40, 2000]),
+    "fuel": st.sampled_from([None, 0.0, 1e-9, 1.0, math.inf]),
+})
+
+
+@seed(18)
+@settings(max_examples=150, deadline=None)
+@given(EDGE_SCENARIOS, st.integers(1, 6), st.integers(1, 6), st.integers(1, 2))
+@example({"info_value_range": (-1.0, 2.0)}, 3, 3, 1)
+@example({"obs_duration_range": (30.0, 31.0)}, 3, 3, 1)
+@example({"drag_coeff": 5.0, "end_time_range": (1000.0, 3000.0), "n_steps": 2}, 6, 6, 2)
+def test_scenario_config_is_refused_or_runs_clean(scenario, n, m, draws):
+    # Values at the edges of what ScenarioConfig accepts: a config either
+    # fails its check or every run of it is clean.  The examples are a
+    # negative information value, a window that closes before it opens,
+    # and deadlines passed so far that exp(-drag * horizon) would overflow.
+    try:
+        config = ExperimentConfig.from_dict({"seed": 0, "draws": draws, "sizes": [[n, m]],
+                                             "scenario": scenario})
+    except ConfigError:
+        return
+    result = run_experiment(config)
+    assert result.errors == []
+    for run in result.metrics:
+        assert all(math.isfinite(u) for u in run.utility)
+        assert all(math.isfinite(c) for c in run.per_agent_cost)
 
 
 class TestRunExperiment:

@@ -5,12 +5,14 @@ import math
 import numpy as np
 import pytest
 
+import bodies
 from bodies import world_from_bodies
 from taskalloc.core import ContractViolation, make_policy
 from taskalloc.scenario import (
     ORBIT_SPEED,
     AgentBody,
     NumericalBlowupError,
+    SatelliteScenario,
     ScenarioConfig,
     TargetBody,
     build_comm_graph,
@@ -235,6 +237,9 @@ class TestScenarioConfig:
         {"obs_radius_range": (0.0, 1.0)},
         {"obs_radius_range": (1.0,)},
         {"decay": math.inf},
+        {"info_value_range": (-1.0, 2.0)},
+        {"obs_duration_range": (30.0, 31.0)},
+        {"end_time_range": (2.5, 3.0), "obs_duration_range": (2.0, 2.5)},
     ])
     def test_malformed_setting_rejected(self, overrides):
         with pytest.raises(ContractViolation):
@@ -246,10 +251,32 @@ class TestScenarioConfig:
         assert (scen.agent_states[:, 3:] == 0.0).all()
         assert scen.obs_radii.tolist() == [1.0] * 5
 
-    def test_window_closing_before_it_opens_rejected_at_sampling(self):
-        cfg = ScenarioConfig(end_time_range=(1.0, 1.5), obs_duration_range=(2.0, 2.5))
+    def test_window_closing_before_it_opens_rejected(self):
         with pytest.raises(ContractViolation, match="window closes"):
-            sample_scenario(cfg, 5, 5, np.random.default_rng(0))
+            ScenarioConfig(end_time_range=(1.0, 1.5), obs_duration_range=(2.0, 2.5))
+
+
+class TestBodyChecks:
+    @pytest.mark.parametrize("end_time, obs_radius, match", [
+        (2.0, 1.0, "window closes"),
+        (12.0, 0.0, "radius must be positive"),
+    ])
+    def test_target_body(self, end_time, obs_radius, match):
+        with pytest.raises(ContractViolation, match=match):
+            make_target([1.0, 0, 0], end_time=end_time, obs_duration=2.0,
+                        obs_radius=obs_radius)
+
+    @pytest.mark.parametrize("end_time, obs_radius, match", [
+        (2.0, 1.0, "window closes"),
+        (12.0, -1.0, "radius must be positive"),
+    ])
+    def test_scenario_rows(self, end_time, obs_radius, match):
+        with pytest.raises(ContractViolation, match=match):
+            SatelliteScenario(
+                ScenarioConfig(), agent_states=np.zeros((1, 6)), comm_factors=[0.3],
+                fuel=[1.0], accrued_cost=[0.0], target_states=np.zeros((1, 6)),
+                info_values=[2.0], decays=[0.8], drag_coeffs=[0.0],
+                end_times=[end_time], obs_durations=[2.0], obs_radii=[obs_radius])
 
 
 class TestSampledScenario:
@@ -315,8 +342,8 @@ class TestSampledScenario:
         scen = world_from_bodies([body, body], targets, cfg)
         row = scen.pair_cost_row(1)
         for j, tgt in enumerate(targets, start=1):
-            r_hat, v_hat = rendezvous_point(body.position, tgt, 0.0)
-            expected = minimum_effort_cost(
+            r_hat, v_hat = bodies.aim_point(body.position, tgt, 0.0)
+            expected = bodies.transfer_cost(
                 body.position, body.velocity, r_hat, v_hat, tgt.final_time
             ) + loiter_cost(ORBIT_SPEED, tgt.obs_radius, tgt.obs_duration)
             assert row[j - 1] == pytest.approx(expected, rel=1e-9)

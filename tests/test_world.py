@@ -2,11 +2,9 @@
 bodies.
 
 ``SatelliteScenario`` advances all agents and targets in one array pass per
-step.  ``BodyWorld`` is the reference: the per-body helpers
-(``rendezvous_point``, ``rendezvous_control``, ``step_agent``,
-``step_target``, ``survival_probability``, ``predict_target``) and a
-pairwise communication loop.  The two must agree bit for bit, so every
-comparison is exact.
+step.  ``bodies.BodyWorld`` is the reference: the per-body arithmetic of
+``tests/bodies.py`` and a pairwise communication loop.  The two must agree
+bit for bit, so every comparison is exact.
 """
 
 import copy
@@ -16,7 +14,8 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bodies import world_from_bodies
+import bodies
+from bodies import BodyWorld, world_from_bodies
 from taskalloc.scenario import (
     FUEL_MEDIAN_FACTOR,
     AgentBody,
@@ -30,61 +29,6 @@ from taskalloc.scenario import (
     step_target,
     survival_probability,
 )
-
-
-class BodyWorld:
-    """The world body by body, as the scenario advanced it before it held
-    arrays."""
-
-    def __init__(self, agents, targets, config):
-        self.agents = copy.deepcopy(list(agents))
-        self.targets = copy.deepcopy(list(targets))
-        self.dt = max(t.end_time for t in targets) / config.n_steps
-        self.diameter = config.domain_diameter
-        self.round = 0
-
-    @property
-    def time(self):
-        return self.round * self.dt
-
-    def advance(self, assignments):
-        now = self.time
-        for i, agent in enumerate(self.agents, start=1):
-            j = assignments.get(i)
-            u = np.zeros(3)
-            if j is not None and now < self.targets[j - 1].final_time:
-                tgt = self.targets[j - 1]
-                r_hat, v_hat = rendezvous_point(agent.position, tgt, now)
-                u = rendezvous_control(agent.position, agent.velocity,
-                                       r_hat, v_hat, now, tgt.final_time)
-            inc = 0.5 * float(u @ u) * self.dt
-            if agent.accrued_cost + inc > agent.fuel:
-                u, inc = np.zeros(3), 0.0
-            agent.position, agent.velocity = step_agent(
-                agent.position, agent.velocity, u, self.dt)
-            agent.accrued_cost += inc
-        for tgt in self.targets:
-            tgt.position, tgt.velocity = step_target(
-                tgt.position, tgt.velocity, tgt.drag_coeff, self.dt)
-        self.round += 1
-
-    def adjacency(self):
-        n = len(self.agents)
-        adj = np.zeros((n, n))
-        for i in range(n):
-            for k in range(i + 1, n):
-                a, b = self.agents[i], self.agents[k]
-                reach = min(a.comm_factor, b.comm_factor) * self.diameter
-                if np.linalg.norm(a.position - b.position) <= reach:
-                    adj[i, k] = adj[k, i] = 1.0
-        return adj
-
-    def probs(self):
-        return [[survival_probability(a.position, t.position, t.decay)
-                 for t in self.targets] for a in self.agents]
-
-    def predicted(self):
-        return [predict_target(t, t.final_time - self.time) for t in self.targets]
 
 
 def assert_same_world(scen, ref):
@@ -241,6 +185,32 @@ def test_empty_assignment_moves_everything_freely():
     assert scen.accrued_cost.tolist() == [0.0] * 6
 
 
+def as_lists(arrays):
+    return [array.tolist() for array in arrays]
+
+
+@settings(max_examples=50, deadline=None)
+@given(st.integers(0, 2 ** 32 - 1))
+def test_per_body_helpers_give_the_reference_bits(seed):
+    # Each helper is the one-row call of a kernel; callers that describe
+    # the world body by body get the reference's bits.
+    rng = np.random.default_rng(seed)
+    (agent,), (tgt,) = random_bodies(rng, 1, 1)
+    p, v, u = agent.position, agent.velocity, rng.uniform(-1.0, 1.0, size=3)
+    now, dt = float(rng.uniform(0.0, tgt.final_time)), float(rng.uniform(1e-3, 1.0))
+    assert (survival_probability(p, tgt.position, tgt.decay)
+            == bodies.survival(p, tgt.position, tgt.decay))
+    assert (as_lists(predict_target(tgt, tgt.final_time - now))
+            == as_lists(bodies.predict(tgt, tgt.final_time - now)))
+    r_hat, v_hat = rendezvous_point(p, tgt, now)
+    assert as_lists((r_hat, v_hat)) == as_lists(bodies.aim_point(p, tgt, now))
+    assert (rendezvous_control(p, v, r_hat, v_hat, now, tgt.final_time).tolist()
+            == bodies.control(p, v, r_hat, v_hat, now, tgt.final_time).tolist())
+    assert as_lists(step_agent(p, v, u, dt)) == as_lists(bodies.step_agent(p, v, u, dt))
+    assert (as_lists(step_target(tgt.position, tgt.velocity, tgt.drag_coeff, dt))
+            == as_lists(bodies.step_target(tgt.position, tgt.velocity, tgt.drag_coeff, dt)))
+
+
 @settings(max_examples=30, deadline=None)
 @given(st.integers(1, 12), st.integers(1, 12), st.integers(0, 2 ** 32 - 1),
        st.sampled_from([4, 12, 40]), st.sampled_from([None, math.inf]))
@@ -312,10 +282,10 @@ def test_predicted_targets_follow_the_moved_world(n, m, seed, n_steps):
                               end_time=final, obs_duration=0.0,
                               obs_radius=scen.obs_radii[j],
                               drag_coeff=scen.drag_coeffs[j])
-            q, w = predict_target(body, final - scen.time)
+            q, w = bodies.predict(body, max(final - scen.time, 0.0))
             assert q_hat[j].tolist() == q.tolist()
             assert w_hat[j].tolist() == w.tolist()
-            assert tau[j] == final - scen.time
+            assert tau[j] == max(final - scen.time, 0.0)
 
 
 def body_sample(config, n, m, rng):
