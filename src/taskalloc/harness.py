@@ -272,16 +272,23 @@ def _warm_up() -> None:
 def run_experiment(config: ExperimentConfig) -> ExperimentResult:
     """Run every configured solver on identical instances, draw by draw.
 
-    A solver failure on one draw is recorded and skipped; a certification
-    failure is recorded and the draw kept without a certificate.  The
-    experiment fails outright only if every single run failed.
+    A failure to sample a draw is recorded once per solver and the draw
+    skipped; a solver failure on one draw is recorded and skipped; a
+    certification failure is recorded and the draw kept without a
+    certificate.  The experiment fails outright only if every single run
+    failed.
     """
     _warm_up()
     metrics: list[RunMetrics] = []
     errors: list[dict] = []
     for size_index, (n, m) in enumerate(config.sizes):
         for draw in range(config.draws):
-            base = sample_draw(config, size_index, draw)
+            try:
+                base = sample_draw(config, size_index, draw)
+            except Exception as exc:  # recorded, not fatal
+                errors.extend(_error(name, (n, m), draw, exc, "sampling: ")
+                              for name in config.solvers)
+                continue
             draw_results: dict[str, RunMetrics] = {}
             for name in config.solvers:
                 try:

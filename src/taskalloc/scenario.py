@@ -442,6 +442,8 @@ class ScenarioConfig:
             raise ContractViolation("observation radius must be positive")
         if not self.info_value_range[0] >= 0:
             raise ContractViolation("information values must be nonnegative")
+        if not self.obs_duration_range[0] >= 0:
+            raise ContractViolation("observation durations must be nonnegative")
         if not self.obs_duration_range[1] < self.end_time_range[0]:
             raise ContractViolation("observation window closes before it opens: "
                                     "obs_duration_range must end below end_time_range")

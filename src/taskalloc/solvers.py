@@ -173,25 +173,25 @@ class AllocationScenario:
 
 class StaticScenario(AllocationScenario):
     """Frozen positions: fixed oracle, N x M cost table (all zero unless
-    given), N budgets (all infinite unless given) and communication graph."""
+    given), N budgets (all infinite unless given) and communication graph
+    (complete unless given).  The scenario keeps its own copies of the
+    arrays it is given and makes them read-only, so the queries return the
+    same unchanging arrays every time."""
 
     def __init__(self, oracle: UtilityOracle,
                  costs: Optional[Sequence[Sequence[float]]] = None,
                  budgets: Optional[Sequence[float]] = None,
                  adjacency: Optional[np.ndarray] = None):
-        self.n_agents = oracle.n_agents
-        self.n_targets = oracle.n_targets
+        n, m = self.n_agents, self.n_targets = oracle.n_agents, oracle.n_targets
         self._oracle = oracle
-        self._costs = (np.zeros((self.n_agents, self.n_targets)) if costs is None
-                       else np.asarray(costs, dtype=float))
-        self._budgets = (np.full(self.n_agents, math.inf) if budgets is None
-                         else np.asarray(budgets, dtype=float))
-        if (self._costs.shape, self._budgets.shape) != ((self.n_agents, self.n_targets),
-                                                        (self.n_agents,)):
+        self._costs = np.zeros((n, m)) if costs is None else np.array(costs, dtype=float)
+        self._budgets = np.full(n, math.inf) if budgets is None else np.array(budgets, dtype=float)
+        if (self._costs.shape, self._budgets.shape) != ((n, m), (n,)):
             raise ConfigurationError("cost table or budgets do not match the oracle's N x M")
-        if adjacency is None:
-            adjacency = np.ones((self.n_agents, self.n_agents)) - np.eye(self.n_agents)
-        self._adjacency = np.asarray(adjacency, dtype=float)
+        self._adjacency = (np.ones((n, n)) - np.eye(n) if adjacency is None
+                           else np.array(adjacency, dtype=float))
+        for table in (self._costs, self._budgets, self._adjacency):
+            table.flags.writeable = False
 
     def oracle(self) -> UtilityOracle:
         return self._oracle
@@ -461,21 +461,25 @@ class ArrayViews:
         np.copyto(self.w, self.self_w, where=heard)
         np.copyto(self.b, self.self_b, where=heard)
         np.copyto(self.f, self.self_f, where=heard)
-        r = np.flatnonzero(self.self_w[live] != 0)  # idle agents claim 0
-        rows = live[r]
-        holders = self.w[r] == self.self_w[rows][:, None]
+        # Resolution runs over whole rows: each row's holders of its own
+        # claim, with the rows of idle agents (claiming 0) cleared.
+        own = self.self_w[live]
+        claiming = own != 0
+        holders = self.w == own[:, None]
+        holders[~claiming] = False
         # Withdraw claims on a target some holder has finalized in the view.
-        yields = (holders & self.f[r]).any(axis=1)
-        self.w[r[yields], rows[yields]] = 0
-        self.b[r[yields], rows[yields]] = 0.0
-        r, conflict = r[~yields], holders[~yields]
+        yields = (holders & self.f).any(axis=1)
+        holders[yields] = False
+        y = np.flatnonzero(yields)
+        self.w[y, live[y]] = 0
+        self.b[y, live[y]] = 0.0
         # Highest bid wins, ties to the lowest agent id; losers are reset.
-        winner = np.where(conflict, self.b[r], -np.inf).argmax(axis=1)
-        self.f[r, winner] = True
-        conflict[np.arange(r.size), winner] = False
-        lost_row, lost = np.nonzero(conflict)
-        self.w[r[lost_row], lost] = 0
-        self.b[r[lost_row], lost] = 0.0
+        winner = np.where(holders, self.b, -np.inf).argmax(axis=1)
+        r = np.flatnonzero(claiming & ~yields)
+        self.f[r, winner[r]] = True
+        holders[r, winner[r]] = False
+        np.copyto(self.w, 0, where=holders)
+        np.copyto(self.b, 0.0, where=holders)
         # Only an agent's own row changes its self-entries.
         r = np.arange(live.size)
         self.self_w[live] = self.w[r, live]
@@ -654,6 +658,12 @@ def _held_pairs(claims: np.ndarray, mask: np.ndarray) -> list[GroundElement]:
     return [GroundElement(k + 1, j) for k, j in zip(rows.tolist(), claims[rows].tolist()) if j]
 
 
+def _frozen(array: np.ndarray) -> bool:
+    """Whether no one can write the array's values: it is read-only and
+    owns its data, so it is no view of a writable array."""
+    return not array.flags.writeable and array.flags.owndata
+
+
 # A run's phase clocks; ``components`` includes the work per distinct graph.
 PHASES = ("assignment", "communication", "implementation", "components", "bookkeeping")
 
@@ -709,13 +719,17 @@ def run_rounds(views_type, scenario: AllocationScenario,
 
     The driver owns the graph: it checks, links, labels and counts the
     directed edges of each distinct graph once, when it differs from the
-    last round's.  A message is one agent's state sent over one directed
-    edge in one exchange, so a round's ``messages`` is its exchanges times
-    the graph's edges, and ``rounds`` sums the exchanges.  The ``(claims,
-    done)`` vectors are the driver's one allocation state, passed as they
-    are to ``scenario.advance(claims)`` (phase III) and
-    ``scenario.agent_costs(claims, done)``; records hold the pairs each
-    round finalized, and policies are built from the claims in agent order.
+    last round's.  It compares the values of the two, except when the
+    scenario returns the very array it returned last round and that array
+    is read-only and owns its data (``_frozen``), as a ``StaticScenario``'s
+    is: then the graph cannot have changed.  A message is one agent's
+    state sent over one directed edge in one exchange, so a round's
+    ``messages`` is its exchanges times the graph's edges, and ``rounds``
+    sums the exchanges.  The ``(claims, done)`` vectors are the driver's
+    one allocation state, passed as they are to ``scenario.advance(claims)``
+    (phase III) and ``scenario.agent_costs(claims, done)``; records hold
+    the pairs each round finalized, and policies are built from the claims
+    in agent order.
 
     ``phase_times`` holds seconds per phase: the three protocol phases
     (``assignment`` includes building the views, the budget read and the
@@ -763,8 +777,10 @@ def run_rounds(views_type, scenario: AllocationScenario,
     for t in range(max_rounds):
         adjacency = scenario.adjacency()
         lap("implementation")
-        if graph is None or not np.array_equal(adjacency, graph):
-            graph = np.array(_check_adjacency(adjacency, scenario.n_agents))
+        if not (adjacency is graph and _frozen(graph)) and (
+                graph is None or not np.array_equal(adjacency, graph)):
+            checked = _check_adjacency(adjacency, scenario.n_agents)
+            graph = checked if _frozen(checked) else np.array(checked)
             linked = graph > 0
             edges = int(np.count_nonzero(linked))
             components = graph_components(linked)

@@ -1,6 +1,8 @@
 """CLI tests: subcommands, overrides, exit codes."""
 
 import json
+import runpy
+import sys
 
 import pytest
 import yaml
@@ -116,11 +118,18 @@ class TestRunCommand:
                      "--set", "scenario.bogus=1"])
         assert code == EXIT_CONFIG_ERROR
 
-    def test_invalid_yaml_config(self, tmp_path, capsys):
+    @pytest.mark.parametrize("text, args", [
+        ("seed: [unclosed", []),
+        ("- 1\n- 2\n", []),
+        ("seed: 3\n", ["--set", "seed=[unclosed"]),
+    ], ids=["invalid-yaml", "not-a-mapping", "unparsable-override"])
+    def test_invalid_yaml_config(self, tmp_path, capsys, text, args):
         bad = tmp_path / "bad.yaml"
-        bad.write_text("seed: [unclosed")
-        code = main(["run", "--config", str(bad)])
+        bad.write_text(text)
+        code = main(["run", "--config", str(bad), "--output-dir", str(tmp_path / "x"), *args])
         assert code == EXIT_CONFIG_ERROR
+        assert "configuration error" in capsys.readouterr().err
+        assert not (tmp_path / "x").exists()
 
     @pytest.mark.parametrize("override", [
         "scenario.n_steps=0",
@@ -133,6 +142,7 @@ class TestRunCommand:
         "scenario.info_value_range=[2, .inf]",
         "scenario.info_value_range=[-1, 2]",
         "scenario.obs_duration_range=[30, 31]",
+        "scenario.obs_duration_range=[-30, -20]",
         "scenario.decay=true",
         "scenario.box_side=true",
         "scenario.fuel=true",
@@ -291,6 +301,27 @@ class TestScalingCommand:
         assert code == EXIT_OK
         output = capsys.readouterr().out
         assert "fit: skipped" in output
+
+    def test_default_grid_and_fit(self, capsys, monkeypatch):
+        sizes_asked = []
+
+        def fake(sizes, rounds, seed):
+            sizes_asked.append(sizes)
+            return harness.ScalingReport(sizes, [1e-5] * len(sizes), [1e-6, 2e-7, 3e-8], 0.97)
+
+        monkeypatch.setattr(cli, "measure_scaling", fake)
+        assert main(["scaling"]) == EXIT_OK
+        assert sizes_asked == [list(harness.SCALING_GRID)]
+        output = capsys.readouterr().out
+        assert "fit: 1.000e-06 + 2.000e-07*N^2 + 3.000e-08*N*M" in output
+        assert "R^2: 0.9700" in output
+
+    def test_runs_as_a_script(self, monkeypatch, capsys):
+        monkeypatch.setattr(sys, "argv", ["taskalloc", "verify-bounds", "--instances", "2"])
+        monkeypatch.delitem(sys.modules, "taskalloc.cli")  # run afresh, as python -m does
+        with pytest.raises(SystemExit) as info:
+            runpy.run_module("taskalloc.cli", run_name="__main__")
+        assert info.value.code == EXIT_OK
 
     def test_malformed_grid_entry(self):
         code = main(["scaling", "--grid", "3by3"])

@@ -5,14 +5,16 @@ import math
 import pytest
 
 from taskalloc.constraints import (
+    Q_VERIFY_CAP,
     BudgetConstraint,
     CompositeConstraint,
     ConflictFreeConstraint,
+    IndependenceSystem,
     PartitionConstraint,
     estimate_q,
     verify_q_property,
 )
-from taskalloc.core import ContractViolation, GroundElement, make_policy
+from taskalloc.core import ContractViolation, GroundElement, SizeLimitExceeded, make_policy
 
 
 class TestPartitionConstraint:
@@ -67,6 +69,10 @@ class TestBudgetConstraint:
     def test_rejects_negative_budget(self):
         with pytest.raises(ContractViolation):
             BudgetConstraint([-0.5], [[1.0]])
+
+    def test_rejects_cost_rows_not_matching_budgets(self):
+        with pytest.raises(ContractViolation, match="budget count"):
+            BudgetConstraint([1.0, 1.0], [[0.5]])
 
 
 class TestCompositeConstraint:
@@ -144,3 +150,35 @@ class TestVerifyQProperty:
         assert not result.passes
         assert result.worst_ratio == 2.0
         assert result.witness is not None
+
+    def test_nothing_affordable_has_ratio_one(self):
+        # Each pair alone is over budget, so every subset's one basis is empty.
+        system = BudgetConstraint([1.0], [[2.0, 3.0]])
+        ground = [GroundElement(1, j) for j in (1, 2)]
+        result = verify_q_property(system, ground, q_claim=1.0)
+        assert result.passes and result.worst_ratio == 1.0
+        assert result.witness[1] == result.witness[2] == frozenset()
+
+    def test_subset_without_a_basis_is_skipped(self):
+        # Not hereditary: {a, b} is independent but {a} is not, so the
+        # search's one leaf {b} is not maximal and {a, b} has no basis.
+        a, b = GroundElement(1, 1), GroundElement(1, 2)
+
+        class NotHereditary(IndependenceSystem):
+            n_agents, n_targets = 1, 2
+
+            def is_independent(self, policy):
+                return policy != {a}
+
+        result = verify_q_property(NotHereditary(), [a, b], q_claim=1.0)
+        assert result.passes and result.worst_ratio == 1.0
+
+    def test_empty_ground_set_passes(self):
+        result = verify_q_property(PartitionConstraint(1, 1), [], q_claim=1.0)
+        assert result.passes and result.worst_ratio == 1.0 and result.witness is None
+
+    def test_ground_set_over_the_cap_refused(self):
+        m = Q_VERIFY_CAP + 1
+        ground = [GroundElement(1, j) for j in range(1, m + 1)]
+        with pytest.raises(SizeLimitExceeded):
+            verify_q_property(PartitionConstraint(1, m), ground, q_claim=1.0)

@@ -53,9 +53,18 @@ class TestTableOracle:
         with pytest.raises(ContractViolation):
             TableOracle([1.0, -0.5], [[0.5, 0.5]])
 
-    def test_rejects_ragged_table(self):
-        with pytest.raises(ContractViolation):
-            TableOracle([1.0, 1.0], [[0.5], [0.5, 0.5]])
+    @pytest.mark.parametrize("values, probs", [
+        ([1.0, 1.0], [[0.5], [0.5, 0.5]]),
+        ([1.0, 1.0], [[0.5]]),
+    ])
+    def test_rejects_ragged_table(self, values, probs):
+        with pytest.raises(ContractViolation, match="ragged"):
+            TableOracle(values, probs)
+
+    def test_no_agents(self):
+        orc = TableOracle([1.0, 2.0], [])
+        assert (orc.n_agents, orc.n_targets) == (0, 2)
+        assert orc.evaluate(frozenset()) == 0.0
 
     @pytest.mark.parametrize("value", [math.inf, math.nan])
     def test_rejects_non_finite_value(self, value):
@@ -179,6 +188,11 @@ class TestXiFactor:
         with pytest.raises(ContractViolation):
             xi_factor(0, 0.5)
 
+    @pytest.mark.parametrize("kappa", [-0.1, 1.5, math.nan])
+    def test_rejects_kappa_outside_unit_interval(self, kappa):
+        with pytest.raises(ContractViolation, match="kappa_e"):
+            xi_factor(2, kappa)
+
 
 class TestBoundCertificate:
     def test_equal_utilities_pass_everything(self):
@@ -204,6 +218,12 @@ class TestBoundCertificate:
     def test_zero_optimal_with_positive_achieved_rejected(self):
         with pytest.raises(ContractViolation):
             bound_certificate(1.0, 0.0, 0.5, 2, 2)
+
+    @pytest.mark.parametrize("achieved, q, match", [(-1.0, 2, "nonnegative"),
+                                                    (1.0, 0.5, "at least 1")])
+    def test_rejects_negative_utility_and_q_below_one(self, achieved, q, match):
+        with pytest.raises(ContractViolation, match=match):
+            bound_certificate(achieved, 2.0, 0.5, q, 2)
 
     def test_empty_instance_is_trivially_optimal(self):
         cert = bound_certificate(0.0, 0.0, 0.5, 2, 2)

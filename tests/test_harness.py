@@ -48,6 +48,12 @@ class TestExperimentConfig:
         again = ExperimentConfig.from_dict(cfg.to_dict())
         assert again.to_dict() == cfg.to_dict()
 
+    @pytest.mark.parametrize("raw, match", [([1, 2], "root must be a mapping"),
+                                            ({"scenario": [1]}, "'scenario' must be a mapping")])
+    def test_non_mapping_rejected(self, raw, match):
+        with pytest.raises(ConfigError, match=match):
+            ExperimentConfig.from_dict(raw)
+
     def test_unknown_key_rejected(self):
         with pytest.raises(ConfigError):
             ExperimentConfig.from_dict({"bogus": 1})
@@ -87,6 +93,8 @@ class TestExperimentConfig:
         {"sizes": [(3, 3), (2, 3.0)]},
         {"solvers": ["dgba", "dgba"]},
         {"sizes": [(3, 3), (4, 4), (3, 3)]},
+        {"sizes": []},
+        {"solvers": []},
     ])
     def test_malformed_setting_rejected(self, overrides):
         with pytest.raises(ConfigError):
@@ -290,6 +298,28 @@ class TestRunExperiment:
         kept = [r for r in clean.metrics if r.solver == "dgba"]
         assert [(r.utility, r.messages, r.cumulative_cost) for r in res.metrics] == \
             [(r.utility, r.messages, r.cumulative_cost) for r in kept]
+
+    def test_failing_draw_sampling_is_a_draw_error(self, monkeypatch):
+        clean = run_experiment(small_config(draws=3))
+        real, calls = harness.sample_scenario, []
+
+        def second_draw_fails(config, n, m, rng):
+            if n == 3:  # not the 2 x 2 warm-up world
+                calls.append(n)
+                if len(calls) == 2:
+                    raise ValueError("no world")
+            return real(config, n, m, rng)
+
+        monkeypatch.setattr(harness, "sample_scenario", second_draw_fails)
+        res = run_experiment(small_config(draws=3))
+        assert res.errors == [
+            {"solver": name, "size": [3, 3], "draw": 1,
+             "message": "sampling: ValueError: no world"}
+            for name in ("dgba", "auction")
+        ]
+        kept = [r for r in clean.metrics if r.draw != 1]
+        assert [(r.solver, r.draw, r.utility, r.messages) for r in res.metrics] == \
+            [(r.solver, r.draw, r.utility, r.messages) for r in kept]
 
     def test_every_run_failing_fails_the_experiment(self, monkeypatch):
         def fail(name, base):

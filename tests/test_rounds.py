@@ -25,6 +25,7 @@ from taskalloc.solvers import (
     AgentViews,
     ArrayViews,
     AuctionViews,
+    ConfigurationError,
     StaticScenario,
     _finalized_deltas,
     _round_groups,
@@ -263,6 +264,87 @@ def test_static_graph_is_checked_once(monkeypatch, solver, n):
     res = solver(TurningGraph(n, None, bad_from=math.inf))
     assert len(res.trace) >= 3
     assert calls == [n]
+
+
+class EditedInPlace(StaticScenario):
+    """The oracle of ``TurningGraph``; every round ``adjacency()`` returns
+    one writable graph, complete at first, which ``edit`` changes in place
+    after round 1.  With ``fresh`` it returns a fresh copy of that graph
+    instead."""
+
+    def __init__(self, n, edit, fresh=False):
+        super().__init__(TableOracle(np.arange(n, 0, -1.0), np.full((n, n), 0.5)))
+        self.graph = np.ones((n, n)) - np.eye(n)
+        self.edit, self.fresh, self.round = edit, fresh, 0
+
+    def adjacency(self):
+        return self.graph.copy() if self.fresh else self.graph
+
+    def advance(self, claims):
+        self.round += 1
+        if self.round == 2:
+            self.edit(self.graph)
+
+
+def _cut_in_two(graph):
+    half = len(graph) // 2
+    graph[:half, half:] = graph[half:, :half] = 0.0
+
+
+def _cut_one_way(graph):
+    graph[0, 1] = 0.0
+
+
+def _run_record(res):
+    return repr((sorted(res.policy), res.utility, res.rounds, res.messages,
+                 [(rec.newly_finalized, rec.groups, rec.messages) for rec in res.trace]))
+
+
+@pytest.mark.parametrize("views_type", VIEWS)
+def test_graph_edited_in_place_is_compared_by_value(views_type):
+    n = 10
+    scenario = EditedInPlace(n, _cut_one_way)
+    with pytest.raises(ContractViolation):
+        run_rounds(views_type, scenario)
+    assert scenario.round == 2
+    edited = run_rounds(views_type, EditedInPlace(n, _cut_in_two))
+    fresh = run_rounds(views_type, EditedInPlace(n, _cut_in_two, fresh=True))
+    assert _run_record(edited) == _run_record(fresh)
+    # The cut matters: two components then take the same targets.
+    unedited = run_rounds(views_type, EditedInPlace(n, lambda graph: None))
+    assert edited.trace[2].messages < unedited.trace[2].messages
+    assert _run_record(edited) != _run_record(unedited)
+
+
+@pytest.mark.parametrize("views_type", VIEWS)
+def test_static_scenario_keeps_its_own_arrays(views_type):
+    rng = np.random.default_rng(21)
+    oracle = TableOracle(rng.uniform(1.0, 3.0, size=5), rng.uniform(0.1, 0.9, size=(12, 5)))
+    costs = rng.uniform(0.5, 1.5, size=(12, 5))
+    budgets = rng.uniform(0.6, 1.5, size=12)
+    upper = np.triu(rng.random((12, 12)) < 0.3, k=1)
+    adjacency = (upper | upper.T).astype(float)
+    want = _run_record(run_rounds(views_type, StaticScenario(
+        oracle, costs=costs.copy(), budgets=budgets.copy(), adjacency=adjacency.copy())))
+    scenario = StaticScenario(oracle, costs=costs, budgets=budgets, adjacency=adjacency)
+    costs[:] = 0.0
+    budgets[:] = 0.0
+    adjacency[:] = 1.0 - np.eye(12)
+    assert _run_record(run_rounds(views_type, scenario)) == want
+
+
+def test_static_scenario_arrays_are_read_only():
+    scenario = StaticScenario(TableOracle([1.0, 2.0], [[0.5, 0.5], [0.5, 0.5], [0.5, 0.5]]))
+    for table in (scenario.pair_costs(), scenario.budgets(), scenario.adjacency()):
+        with pytest.raises(ValueError):
+            table[0] = 1.0
+
+
+@pytest.mark.parametrize("views_type", VIEWS)
+def test_adjacency_of_the_wrong_shape_is_refused(views_type):
+    oracle = TableOracle([1.0, 2.0], np.full((4, 2), 0.5))
+    with pytest.raises(ConfigurationError, match="adjacency shape"):
+        run_rounds(views_type, StaticScenario(oracle, adjacency=np.zeros((3, 3))))
 
 
 @pytest.mark.parametrize("views_type", VIEWS)

@@ -201,6 +201,11 @@ class TestPairCosts:
         pc = estimate_pair_cost(agent, tgt, time_now=0.5, dt=0.01)
         assert not pc.feasible and pc.total == math.inf
 
+    @pytest.mark.parametrize("horizon", [0.0, -1.0])
+    def test_nonpositive_horizon_rejected(self, horizon):
+        with pytest.raises(ContractViolation, match="horizon"):
+            minimum_effort_cost(np.zeros(3), np.zeros(3), np.ones(3), np.zeros(3), horizon)
+
     def test_loiter_cost_formula(self):
         assert loiter_cost(0.5, 1.0, 2.0) == pytest.approx(
             0.5 * (0.5 ** 2 / 1.0) ** 2 * 2.0)
@@ -222,6 +227,10 @@ class TestCommGraph:
         adj = build_comm_graph(np.zeros((2, 3)), [0.5, 0.5], domain_diameter=4.0)
         assert np.all(np.diag(adj) == 0)
 
+    def test_nonpositive_diameter_rejected(self):
+        with pytest.raises(ContractViolation, match="diameter"):
+            build_comm_graph(np.zeros((2, 3)), [0.5, 0.5], domain_diameter=0.0)
+
 
 class TestScenarioConfig:
     @pytest.mark.parametrize("overrides", [
@@ -239,6 +248,8 @@ class TestScenarioConfig:
         {"decay": math.inf},
         {"info_value_range": (-1.0, 2.0)},
         {"obs_duration_range": (30.0, 31.0)},
+        {"obs_duration_range": (-30.0, -20.0)},
+        {"obs_duration_range": (-0.5, 2.0)},
         {"end_time_range": (2.5, 3.0), "obs_duration_range": (2.0, 2.5)},
     ])
     def test_malformed_setting_rejected(self, overrides):
