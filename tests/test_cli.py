@@ -118,12 +118,17 @@ class TestRunCommand:
                      "--set", "scenario.bogus=1"])
         assert code == EXIT_CONFIG_ERROR
 
+    def test_invalid_yaml_config(self, tmp_path, capsys):
+        bad = tmp_path / "bad.yaml"
+        bad.write_text("seed: [unclosed")
+        code = main(["run", "--config", str(bad)])
+        assert code == EXIT_CONFIG_ERROR
+
     @pytest.mark.parametrize("text, args", [
-        ("seed: [unclosed", []),
         ("- 1\n- 2\n", []),
         ("seed: 3\n", ["--set", "seed=[unclosed"]),
-    ], ids=["invalid-yaml", "not-a-mapping", "unparsable-override"])
-    def test_invalid_yaml_config(self, tmp_path, capsys, text, args):
+    ], ids=["not-a-mapping", "unparsable-override"])
+    def test_config_that_is_not_a_settings_mapping(self, tmp_path, capsys, text, args):
         bad = tmp_path / "bad.yaml"
         bad.write_text(text)
         code = main(["run", "--config", str(bad), "--output-dir", str(tmp_path / "x"), *args])

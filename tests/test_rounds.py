@@ -266,22 +266,21 @@ def test_static_graph_is_checked_once(monkeypatch, solver, n):
     assert calls == [n]
 
 
-class EditedInPlace(StaticScenario):
-    """The oracle of ``TurningGraph``; every round ``adjacency()`` returns
-    one writable graph, complete at first, which ``edit`` changes in place
-    after round 1.  With ``fresh`` it returns a fresh copy of that graph
-    instead."""
+class EditedInPlace(TurningGraph):
+    """Every round ``adjacency()`` returns one writable graph, complete at
+    first, which ``edit`` changes in place after round 1.  With ``fresh``
+    it returns a fresh copy of that graph instead."""
 
     def __init__(self, n, edit, fresh=False):
-        super().__init__(TableOracle(np.arange(n, 0, -1.0), np.full((n, n), 0.5)))
+        super().__init__(n, None, bad_from=math.inf)
         self.graph = np.ones((n, n)) - np.eye(n)
-        self.edit, self.fresh, self.round = edit, fresh, 0
+        self.edit, self.fresh = edit, fresh
 
     def adjacency(self):
         return self.graph.copy() if self.fresh else self.graph
 
     def advance(self, claims):
-        self.round += 1
+        super().advance(claims)
         if self.round == 2:
             self.edit(self.graph)
 

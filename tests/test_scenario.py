@@ -248,9 +248,9 @@ class TestScenarioConfig:
         {"decay": math.inf},
         {"info_value_range": (-1.0, 2.0)},
         {"obs_duration_range": (30.0, 31.0)},
+        {"end_time_range": (2.5, 3.0), "obs_duration_range": (2.0, 2.5)},
         {"obs_duration_range": (-30.0, -20.0)},
         {"obs_duration_range": (-0.5, 2.0)},
-        {"end_time_range": (2.5, 3.0), "obs_duration_range": (2.0, 2.5)},
     ])
     def test_malformed_setting_rejected(self, overrides):
         with pytest.raises(ContractViolation):
