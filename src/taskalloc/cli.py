@@ -166,14 +166,16 @@ def build_parser() -> argparse.ArgumentParser:
         description="Distributed greedy task allocation: experiments and checks.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    # The experiment configuration options ``run`` and ``trace`` share.
+    configured = argparse.ArgumentParser(add_help=False)
+    configured.add_argument("--config", help="YAML configuration file")
+    configured.add_argument("--seed", type=int, help="override the master seed")
+    configured.add_argument("--set", action="append", default=[], metavar="KEY=VALUE",
+                            help="dotted config override, e.g. scenario.decay=0.8")
 
-    run = sub.add_parser("run", help="run a Monte Carlo experiment")
-    run.add_argument("--config", help="YAML configuration file")
+    run = sub.add_parser("run", parents=[configured], help="run a Monte Carlo experiment")
     run.add_argument("--output-dir", default="results",
                      help="directory for summary.json, series.csv, sizes.csv")
-    run.add_argument("--seed", type=int, help="override the master seed")
-    run.add_argument("--set", action="append", default=[], metavar="KEY=VALUE",
-                     help="dotted config override, e.g. scenario.decay=0.8")
     run.set_defaults(func=cmd_run)
 
     vb = sub.add_parser("verify-bounds",
@@ -182,10 +184,8 @@ def build_parser() -> argparse.ArgumentParser:
     vb.add_argument("--seed", type=int, default=0)
     vb.set_defaults(func=cmd_verify_bounds)
 
-    tr = sub.add_parser("trace", help="dump the per-round trace of one run")
-    tr.add_argument("--config", help="YAML configuration file")
-    tr.add_argument("--seed", type=int, help="override the master seed")
-    tr.add_argument("--set", action="append", default=[], metavar="KEY=VALUE")
+    tr = sub.add_parser("trace", parents=[configured],
+                        help="dump the per-round trace of one run")
     tr.add_argument("--size-index", type=int, default=0,
                     help="index into the configured sizes list")
     tr.add_argument("--draw", type=int, default=0)

@@ -175,6 +175,9 @@ def verify_q_property(system: IndependenceSystem,
     For every subset of the ground set, enumerates its maximal independent
     subsets and checks that no two differ in size by more than a factor of
     ``q_claim``.  Returns the worst witnessing (subset, largest, smallest).
+    A subset with no maximal independent subset reachable from the empty
+    set, which only a system that is not hereditary has, raises
+    ContractViolation naming it: the claim cannot be checked there.
     """
     elements = sorted(set(ground))
     if len(elements) > Q_VERIFY_CAP:
@@ -187,9 +190,11 @@ def verify_q_property(system: IndependenceSystem,
     for mask in range(1, 1 << n):
         subset = [elements[k] for k in range(n) if mask >> k & 1]
         bases = _maximal_independent_subsets(system, subset)
+        if not bases:
+            raise ContractViolation(
+                f"subset {subset} has no maximal independent subset reachable "
+                "from the empty set: the system is not hereditary")
         sizes = [(len(b), b) for b in bases]
-        if not sizes:
-            continue
         hi = max(sizes, key=lambda s: s[0])
         lo = min(sizes, key=lambda s: s[0])
         if lo[0] == 0:

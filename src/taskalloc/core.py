@@ -44,6 +44,9 @@ Policy = FrozenSet[GroundElement]
 
 CURVATURE_EPSILON = 1e-9  # a gain below this leaves a curvature ratio undefined
 BOUND_TOL = 1e-9          # a ratio this far below a bound threshold still meets it
+# Exhaustive curvature estimation is only attempted up to this many ground
+# elements (2^n subsets are scanned).
+CURVATURE_GROUND_CAP = 16
 
 
 def make_policy(pairs: Iterable[Tuple[int, int]]) -> Policy:
@@ -128,7 +131,7 @@ class CurvatureReport:
 
 def estimate_elemental_curvature(oracle: UtilityOracle,
                                  ground: Iterable[GroundElement],
-                                 cap: int = 12) -> CurvatureReport:
+                                 cap: int = CURVATURE_GROUND_CAP) -> CurvatureReport:
     """Exhaustive elemental curvature of an oracle over a small ground set.
 
     Maximizes gain(pi | P + {pi'}) / gain(pi | P) over all subsets P of the
@@ -302,23 +305,16 @@ class ModularOracle(UtilityOracle):
     """Additive utility: each pair contributes a fixed weight, no interaction."""
 
     def __init__(self, weights):
-        # weights: dict mapping GroundElement -> value, or N x M table.
-        if isinstance(weights, dict):
-            self.weights = {GroundElement(*k): float(v) for k, v in weights.items()}
-            if not self.weights or min(min(el) for el in self.weights) < 1:
-                raise ContractViolation("weights must name pairs with ids from 1")
-            self.n_agents = max(el.agent for el in self.weights)
-            self.n_targets = max(el.target for el in self.weights)
-        else:
-            if len(weights) == 0 or any(len(row) != len(weights[0]) for row in weights):
-                raise ContractViolation("weight table is empty or ragged")
-            self.weights = {
-                GroundElement(i + 1, j + 1): float(w)
-                for i, row in enumerate(weights)
-                for j, w in enumerate(row)
-            }
-            self.n_agents = len(weights)
-            self.n_targets = len(weights[0])
+        # weights: N x M table, indexable from 0.
+        if len(weights) == 0 or any(len(row) != len(weights[0]) for row in weights):
+            raise ContractViolation("weight table is empty or ragged")
+        self.weights = {
+            GroundElement(i + 1, j + 1): float(w)
+            for i, row in enumerate(weights)
+            for j, w in enumerate(row)
+        }
+        self.n_agents = len(weights)
+        self.n_targets = len(weights[0])
         if not all(0.0 <= w < math.inf for w in self.weights.values()):
             # A negative weight would make the utility decreasing.
             raise ContractViolation("weights must be finite and nonnegative")

@@ -33,6 +33,7 @@ from .constraints import (
     estimate_q,
 )
 from .core import (
+    CURVATURE_GROUND_CAP,
     BoundCertificate,
     DegenerateOracleError,
     TableOracle,
@@ -57,10 +58,6 @@ class ConfigError(ValueError):
 
 
 KNOWN_SOLVERS = ("dgba", "auction", "greedy", "exact")
-
-# Exhaustive curvature estimation is only attempted up to this many ground
-# elements (2^n subsets are scanned).
-CURVATURE_GROUND_CAP = 16
 
 BOUND_INSTANCE_MAX_SIZE = 4  # agents, and targets, of a random bound instance
 
@@ -238,9 +235,7 @@ def _certify(oracle: TableOracle, costs, achieved: float,
     """``achieved`` against the optimum, certified with the oracle's
     exhaustive elemental curvature and the q of the pair costs."""
     try:
-        kappa = estimate_elemental_curvature(
-            oracle, oracle.ground_set(), cap=CURVATURE_GROUND_CAP
-        ).kappa_e
+        kappa = estimate_elemental_curvature(oracle, oracle.ground_set()).kappa_e
     except DegenerateOracleError:
         # No well-defined curvature ratio on this ground set; certify
         # against the most conservative value.
@@ -423,8 +418,6 @@ class BoundInstance:
     """One randomized small instance for exhaustive bound checking."""
 
     seed: int
-    n_agents: int
-    n_targets: int
     oracle: TableOracle
     costs: list
     budgets: list
@@ -449,8 +442,6 @@ def random_bound_instance(seed: int) -> BoundInstance:
     budgets = rng.uniform(0.6, 1.5, size=n)
     return BoundInstance(
         seed=seed,
-        n_agents=n,
-        n_targets=m,
         oracle=TableOracle(values, probs),
         costs=costs.tolist(),
         budgets=budgets.tolist(),

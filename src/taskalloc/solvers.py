@@ -20,11 +20,12 @@ listening: no one reads its view again.  ``dgba_run`` picks by team size.
 Baselines: a centralized sequential greedy, a brute-force exact search, and
 a simplified flooding auction, which the same driver runs over its own
 state (``AuctionViews``).  The auction baseline is NOT a faithful
-reimplementation of published consensus-auction algorithms: agents bid
-their best standalone (non-marginal) utility, winners are determined by
-max-bid flooding until tables stabilize, and the set of taken targets is
-shared globally once fixed.  It exists as a communication-heavy comparison
-point, nothing more.
+reimplementation of published consensus-auction algorithms: an agent's
+bid on a pair is the pair's gain on the empty policy, which is its
+standalone utility (not its marginal gain on what is already allocated),
+winners are determined by max-bid flooding until tables stabilize, and the
+set of taken targets is shared globally once fixed.  It exists as a
+communication-heavy comparison point, nothing more.
 """
 
 from __future__ import annotations
@@ -140,8 +141,10 @@ class AllocationScenario:
         raise NotImplementedError
 
     def pair_cost_row(self, agent: int) -> list[float]:
-        """All pair costs of one agent, indexable by target - 1: the one-row
-        query of tests and benchmarks (the solvers do not call it)."""
+        """All pair costs of one agent, indexable by target - 1.  Nothing in
+        the library or its tests calls it; it stays only because the
+        benchmark's tracer wraps ``SatelliteScenario.pair_cost_row`` (ROADMAP
+        item 6), and goes together with that wrap."""
         return self.pair_costs()[agent - 1].tolist()
 
     def budgets(self) -> np.ndarray:
@@ -355,11 +358,18 @@ def graph_components(adjacency: np.ndarray) -> list[int]:
 # Views: DGBA's two exact implementations, and the auction's state
 # ---------------------------------------------------------------------------
 
-def _pair_table(n: int, m: int, value) -> np.ndarray:
-    """N x M array of ``value(GroundElement(i, j))``, pair (i, j) at
-    [i - 1, j - 1]."""
-    return np.array([[value(GroundElement(i, j)) for j in range(1, m + 1)]
-                     for i in range(1, n + 1)], dtype=float).reshape(n, m)
+def _gain_table(oracle: UtilityOracle) -> np.ndarray:
+    """Each pair's marginal gain on the empty policy, as
+    ``marginal_gains_for_agent`` gives it, pair (i, j) at [i - 1, j - 1]
+    of an N x M array; for a ``TableOracle`` the product value * prob.  On
+    a normalized oracle it is the pair's standalone utility.  Both array
+    views bid from it."""
+    if isinstance(oracle, TableOracle):
+        return np.asarray(oracle.values) * oracle.prob_table
+    n, targets = oracle.n_agents, range(1, oracle.n_targets + 1)
+    rows = [oracle.marginal_gains_for_agent(frozenset(), i, targets) for i in range(1, n + 1)]
+    return np.array([[row[j] for j in targets] for row in rows],
+                    dtype=float).reshape(n, len(targets))
 
 
 class AgentViews:
@@ -408,7 +418,7 @@ class ArrayViews:
     the last bit."""
 
     def __init__(self, oracle: UtilityOracle):
-        n, m = oracle.n_agents, oracle.n_targets
+        n = oracle.n_agents
         self.live = np.arange(n)
         self.w = np.zeros((n, n), dtype=np.int32)
         self.b = np.zeros((n, n))
@@ -417,14 +427,8 @@ class ArrayViews:
         self.self_b = np.zeros(n)
         self.self_f = np.zeros(n, dtype=bool)
         # Bid of each pair.  No one else holds an available target in the
-        # agent's view, so its marginal gain is the gain on the empty
-        # policy, as marginal_gains_for_agent gives it: for a TableOracle
-        # the product value * prob.
-        if isinstance(oracle, TableOracle):
-            self.gains = np.asarray(oracle.values) * oracle.prob_table
-        else:
-            self.gains = _pair_table(n, m, lambda el: oracle.marginal_gains_for_agent(
-                frozenset(), el.agent, (el.target,))[el.target])
+        # agent's view, so its marginal gain is the gain on the empty policy.
+        self.gains = _gain_table(oracle)
 
     def self_entries(self) -> tuple[np.ndarray, np.ndarray]:
         return self.self_w.astype(np.intp), self.self_f.copy()
@@ -505,13 +509,8 @@ class AuctionViews:
         self.target = np.zeros(n, dtype=np.intp)
         self.done = np.zeros(n, dtype=bool)
         self.taken = np.zeros((n, m), dtype=bool)
-        # Standalone utility of each pair: evaluate_target of the pair
-        # alone, for a TableOracle value * (1 - (1 - prob)).
-        if isinstance(oracle, TableOracle):
-            self.alone = np.asarray(oracle.values) * (1.0 - (1.0 - oracle.prob_table))
-        else:
-            self.alone = _pair_table(
-                n, m, lambda el: oracle.evaluate_target(el.target, frozenset({el})))
+        # Each pair's bid: its gain on the empty policy.
+        self.gains = _gain_table(oracle)
         # This round's bids, as bidder, target index and rank.
         self.bidders = self.bid_targets = self.ranks = np.zeros(0, dtype=np.intp)
 
@@ -519,16 +518,17 @@ class AuctionViews:
         return self.target.copy(), self.done.copy()
 
     def assign(self, rows: np.ndarray, allowed: np.ndarray) -> None:
-        """Bidding.  Every agent not done (``rows``) bids its best
-        standalone utility (the pair's utility on its own, ignoring what
-        the allocation already covers; ties to the lowest target id) on a
-        target it has not heard is won and that its row of ``allowed``
-        allows.  An agent with no positive bid is done, with no target."""
+        """Bidding.  Every agent not done (``rows``) bids its best pair's
+        gain on the empty policy, which is the pair's standalone utility
+        (ignoring what the allocation already covers; ties to the lowest
+        target id), on a target it has not heard is won and that its row
+        of ``allowed`` allows.  An agent with no positive bid is done, with
+        no target."""
         # Each row's bids by target id, 0.0 where the target is not allowed
         # or heard to be won; column 0 ("none") is 0.0 too, so a row with
         # no positive bid picks it.
         bids = np.zeros((rows.size, self.taken.shape[1] + 1))
-        np.copyto(bids[:, 1:], self.alone[rows], where=allowed & ~self.taken[rows])
+        np.copyto(bids[:, 1:], self.gains[rows], where=allowed & ~self.taken[rows])
         best = bids.argmax(axis=1)  # first maximum: lowest target id
         bid = bids[np.arange(rows.size), best]
         placed = best != 0

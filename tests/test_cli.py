@@ -300,6 +300,18 @@ class TestTraceCommand:
         assert code == EXIT_CONFIG_ERROR
 
 
+@pytest.mark.parametrize("command", ["run", "trace"])
+def test_help_describes_the_configuration_options(command, capsys):
+    with pytest.raises(SystemExit) as exit_info:
+        main([command, "--help"])
+    assert exit_info.value.code == 0
+    text = " ".join(capsys.readouterr().out.split())
+    for option in ("--config CONFIG YAML configuration file",
+                   "--seed SEED override the master seed",
+                   "--set KEY=VALUE dotted config override, e.g. scenario.decay=0.8"):
+        assert option in text
+
+
 class TestScalingCommand:
     def test_small_grid(self, capsys):
         code = main(["scaling", "--grid", "3x3", "4x4", "--rounds", "3"])

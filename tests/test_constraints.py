@@ -159,9 +159,10 @@ class TestVerifyQProperty:
         assert result.passes and result.worst_ratio == 1.0
         assert result.witness[1] == result.witness[2] == frozenset()
 
-    def test_subset_without_a_basis_is_skipped(self):
+    def test_subset_without_a_basis_is_refused(self):
         # Not hereditary: {a, b} is independent but {a} is not, so the
-        # search's one leaf {b} is not maximal and {a, b} has no basis.
+        # search's one leaf {b} is not maximal and {a, b} has no basis:
+        # the q claim could not be checked there.
         a, b = GroundElement(1, 1), GroundElement(1, 2)
 
         class NotHereditary(IndependenceSystem):
@@ -170,8 +171,9 @@ class TestVerifyQProperty:
             def is_independent(self, policy):
                 return policy != {a}
 
-        result = verify_q_property(NotHereditary(), [a, b], q_claim=1.0)
-        assert result.passes and result.worst_ratio == 1.0
+        with pytest.raises(ContractViolation, match=r"subset \[GroundElement\(agent=1, "
+                           r"target=1\), GroundElement\(agent=1, target=2\)\]"):
+            verify_q_property(NotHereditary(), [a, b], q_claim=1.0)
 
     def test_empty_ground_set_passes(self):
         result = verify_q_property(PartitionConstraint(1, 1), [], q_claim=1.0)

@@ -241,18 +241,7 @@ class TestModularOracle:
         [[1.0, math.inf]],
         [[1.0, 2.0], [0.5]],
         [],
-        {},
-        {(0, 1): 1.0},
-        {(1, 0): 1.0},
-    ], ids=["negative", "infinite", "ragged", "empty-table", "empty-dict",
-            "agent-id-0", "target-id-0"])
+    ], ids=["negative", "infinite", "ragged", "empty-table"])
     def test_rejects_weights_that_break_the_contract(self, weights):
         with pytest.raises(ContractViolation):
             ModularOracle(weights)
-
-    def test_dict_and_table_agree(self):
-        table = ModularOracle([[1.0, 2.0], [3.0, 4.0]])
-        mapping = ModularOracle({(1, 1): 1.0, (1, 2): 2.0,
-                                 (2, 1): 3.0, (2, 2): 4.0})
-        pol = make_policy([(1, 2), (2, 1)])
-        assert table.evaluate(pol) == mapping.evaluate(pol) == 5.0

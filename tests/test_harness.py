@@ -403,7 +403,7 @@ class TestBoundSuite:
         # With one agent and one target greedy cannot miss.
         for seed in range(200):
             inst = random_bound_instance(seed)
-            if inst.n_agents == 1 and inst.n_targets == 1:
+            if inst.oracle.n_agents == 1 and inst.oracle.n_targets == 1:
                 cert = run_bound_instance(inst)
                 assert cert.ratio == pytest.approx(1.0, abs=1e-12)
                 break

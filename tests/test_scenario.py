@@ -351,10 +351,18 @@ class TestSampledScenario:
                                obs_radius=1.1),
                    make_target([0.5, 1.0, 2.0], end_time=19.8)]
         scen = world_from_bodies([body, body], targets, cfg)
-        row = scen.pair_cost_row(1)
+        row = scen.pair_costs()[0]
         for j, tgt in enumerate(targets, start=1):
             r_hat, v_hat = bodies.aim_point(body.position, tgt, 0.0)
             expected = bodies.transfer_cost(
                 body.position, body.velocity, r_hat, v_hat, tgt.final_time
             ) + loiter_cost(ORBIT_SPEED, tgt.obs_radius, tgt.obs_duration)
             assert row[j - 1] == pytest.approx(expected, rel=1e-9)
+
+    def test_pair_cost_row_is_a_row_of_pair_costs(self):
+        # The one test of the one-row query; every other test reads rows of
+        # pair_costs(), so the query can go once nothing else wraps it.
+        scen = sample_scenario(ScenarioConfig(), 3, 4, np.random.default_rng(5))
+        scen.advance(np.array([1, 0, 2]))
+        for i in range(1, 4):
+            assert scen.pair_cost_row(i) == scen.pair_costs()[i - 1].tolist()

@@ -344,7 +344,7 @@ class LoopAuction:
         assert rows.tolist() == [i for i in range(scenario.n_agents) if not self.done[i]]
         self.bids = {}
         for i, driver_row in zip(rows.tolist(), allowed.tolist()):
-            costs = scenario.pair_cost_row(i + 1)
+            costs = scenario.pair_costs()[i].tolist()
             ok = [math.isfinite(c) and c <= self.budgets[i] for c in costs]
             assert driver_row == ok
             best_j, best_bid = 0, 0.0
