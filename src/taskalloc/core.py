@@ -275,6 +275,7 @@ class TableOracle(UtilityOracle):
             # infinite one the empty policy's utility NaN.
             raise ContractViolation("target values must be finite and nonnegative")
         self.values = values.tolist()
+        table.flags.writeable = False
         self.prob_table = table
         self.n_agents, self.n_targets = table.shape
 

@@ -15,6 +15,7 @@ communication-range rule.
 
 from __future__ import annotations
 
+import copy
 import math
 import numbers
 from dataclasses import dataclass
@@ -51,7 +52,8 @@ CENTRE_EPS = 1e-12         # an agent this near a target's centre aims along x
 #     the controller gains are formed from Python floats.
 # The closed form of RK4 under a constant control is not bit-identical to
 # the RK4 arithmetic either, so the steps keep that arithmetic.  Pair costs
-# are not under this contract.
+# keep the bits of the row reference there, which sums each product of
+# three with ``np.sum`` along the last axis; ``_row_sums`` adds in its order.
 
 def _row_dots(x: np.ndarray) -> np.ndarray:
     """Squared norm of each row of ``x`` (rows along the last axis), equal
@@ -182,8 +184,9 @@ def _aim_points(positions, centres, radii: np.ndarray) -> np.ndarray:
     offset = positions - centres
     norm = _row_norms(offset)
     centred = norm < CENTRE_EPS
-    offset[centred] = [1.0, 0.0, 0.0]
-    norm[centred] = 1.0
+    if centred.any():
+        offset[centred] = [1.0, 0.0, 0.0]
+        norm[centred] = 1.0
     return centres + radii[..., None] * offset / norm[..., None]
 
 
@@ -234,27 +237,38 @@ def _rk4(state: np.ndarray, deriv, dt: float) -> np.ndarray:
     return state + dt / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 
 
-def _step_agents(states: np.ndarray, controls: np.ndarray, dt: float) -> np.ndarray:
-    """``step_agent`` over state rows (position then velocity)."""
-    return _rk4(states, lambda s: np.concatenate([s[:, 3:], controls], axis=1), dt)
+def _step_bodies(states: np.ndarray, controls: np.ndarray, minus_k: np.ndarray,
+                 dt: float) -> np.ndarray:
+    """``step_agent`` and ``step_target`` over stacked state rows (position
+    then velocity): the first ``len(controls)`` rows are agents under their
+    held controls, the rest targets under drag, ``minus_k`` holding -drag
+    per target row as a column.  Each stage writes both kinds of rate into
+    its own slice of one array; summing per-kind terms instead would turn
+    a -0.0 rate into +0.0."""
+    n = len(controls)
 
+    def deriv(s):
+        rates = np.empty_like(s)
+        rates[:, :3] = s[:, 3:]
+        rates[:n, 3:] = controls
+        np.multiply(minus_k, s[n:, 3:], out=rates[n:, 3:])
+        return rates
 
-def _step_targets(states: np.ndarray, drag_coeffs: Sequence[float], dt: float) -> np.ndarray:
-    """``step_target`` over state rows (position then velocity)."""
-    minus_k = -np.asarray(drag_coeffs, dtype=float)[:, None]
-    return _rk4(states, lambda s: np.concatenate([s[:, 3:], minus_k * s[:, 3:]], axis=1), dt)
+    return _rk4(states, deriv, dt)
 
 
 def step_agent(position, velocity, accel, dt: float) -> tuple[np.ndarray, np.ndarray]:
     """One fixed-step RK4 advance of a double integrator under a control
     held constant over the step (for which RK4 is exact)."""
-    out = _step_agents(*np.atleast_2d(np.concatenate([position, velocity]), accel), dt)[0]
+    state, accel = np.atleast_2d(np.concatenate([position, velocity]), accel)
+    out = _step_bodies(state, accel, np.empty((0, 1)), dt)[0]
     return out[:3], out[3:]
 
 
 def step_target(position, velocity, drag_coeff: float, dt: float) -> tuple[np.ndarray, np.ndarray]:
     """One fixed-step RK4 advance of a drag-decelerated drifting target."""
-    out = _step_targets(np.atleast_2d(np.concatenate([position, velocity])), [drag_coeff], dt)[0]
+    state = np.atleast_2d(np.concatenate([position, velocity]))
+    out = _step_bodies(state, np.empty((0, 3)), np.array([[-drag_coeff]], dtype=float), dt)[0]
     return out[:3], out[3:]
 
 
@@ -262,9 +276,9 @@ def step_dynamics(agent_states: np.ndarray, controls: np.ndarray,
                   accrued_cost: np.ndarray, fuel: np.ndarray,
                   target_states: np.ndarray, drag_coeffs: Sequence[float],
                   dt: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Advance every body one RK4 step; returns the new agent and target
-    states (rows of position then velocity, N x 6 and M x 6) and the control
-    cost charged to each agent.
+    """Advance every body one RK4 step, agents and targets in one pass;
+    returns the new agent and target states (rows of position then
+    velocity, N x 6 and M x 6) and the control cost charged to each agent.
 
     Controls (N x 3) are held constant over the step; the cost increment
     per agent is 0.5 * |u|^2 * dt.  An agent whose cost increment would
@@ -275,17 +289,19 @@ def step_dynamics(agent_states: np.ndarray, controls: np.ndarray,
     u = np.asarray(controls, dtype=float)
     inc = 0.5 * _row_dots(u) * dt
     out_of_fuel = accrued_cost + inc > fuel
-    u = np.where(out_of_fuel[:, None], 0.0, u)
-    inc = np.where(out_of_fuel, 0.0, inc)
-    agents = _step_agents(agent_states, u, dt)
-    targets = _step_targets(target_states, drag_coeffs, dt)
-    for kind, states in (("agent", agents), ("target", targets)):
-        bad = np.flatnonzero(~np.isfinite(states).all(axis=1))
-        if bad.size:
-            raise NumericalBlowupError(
-                f"non-finite {kind} state after step: row {bad[0]} = {states[bad[0]]}"
-            )
-    return agents, targets, inc
+    if out_of_fuel.any():
+        u = np.where(out_of_fuel[:, None], 0.0, u)
+        inc = np.where(out_of_fuel, 0.0, inc)
+    n = len(agent_states)
+    minus_k = -np.asarray(drag_coeffs, dtype=float)[:, None]
+    states = _step_bodies(np.concatenate([agent_states, target_states]), u, minus_k, dt)
+    if not np.isfinite(states).all():
+        row = int(np.flatnonzero(~np.isfinite(states).all(axis=1))[0])
+        kind, index = ("agent", row) if row < n else ("target", row - n)
+        raise NumericalBlowupError(
+            f"non-finite {kind} state after step: row {index} = {states[row]}"
+        )
+    return states[:n], states[n:], inc
 
 
 # ---------------------------------------------------------------------------
@@ -311,17 +327,31 @@ def build_comm_graph(positions: np.ndarray, comm_factors: Sequence[float],
 # Pair costs
 # ---------------------------------------------------------------------------
 
+def _horizon_powers(horizons: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The transfer horizons with their squares and cubes, as
+    ``_transfer_costs`` takes them."""
+    return horizons, horizons ** 2, horizons ** 3
+
+
+def _row_sums(x: np.ndarray) -> np.ndarray:
+    """Sum of each row of three, in the order ``np.sum(x, axis=-1)`` adds
+    them, without its per-call overhead."""
+    return (x[..., 0] + x[..., 1]) + x[..., 2]
+
+
 def _transfer_costs(positions, velocities, points, point_velocities,
-                    horizons: np.ndarray) -> np.ndarray:
-    """``minimum_effort_cost`` over rows, horizons over the leading axes."""
-    t = horizons[..., None]
+                    powers: tuple) -> np.ndarray:
+    """``minimum_effort_cost`` over rows; ``powers`` is ``_horizon_powers``
+    of the horizons, over the leading axes."""
+    h, h2, h3 = powers
+    t = h[..., None]
     dv = point_velocities - velocities
     dp = points - positions - velocities * t
-    a = -2.0 * dv / t + 6.0 * dp / t ** 2
-    b = (6.0 * dv * t - 12.0 * dp) / t ** 3
-    return 0.5 * (np.sum(a * a, axis=-1) * horizons
-                  + np.sum(a * b, axis=-1) * horizons ** 2
-                  + np.sum(b * b, axis=-1) * horizons ** 3 / 3.0)
+    a = -2.0 * dv / t + 6.0 * dp / h2[..., None]
+    b = (6.0 * dv * t - 12.0 * dp) / h3[..., None]
+    return 0.5 * (_row_sums(a * a) * h
+                  + _row_sums(a * b) * h2
+                  + _row_sums(b * b) * h3 / 3.0)
 
 
 def minimum_effort_cost(position, velocity, point, point_velocity, horizon: float) -> float:
@@ -334,7 +364,8 @@ def minimum_effort_cost(position, velocity, point, point_velocity, horizon: floa
     if horizon <= 0:
         raise ContractViolation("transfer horizon must be positive")
     rows = np.atleast_2d(position, velocity, point, point_velocity)
-    return float(_transfer_costs(*rows, np.array([horizon], dtype=float))[0])
+    powers = _horizon_powers(np.array([horizon], dtype=float))
+    return float(_transfer_costs(*rows, powers)[0])
 
 
 def loiter_cost(orbit_speed: float, obs_radius, duration):
@@ -506,22 +537,34 @@ def sample_scenario(config: ScenarioConfig, n_agents: int, n_targets: int,
     return scenario
 
 
+# The arrays a world changes as it runs; ``SatelliteScenario.copy`` copies
+# these and shares everything else.
+_STATE_ARRAYS = ("agent_states", "target_states", "comm_factors", "fuel", "accrued_cost")
+
+
 class SatelliteScenario(AllocationScenario):
     """Live world the solvers allocate in.
 
     The utility oracle and pair-cost estimates are snapshots of the current
-    round (a row query computes only the rows asked for; the full matrix
-    and the targets' predicted states are cached until ``advance``); phase
-    III advances the dynamics: assigned agents fly the rendezvous law toward
-    their target's observation circle until its rendezvous deadline, and
-    coast after it, when out of fuel, or when unassigned.
+    round; phase III advances the dynamics: assigned agents fly the
+    rendezvous law toward their target's observation circle until its
+    rendezvous deadline, and coast after it, when out of fuel, or when
+    unassigned.
 
     The world is held as arrays, agent i and target j in row i - 1 and
     j - 1: ``agent_states`` and ``target_states`` (position then velocity
     per row), the agents' ``comm_factors``, ``fuel`` and ``accrued_cost``,
-    and the targets' fixed parameters.  Each step is one pass of the row
-    kernels over all bodies.  The world is built from these rows by keyword;
-    ``AgentBody`` and ``TargetBody`` serve the per-body helpers only.
+    and the targets' fixed parameters, which are read-only.  Each step is
+    one pass of the row kernels over all bodies.  The world is built from
+    these rows by keyword; ``AgentBody`` and ``TargetBody`` serve the
+    per-body helpers only.
+
+    What a round computes once is kept in the round's store: the targets
+    predicted to their rendezvous deadlines with the transfer horizons, the
+    full cost matrix and the oracle, each on first use and read-only.
+    ``advance`` starts a new store.  ``copy`` shares the store of the round
+    it is made in, so each of these is built once for the base world and
+    all its copies of that round.
     """
 
     def __init__(self, config: ScenarioConfig, *, agent_states, comm_factors,
@@ -554,10 +597,18 @@ class SatelliteScenario(AllocationScenario):
         self.dt = max(end_times) / config.n_steps
         self._loiter_costs = loiter_cost(ORBIT_SPEED, self.obs_radii,
                                          np.array(obs_durations, dtype=float))
+        self.obs_radii.flags.writeable = self._loiter_costs.flags.writeable = False
         self._round = 0
-        # The round's full cost matrix and its targets predicted to their
-        # deadlines, computed on first use; ``advance`` drops both.
-        self._costs = self._predicted = None
+        self._store: dict = {}
+
+    def copy(self) -> "SatelliteScenario":
+        """A world that runs apart from this one: its own state arrays, the
+        same read-only target parameters, and this round's store until
+        either world advances."""
+        twin = copy.copy(self)
+        for name in _STATE_ARRAYS:
+            setattr(twin, name, getattr(self, name).copy())
+        return twin
 
     # -- solver-facing surface -------------------------------------------
 
@@ -566,8 +617,12 @@ class SatelliteScenario(AllocationScenario):
         return self._round * self.dt
 
     def oracle(self) -> TableOracle:
-        return position_oracle(self.agent_states[:, :3], self.target_states[:, :3],
-                               self.info_values, self.decays)
+        oracle = self._store.get("oracle")
+        if oracle is None:
+            oracle = self._store["oracle"] = position_oracle(
+                self.agent_states[:, :3], self.target_states[:, :3],
+                self.info_values, self.decays)
+        return oracle
 
     def pair_costs(self, agents: Optional[np.ndarray] = None) -> np.ndarray:
         """The closed-form effort estimates of the current round, vectorized
@@ -576,24 +631,26 @@ class SatelliteScenario(AllocationScenario):
         one step away (``final - now <= dt``) can no longer be served: its
         column is all infinite.
 
-        A query for every row is cached for the round and serves the row
-        queries after it.  Without that cache only the asked rows are
-        computed; each row's arithmetic is its own, so they are the same
-        bits as the matching rows of the full matrix."""
-        if self._costs is not None:
-            return self._costs if agents is None else self._costs[agents]
+        A query for every row is kept in the round's store, read-only, and
+        serves the row queries after it.  Without it only the asked rows
+        are computed; each row's arithmetic is its own, so they are the
+        same bits as the matching rows of the full matrix."""
+        costs = self._store.get("costs")
+        if costs is not None:
+            return costs if agents is None else costs[agents]
         if agents is not None:
             return self._cost_matrix(self.agent_states[agents])
-        self._costs = self._cost_matrix(self.agent_states)
-        return self._costs
+        costs = self._store["costs"] = self._cost_matrix(self.agent_states)
+        costs.flags.writeable = False
+        return costs
 
     def _cost_matrix(self, agent_states: np.ndarray) -> np.ndarray:
-        q_hat, w_hat, tau = self._predicted_targets()
+        q_hat, w_hat, _tau, powers, closed = self._predicted_targets()
         # Agents along axis 0, targets along axis 1, space along axis 2.
         p, v = agent_states[:, None, :3], agent_states[:, None, 3:]
         r_hat = _aim_points(p, q_hat, self.obs_radii)
-        costs = _transfer_costs(p, v, r_hat, w_hat, np.maximum(tau, 1e-12))
-        return np.where(tau <= self.dt, math.inf, costs + self._loiter_costs)
+        costs = _transfer_costs(p, v, r_hat, w_hat, powers)
+        return np.where(closed, math.inf, costs + self._loiter_costs)
 
     def budgets(self) -> np.ndarray:
         """Fuel not yet spent, per agent."""
@@ -617,40 +674,46 @@ class SatelliteScenario(AllocationScenario):
         )
         self.accrued_cost = self.accrued_cost + inc
         self._round += 1
-        self._costs = self._predicted = None
+        self._store = {}
 
     # -- internals --------------------------------------------------------
 
-    def _predicted_targets(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Every target's state propagated to its rendezvous deadline, and
-        the time left to the deadline, 0 once it has passed; computed once
-        per round, as read-only arrays.  A target whose deadline has passed
-        is predicted where it is: nothing reads it, and exp(-k * h) would
-        overflow for h far below 0."""
-        if self._predicted is None:
+    def _predicted_targets(self) -> tuple:
+        """Every target's state propagated to its rendezvous deadline, the
+        time left to the deadline (0 once it has passed), ``_horizon_powers``
+        of that time floored at 1e-12, and whether the deadline is at most
+        one step away; computed once per round, as read-only arrays.  A
+        target whose deadline has passed is predicted where it is: nothing
+        reads it, and exp(-k * h) would overflow for h far below 0."""
+        predicted = self._store.get("targets")
+        if predicted is None:
             now = self.time
             tau = np.array([final - now if final > now else 0.0
                             for final in self.final_times])
-            self._predicted = (*_predict(self.target_states, self.drag_coeffs, tau), tau)
-            for array in self._predicted:
+            powers = _horizon_powers(np.maximum(tau, 1e-12))
+            predicted = (*_predict(self.target_states, self.drag_coeffs, tau), tau,
+                         powers, tau <= self.dt)
+            for array in (*predicted[:3], *powers, predicted[4]):
                 array.flags.writeable = False
-        return self._predicted
+            self._store["targets"] = predicted
+        return predicted
 
     def _controls(self, claims: np.ndarray) -> np.ndarray:
         """Rendezvous acceleration (N x 3) of each agent with a claim (agent
         k + 1 on target ``claims[k]``, 0 = none) before its target's
         rendezvous deadline; zero, so the agent coasts, otherwise."""
         controls = np.zeros((self.n_agents, 3))
-        now = self.time
-        pairs = [(i, j - 1) for i, j in enumerate(np.asarray(claims).tolist())
-                 if j != 0 and now < self.final_times[j - 1]]
-        if not pairs:
+        claims = np.asarray(claims, dtype=np.intp)
+        q_hat, w_hat, tau, _powers, _closed = self._predicted_targets()
+        # Time to go per claim: 0 for no claim and once the deadline passed.
+        to_go = np.concatenate(([0.0], tau))[claims]
+        flying = to_go > 0.0
+        if not flying.any():
             return controls
-        agents, targets = np.array(pairs).T
-        q_hat, w_hat, _ = self._predicted_targets()
-        q_hat, w_hat = q_hat[targets], w_hat[targets]
-        p, v = self.agent_states[agents, :3], self.agent_states[agents, 3:]
-        r_hat = _aim_points(p, q_hat, self.obs_radii[targets])
-        controls[agents] = _rendezvous_controls(
-            p, v, r_hat, w_hat, [self.final_times[j] - now for j in targets.tolist()])
+        targets = claims[flying] - 1
+        rows = self.agent_states[flying]
+        p, v = rows[:, :3], rows[:, 3:]
+        r_hat = _aim_points(p, q_hat[targets], self.obs_radii[targets])
+        controls[flying] = _rendezvous_controls(p, v, r_hat, w_hat[targets],
+                                                to_go[flying].tolist())
         return controls

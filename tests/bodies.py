@@ -13,7 +13,13 @@ import math
 
 import numpy as np
 
-from taskalloc.scenario import CENTRE_EPS, MIN_TIME_TO_GO, SatelliteScenario
+from taskalloc.scenario import (
+    CENTRE_EPS,
+    MIN_TIME_TO_GO,
+    ORBIT_SPEED,
+    SatelliteScenario,
+    loiter_cost,
+)
 
 
 def world_from_bodies(agents, targets, config):
@@ -48,15 +54,21 @@ def predict(target, horizon):
     return target.position + w0 * horizon, w0.copy()
 
 
+def circle_point(agent_pos, centre, radius):
+    """Point of the circle of ``radius`` around ``centre`` nearest the
+    agent, along x when the agent sits on the centre."""
+    offset = np.asarray(agent_pos, float) - centre
+    norm = np.linalg.norm(offset)
+    if norm < CENTRE_EPS:
+        offset, norm = np.array([1.0, 0.0, 0.0]), 1.0
+    return centre + radius * offset / norm
+
+
 def aim_point(agent_pos, target, time_now):
     """Point of the observation circle at the deadline nearest the agent,
     and its velocity."""
     q_hat, w_hat = predict(target, target.final_time - time_now)
-    offset = np.asarray(agent_pos, float) - q_hat
-    norm = np.linalg.norm(offset)
-    if norm < CENTRE_EPS:
-        offset, norm = np.array([1.0, 0.0, 0.0]), 1.0
-    return q_hat + target.obs_radius * offset / norm, w_hat
+    return circle_point(agent_pos, q_hat, target.obs_radius), w_hat
 
 
 def control(position, velocity, point, point_velocity, time_now, deadline):
@@ -94,6 +106,21 @@ def transfer_cost(position, velocity, point, point_velocity, horizon):
     return 0.5 * (float(a @ a) * horizon
                   + float(a @ b) * horizon ** 2
                   + float(b @ b) * horizon ** 3 / 3.0)
+
+
+def transfer_cost_row(position, velocity, points, point_velocities, horizons):
+    """``transfer_cost`` of one agent to each row of ``points`` by the
+    matching entry of ``horizons``, each dot summed with ``np.sum`` along
+    the last axis: the form the pair costs of the array kernel keep to the
+    bit."""
+    t = horizons[:, None]
+    dv = point_velocities - velocity
+    dp = points - position - velocity * t
+    a = -2.0 * dv / t + 6.0 * dp / t ** 2
+    b = (6.0 * dv * t - 12.0 * dp) / t ** 3
+    return 0.5 * (np.sum(a * a, axis=-1) * horizons
+                  + np.sum(a * b, axis=-1) * horizons ** 2
+                  + np.sum(b * b, axis=-1) * horizons ** 3 / 3.0)
 
 
 class BodyWorld:
@@ -150,3 +177,22 @@ class BodyWorld:
         """Each target predicted to its deadline, or where it is once the
         deadline has passed."""
         return [predict(t, max(t.final_time - self.time, 0.0)) for t in self.targets]
+
+    def pair_costs(self):
+        """Per agent, a row of ``transfer_cost_row`` to each target's aim
+        point by its deadline, floored at 1e-12, plus the loiter effort;
+        infinity for a target whose deadline is at most one step away."""
+        tau = np.array([max(t.final_time - self.time, 0.0) for t in self.targets])
+        horizons = np.maximum(tau, 1e-12)
+        loiter = np.array([loiter_cost(ORBIT_SPEED, t.obs_radius, t.obs_duration)
+                           for t in self.targets])
+        predicted = self.predicted()
+        rows = []
+        for agent in self.agents:
+            points = np.array([circle_point(agent.position, q, t.obs_radius)
+                               for (q, _w), t in zip(predicted, self.targets)])
+            velocities = np.array([w for _q, w in predicted])
+            row = transfer_cost_row(agent.position, agent.velocity,
+                                    points, velocities, horizons) + loiter
+            rows.append(np.where(tau <= self.dt, math.inf, row))
+        return np.array(rows).reshape(len(self.agents), len(self.targets))

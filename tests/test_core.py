@@ -78,6 +78,15 @@ class TestTableOracle:
         assert first == orc.prob_table.tolist()
         assert orc.probs is first
 
+    def test_table_is_read_only(self):
+        # One oracle is shared by the runs of a draw and its certificate.
+        probs = np.full((2, 3), 0.5)
+        orc = TableOracle([2.0, 1.5, 1.0], probs)
+        with pytest.raises(ValueError, match="read-only"):
+            orc.prob_table[0, 0] = 0.9
+        probs[0, 0] = 0.9  # the caller's array stays the caller's
+        assert orc.prob_table.tolist() == [[0.5] * 3] * 2
+
     def test_out_of_bounds_element(self):
         with pytest.raises(ContractViolation):
             single_target_oracle().evaluate(make_policy([(3, 1)]))

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import example, given, seed, settings
 from hypothesis import strategies as st
 
-from taskalloc import harness
+from taskalloc import harness, scenario
 from taskalloc.harness import (
     ConfigError,
     _run_one,
@@ -220,6 +220,21 @@ class TestRunExperiment:
         assert agg["mean_final_utility"] == pytest.approx(
             float(np.mean(finals)), abs=1e-12)
 
+
+    def test_one_oracle_per_draw_built_before_the_runs(self, monkeypatch):
+        # The draw's runs and its certificate read the oracle of the base
+        # world's round 0, so neither distributed run's wall time holds it.
+        harness._warm_up()
+        events = []
+        build = scenario.position_oracle
+        monkeypatch.setattr(scenario, "position_oracle",
+                            lambda *args: events.append("oracle") or build(*args))
+        for name in ("dgba_run", "auction_baseline"):
+            monkeypatch.setattr(harness, name, lambda world, _run=getattr(harness, name),
+                                _name=name: events.append(_name) or _run(world))
+        res = run_experiment(small_config(solvers=["dgba", "auction", "exact"], draws=2))
+        assert not res.errors
+        assert events == ["oracle", "dgba_run", "auction_baseline"] * 2
 
     def test_centralized_solvers_report_planned_pair_costs(self):
         cfg = small_config(solvers=["greedy", "exact"])

@@ -335,7 +335,7 @@ class TestSampledScenario:
         cfg = ScenarioConfig()
         scen = sample_scenario(cfg, 2, 2, np.random.default_rng(4))
         scen._round = int(scen.final_times[0] / scen.dt) + 1
-        scen._costs = scen._predicted = None  # as ``advance`` ends a round
+        scen._store = {}  # as ``advance`` ends a round
         before = scen.agent_states[0].copy(), scen.accrued_cost[0]
         scen.advance([1, 0])
         assert scen.agent_states[0, 3:].tolist() == before[0][3:].tolist()

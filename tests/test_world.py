@@ -16,11 +16,15 @@ from hypothesis import strategies as st
 
 import bodies
 from bodies import BodyWorld, world_from_bodies
+from taskalloc import auction_baseline, dgba_run
 from taskalloc.scenario import (
     FUEL_MEDIAN_FACTOR,
     AgentBody,
     ScenarioConfig,
     TargetBody,
+    _horizon_powers,
+    _transfer_costs,
+    minimum_effort_cost,
     predict_target,
     rendezvous_control,
     rendezvous_point,
@@ -31,6 +35,11 @@ from taskalloc.scenario import (
 )
 
 
+def same_bits(a, b):
+    a, b = np.asarray(a), np.asarray(b)
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
 def assert_same_world(scen, ref):
     assert scen.agent_states[:, :3].tolist() == [a.position.tolist() for a in ref.agents]
     assert scen.agent_states[:, 3:].tolist() == [a.velocity.tolist() for a in ref.agents]
@@ -39,9 +48,10 @@ def assert_same_world(scen, ref):
     assert scen.target_states[:, 3:].tolist() == [t.velocity.tolist() for t in ref.targets]
     assert np.array_equal(scen.adjacency(), ref.adjacency())
     assert scen.oracle().probs == ref.probs()
-    q_hat, w_hat, _tau = scen._predicted_targets()
+    q_hat, w_hat, _tau = scen._predicted_targets()[:3]
     assert q_hat.tolist() == [q.tolist() for q, _w in ref.predicted()]
     assert w_hat.tolist() == [w.tolist() for _q, w in ref.predicted()]
+    assert same_bits(scen.pair_costs(), ref.pair_costs())
 
 
 def run_both(agents, targets, config, schedule):
@@ -158,7 +168,7 @@ def test_agent_on_predicted_target_centre():
                       comm_factor=0.3, fuel=math.inf)
     tgt = one_target(centre)
     scen = world_from_bodies([agent], [tgt], ScenarioConfig())
-    q_hat, _w, _tau = scen._predicted_targets()
+    q_hat, _w, _tau = scen._predicted_targets()[:3]
     assert q_hat[0].tolist() == centre.tolist()
     run_both([agent], [tgt], ScenarioConfig(), [{1: 1}] * 3)
 
@@ -227,17 +237,17 @@ def test_past_deadline_columns_cost_infinity(n, m, seed, n_steps, fuel):
         scen.advance([claims.get(i, 0) for i in range(1, n + 1)])
 
 
-def same_bits(a, b):
-    a, b = np.asarray(a), np.asarray(b)
-    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+def uncached(scen):
+    """A deep copy of the world as it stands, with its round store dropped."""
+    fresh = copy.deepcopy(scen)
+    fresh._store = {}
+    return fresh
 
 
 def uncached_costs(scen):
     """The full cost matrix of the world as it stands, from a copy with its
-    per-round caches dropped."""
-    fresh = copy.deepcopy(scen)
-    fresh._costs = fresh._predicted = None
-    return fresh.pair_costs()
+    round store dropped."""
+    return uncached(scen).pair_costs()
 
 
 @settings(max_examples=30, deadline=None)
@@ -274,7 +284,7 @@ def test_predicted_targets_follow_the_moved_world(n, m, seed, n_steps):
     for claims in random_schedule(rng, n, m, steps=4):
         scen._predicted_targets()  # cached for the round about to end
         scen.advance([claims.get(i, 0) for i in range(1, n + 1)])
-        q_hat, w_hat, tau = scen._predicted_targets()
+        q_hat, w_hat, tau = scen._predicted_targets()[:3]
         for j, final in enumerate(scen.final_times):
             body = TargetBody(position=scen.target_states[j, :3],
                               velocity=scen.target_states[j, 3:],
@@ -286,6 +296,99 @@ def test_predicted_targets_follow_the_moved_world(n, m, seed, n_steps):
             assert q_hat[j].tolist() == q.tolist()
             assert w_hat[j].tolist() == w.tolist()
             assert tau[j] == max(final - scen.time, 0.0)
+
+
+@settings(max_examples=50, deadline=None)
+@given(st.integers(1, 6), st.integers(1, 12), st.integers(0, 2 ** 32 - 1))
+def test_transfer_costs_give_the_row_reference_bits(n, m, seed):
+    # Horizons as the world floors them: passed (negative), zero and tiny
+    # ones end at the 1e-12 floor, the rest span the window.
+    rng = np.random.default_rng(seed)
+    tau = rng.choice([-3.0, 0.0, 1e-15, 1e-12, 3e-12, 1e-6, 0.5, 20.0], size=m)
+    horizons = np.maximum(tau * rng.uniform(0.5, 1.0, size=m), 1e-12)
+    p, v = rng.uniform(0.0, 6.0, size=(n, 3)), rng.uniform(-0.2, 0.2, size=(n, 3))
+    points = rng.uniform(0.0, 6.0, size=(n, m, 3))
+    point_velocities = rng.uniform(-0.2, 0.2, size=(m, 3))
+    costs = _transfer_costs(p[:, None, :], v[:, None, :], points, point_velocities,
+                            _horizon_powers(horizons))
+    for i in range(n):
+        row = bodies.transfer_cost_row(p[i], v[i], points[i], point_velocities, horizons)
+        assert same_bits(costs[i], row)
+        for j in range(m):
+            one = minimum_effort_cost(p[i], v[i], points[i, j], point_velocities[j],
+                                      float(horizons[j]))
+            assert same_bits(one, row[j])
+
+
+STATE_ARRAYS = ("agent_states", "target_states", "comm_factors", "fuel", "accrued_cost")
+
+
+def state_of(scen):
+    return [getattr(scen, name).copy() for name in STATE_ARRAYS] + [scen.time]
+
+
+def same_state(a, b):
+    return len(a) == len(b) and all(same_bits(x, y) for x, y in zip(a, b))
+
+
+def run_record(result):
+    return (sorted(result.policy), result.utility, result.messages, result.rounds,
+            [(rec.newly_finalized, rec.groups, rec.increment, rec.utility,
+              rec.messages, rec.cumulative_cost) for rec in result.trace])
+
+
+@settings(max_examples=20, deadline=None)
+@given(st.integers(1, 20), st.integers(1, 20), st.integers(0, 2 ** 32 - 1),
+       st.sampled_from([4, 12, 2000]), st.sampled_from([None, 0.05]))
+def test_runs_on_a_copy_equal_runs_on_a_deep_copy(n, m, seed, n_steps, fuel):
+    config = ScenarioConfig(n_steps=n_steps, end_time_range=(3.0, 20.0), fuel=fuel)
+    base = sample_scenario(config, n, m, np.random.default_rng(seed))
+    before = state_of(base)
+    for solver in (dgba_run, auction_baseline):
+        shallow, deep = solver(base.copy()), solver(copy.deepcopy(base))
+        assert run_record(shallow) == run_record(deep)
+        assert same_bits(shallow.per_agent_cost, deep.per_agent_cost)
+    assert same_state(state_of(base), before)
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(1, 12), st.integers(1, 12), st.integers(0, 2 ** 32 - 1),
+       st.sampled_from([4, 12, 2000]))
+def test_copies_run_apart(n, m, seed, n_steps):
+    config = ScenarioConfig(n_steps=n_steps, end_time_range=(3.0, 20.0))
+    rng = np.random.default_rng(seed)
+    base = sample_scenario(config, n, m, rng)
+    before = state_of(base)
+    one, two = base.copy(), base.copy()
+    one.advance(rng.integers(0, m + 1, size=n))
+    moved = state_of(one)
+    assert same_state(state_of(base), before) and same_state(state_of(two), before)
+    for name in STATE_ARRAYS:
+        getattr(two, name)[...] = 7.0
+    assert same_state(state_of(base), before) and same_state(state_of(one), moved)
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(1, 12), st.integers(1, 12), st.integers(0, 2 ** 32 - 1),
+       st.sampled_from([4, 12, 2000]))
+def test_copies_share_a_round_store_until_one_advances(n, m, seed, n_steps):
+    # The copies of a round read the oracle and costs built for it once; a
+    # copy that advances, and every copy after that, answers for its own
+    # world.  The reference is computed without the store.
+    config = ScenarioConfig(n_steps=n_steps, end_time_range=(3.0, 20.0))
+    rng = np.random.default_rng(seed)
+    base = sample_scenario(config, n, m, rng)
+    oracle, costs = base.oracle(), base.pair_costs()
+    one, two = base.copy(), base.copy()
+    assert one.oracle() is two.oracle() is oracle
+    assert one.pair_costs() is two.pair_costs() is costs
+    for step, claims in enumerate(random_schedule(rng, n, m, steps=4)):
+        (one, two)[step % 2].advance([claims.get(i, 0) for i in range(1, n + 1)])
+        for world in (base, one, two):
+            fresh = uncached(world)
+            assert same_bits(world.oracle().prob_table, fresh.oracle().prob_table)
+            assert world.oracle().values == fresh.oracle().values
+            assert same_bits(world.pair_costs(), fresh.pair_costs())
 
 
 def body_sample(config, n, m, rng):
