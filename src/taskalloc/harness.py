@@ -434,7 +434,7 @@ def random_bound_instance(seed: int) -> BoundInstance:
     budgets are drawn so they exclude some expensive pairs without starving
     any agent systematically.  The constraint system is the conflict-free
     matching with per-agent budgets that the allocation problem poses; the
-    brute-force optimum is taken over the same system.
+    exact optimum is taken over the same system.
     """
     rng = np.random.default_rng(seed)
     n = int(rng.integers(1, BOUND_INSTANCE_MAX_SIZE + 1))
@@ -467,7 +467,7 @@ class BoundSuiteReport:
 
 
 def run_bound_instance(inst: BoundInstance) -> BoundCertificate:
-    """DGBA versus the brute-force optimum on one instance, certified
+    """DGBA versus the exact optimum on one instance, certified
     against all three performance bounds."""
     scen = StaticScenario(inst.oracle, costs=inst.costs, budgets=inst.budgets)
     achieved = dgba_run(scen, constraints=inst.constraints).utility

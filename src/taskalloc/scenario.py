@@ -160,22 +160,36 @@ class TargetBody:
         return self.end_time - self.obs_duration
 
 
-def _predict(states: np.ndarray, drag_coeffs: list, horizons: np.ndarray) -> tuple:
-    """``predict_target`` over state rows, drags (floats) and horizons."""
+def _drag_terms(drag_coeffs: list) -> tuple:
+    """The drags as ``_predict`` takes them: the list of floats, the divisor
+    column (the drag, or 1 where it is 0) and the column marking the zero
+    drags, or None when every drag is positive; the columns read-only."""
+    k = np.array(drag_coeffs)[:, None]
+    divisor = np.where(k > 0, k, 1.0)
+    zero = None if (k > 0).all() else k <= 0
+    for column in (divisor, zero):
+        if column is not None:
+            column.flags.writeable = False
+    return drag_coeffs, divisor, zero
+
+
+def _predict(states: np.ndarray, drag: tuple, horizons: np.ndarray) -> tuple:
+    """``predict_target`` over state rows, ``_drag_terms`` and horizons."""
+    drag_coeffs, divisor, zero = drag
     decay = [math.exp(-k * h) if k > 0 else 1.0
              for k, h in zip(drag_coeffs, horizons.tolist())]
     q, w = states[:, :3], states[:, 3:]
-    k = np.array(drag_coeffs)[:, None]
     decay = np.array(decay)[:, None]
-    pos = np.where(k > 0, q + w * (1.0 - decay) / np.where(k > 0, k, 1.0),
-                   q + w * horizons[:, None])
+    pos = q + w * (1.0 - decay) / divisor
+    if zero is not None:
+        pos = np.where(zero, q + w * horizons[:, None], pos)
     return pos, w * decay
 
 
 def predict_target(target: TargetBody, horizon: float) -> tuple[np.ndarray, np.ndarray]:
     """Analytic drag propagation of a target state by ``horizon`` time units."""
     pos, vel = _predict(np.atleast_2d(np.concatenate([target.position, target.velocity])),
-                        [target.drag_coeff], np.array([horizon], dtype=float))
+                        _drag_terms([target.drag_coeff]), np.array([horizon], dtype=float))
     return pos[0], vel[0]
 
 
@@ -591,6 +605,7 @@ class SatelliteScenario(AllocationScenario):
         self.info_values = list(info_values)
         self.decays = list(decays)
         self.drag_coeffs = list(drag_coeffs)
+        self._drag = _drag_terms(self.drag_coeffs)
         self.obs_radii = np.array(obs_radii, dtype=float)
         # Python floats: the controller gains are formed from them.
         self.final_times = final_times
@@ -691,7 +706,7 @@ class SatelliteScenario(AllocationScenario):
             tau = np.array([final - now if final > now else 0.0
                             for final in self.final_times])
             powers = _horizon_powers(np.maximum(tau, 1e-12))
-            predicted = (*_predict(self.target_states, self.drag_coeffs, tau), tau,
+            predicted = (*_predict(self.target_states, self._drag, tau), tau,
                          powers, tau <= self.dt)
             for array in (*predicted[:3], *powers, predicted[4]):
                 array.flags.writeable = False

@@ -17,15 +17,15 @@ views of the agents not yet finalized as the rows of L x N arrays, and
 runs each phase as a few array operations.  A finalized agent stops
 listening: no one reads its view again.  ``dgba_run`` picks by team size.
 
-Baselines: a centralized sequential greedy, a brute-force exact search, and
-a simplified flooding auction, which the same driver runs over its own
-state (``AuctionViews``).  The auction baseline is NOT a faithful
-reimplementation of published consensus-auction algorithms: an agent's
-bid on a pair is the pair's gain on the empty policy, which is its
-standalone utility (not its marginal gain on what is already allocated),
-winners are determined by max-bid flooding until tables stabilize, and the
-set of taken targets is shared globally once fixed.  It exists as a
-communication-heavy comparison point, nothing more.
+Baselines: a centralized sequential greedy, an exact search that prunes
+dependent mappings, and a simplified flooding auction, which the same
+driver runs over its own state (``AuctionViews``).  The auction baseline
+is NOT a faithful reimplementation of published consensus-auction
+algorithms: an agent's bid on a pair is the pair's gain on the empty
+policy, which is its standalone utility (not its marginal gain on what is
+already allocated), winners are determined by max-bid flooding until
+tables stabilize, and the set of taken targets is shared globally once
+fixed.  It exists as a communication-heavy comparison point, nothing more.
 """
 
 from __future__ import annotations
@@ -33,7 +33,6 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass, field
-from itertools import product
 from typing import Optional, Sequence
 
 import numpy as np
@@ -860,22 +859,27 @@ def sequential_greedy(oracle: UtilityOracle,
     """Centralized greedy: repeatedly add the feasible pair of globally
     maximum marginal gain until no feasible pair improves the utility.
     Ties break lexicographically on (agent, target), the order of
-    ``oracle.ground_set()``."""
-    candidates = oracle.ground_set()
+    ``oracle.ground_set()``.
+
+    Relies on heredity: a pair that would make the policy dependent keeps
+    doing so as the policy grows, so it is dropped for the remaining steps,
+    as is each pair once chosen."""
+    candidates = list(oracle.ground_set())
     policy: Policy = frozenset()
     while True:
         best_el, best_gain = None, 0.0
+        feasible = []
         for el in candidates:
-            if el in policy:
-                continue
             if not constraints.is_independent(policy | {el}):
                 continue
+            feasible.append(el)
             g = marginal_gain(oracle, policy, el)
             if g > best_gain:
                 best_el, best_gain = el, g
         if best_el is None:
             break
         policy = policy | {best_el}
+        candidates = [el for el in feasible if el != best_el]
     return SolverResult(
         policy=policy,
         utility=oracle.evaluate(policy),
@@ -887,10 +891,15 @@ def sequential_greedy(oracle: UtilityOracle,
 
 def exact_oracle(oracle: UtilityOracle,
                  constraints: IndependenceSystem) -> SolverResult:
-    """Brute-force optimum over every agent-to-target-or-none mapping.
+    """Exact optimum over every agent-to-target-or-none mapping.
 
-    Deterministic: mappings are scanned in lexicographic order and only a
-    strictly better utility replaces the incumbent.
+    A depth-first search assigns agents 1..N in turn, each trying target 0
+    (none) first and then 1..M, so the mappings are reached in lexicographic
+    order and only a strictly better utility replaces the incumbent.  Each
+    nonzero choice is checked for independence, and a dependent one prunes
+    its whole subtree: the system is hereditary, so no mapping extending a
+    dependent one is independent.  A choice of none leaves the policy as it
+    was and needs no check.
     """
     n, m = oracle.n_agents, oracle.n_targets
     if (m + 1) ** n > EXACT_SEARCH_CAP:
@@ -899,14 +908,27 @@ def exact_oracle(oracle: UtilityOracle,
         )
     best_policy: Policy = frozenset()
     best_utility = 0.0
-    for assignment in product(range(m + 1), repeat=n):
-        policy = frozenset(
-            GroundElement(i, j) for i, j in enumerate(assignment, start=1) if j != 0
-        )
-        if constraints.is_independent(policy):
+    assignment = [0] * n
+
+    def extend(agent: int, prefix: Policy) -> None:
+        nonlocal best_policy, best_utility
+        if agent > n:
+            policy = frozenset(
+                GroundElement(i, j) for i, j in enumerate(assignment, start=1) if j != 0
+            )
             u = oracle.evaluate(policy)
             if u > best_utility:
                 best_policy, best_utility = policy, u
+            return
+        extend(agent + 1, prefix)
+        for j in range(1, m + 1):
+            grown = prefix | {GroundElement(agent, j)}
+            if constraints.is_independent(grown):
+                assignment[agent - 1] = j
+                extend(agent + 1, grown)
+        assignment[agent - 1] = 0
+
+    extend(1, frozenset())
     return SolverResult(
         policy=best_policy,
         utility=best_utility,
