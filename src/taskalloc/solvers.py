@@ -17,15 +17,15 @@ views of the agents not yet finalized as the rows of L x N arrays, and
 runs each phase as a few array operations.  A finalized agent stops
 listening: no one reads its view again.  ``dgba_run`` picks by team size.
 
-Baselines: a centralized sequential greedy, an exact search that prunes
-dependent mappings, and a simplified flooding auction, which the same
-driver runs over its own state (``AuctionViews``).  The auction baseline
-is NOT a faithful reimplementation of published consensus-auction
-algorithms: an agent's bid on a pair is the pair's gain on the empty
-policy, which is its standalone utility (not its marginal gain on what is
-already allocated), winners are determined by max-bid flooding until
-tables stabilize, and the set of taken targets is shared globally once
-fixed.  It exists as a communication-heavy comparison point, nothing more.
+Baselines: a centralized sequential greedy, a pruned exact search, and
+a simplified flooding auction, which the same driver runs over its own
+state (``AuctionViews``).  The auction baseline is NOT a faithful
+reimplementation of published consensus-auction algorithms: an agent's
+bid on a pair is the pair's gain on the empty policy, which is its
+standalone utility (not its marginal gain on what is already allocated),
+winners are determined by max-bid flooding until tables stabilize, and the
+set of taken targets is shared globally once fixed.  It exists as a
+communication-heavy comparison point, nothing more.
 """
 
 from __future__ import annotations
