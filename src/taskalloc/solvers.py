@@ -60,10 +60,10 @@ TRACE_TOL = 1e-9  # largest increment-to-gains gap check_allocation_trace accept
 # Team size from which dgba_run keeps the views as arrays rather than
 # per-agent lists.  Median time per run on complete-graph TableOracle
 # instances with N = M, medians of three interleaved runs (shared 2-CPU
-# Xeon, Python 3.11, numpy 2.4, one thread); N = 9 is within noise:
+# Xeon, Python 3.11, numpy 2.4, one thread); N = 8 and 9 are within noise:
 #   N          4      6      8      9     10     12     16
-#   lists    268    485    493    563    587    778   1356 us
-#   arrays   349    595    510    585    545    651    982 us
+#   lists    290    411    525    557    693    865   1299 us
+#   arrays   376    507    491    604    550    681    762 us
 ARRAY_VIEWS_MIN_AGENTS = 9
 
 
@@ -122,8 +122,9 @@ class AllocationScenario:
     the world cannot serve (in the satellite world, one whose rendezvous
     deadline has passed) costs infinity.  In a protocol run only the round
     driver makes these queries: ``budgets`` once, and each round
-    ``pair_costs`` for the rows of the agents still bidding; the satellite
-    world computes only the rows it is asked for.
+    ``pair_costs`` for the rows of the agents still bidding (a plain
+    ``StaticScenario`` once, for the whole table); the satellite world
+    computes only the rows it is asked for.
     """
 
     n_agents: int
@@ -190,7 +191,7 @@ class StaticScenario(AllocationScenario):
         self._budgets = np.full(n, math.inf) if budgets is None else np.array(budgets, dtype=float)
         if (self._costs.shape, self._budgets.shape) != ((n, m), (n,)):
             raise ConfigurationError("cost table or budgets do not match the oracle's N x M")
-        self._adjacency = (np.ones((n, n)) - np.eye(n) if adjacency is None
+        self._adjacency = (1.0 - np.eye(n) if adjacency is None
                            else np.array(adjacency, dtype=float))
         for table in (self._costs, self._budgets, self._adjacency):
             table.flags.writeable = False
@@ -357,18 +358,24 @@ def graph_components(adjacency: np.ndarray) -> list[int]:
 # Views: DGBA's two exact implementations, and the auction's state
 # ---------------------------------------------------------------------------
 
-def _gain_table(oracle: UtilityOracle) -> np.ndarray:
+def _gain_table(oracle: UtilityOracle, none: float) -> np.ndarray:
     """Each pair's marginal gain on the empty policy, as
-    ``marginal_gains_for_agent`` gives it, pair (i, j) at [i - 1, j - 1]
-    of an N x M array; for a ``TableOracle`` the product value * prob.  On
-    a normalized oracle it is the pair's standalone utility.  Both array
-    views bid from it."""
+    ``marginal_gains_for_agent`` gives it, pair (i, j) at [i - 1, j] of an
+    N x (M + 1) array whose column 0 ("none") holds ``none``; for a
+    ``TableOracle`` the product value * prob.  On a normalized oracle it is
+    the pair's standalone utility.  Both array views bid from it, so a row
+    of it is a row of bids by target id."""
+    n, m = oracle.n_agents, oracle.n_targets
+    table = np.empty((n, m + 1))
+    table[:, 0] = none
     if isinstance(oracle, TableOracle):
-        return np.asarray(oracle.values) * oracle.prob_table
-    n, targets = oracle.n_agents, range(1, oracle.n_targets + 1)
-    rows = [oracle.marginal_gains_for_agent(frozenset(), i, targets) for i in range(1, n + 1)]
-    return np.array([[row[j] for j in targets] for row in rows],
-                    dtype=float).reshape(n, len(targets))
+        np.multiply(np.asarray(oracle.values), oracle.prob_table, out=table[:, 1:])
+    else:
+        targets = range(1, m + 1)
+        for i in range(n):
+            row = oracle.marginal_gains_for_agent(frozenset(), i + 1, targets)
+            table[i, 1:] = [row[j] for j in targets]
+    return table
 
 
 class AgentViews:
@@ -412,9 +419,10 @@ class ArrayViews:
     ``self_b`` and ``self_f`` hold every agent's self-entries as
     N-vectors: what the exchange broadcasts and ``self_entries`` reports.
     A finalized agent's view is never read again, so phase II drops its
-    row; the arrays shrink as agents finalize.  Each phase is a few array
-    operations with the same results as ``AgentViews``, bids included to
-    the last bit."""
+    row; the arrays shrink as agents finalize.  Phase I bids from the
+    N x (M + 1) table ``bids``, built once, with -inf for "none".  Each
+    phase is a few array operations with the same results as
+    ``AgentViews``, bids included to the last bit."""
 
     def __init__(self, oracle: UtilityOracle):
         n = oracle.n_agents
@@ -425,9 +433,11 @@ class ArrayViews:
         self.self_w = np.zeros(n, dtype=np.int32)
         self.self_b = np.zeros(n)
         self.self_f = np.zeros(n, dtype=bool)
-        # Bid of each pair.  No one else holds an available target in the
-        # agent's view, so its marginal gain is the gain on the empty policy.
-        self.gains = _gain_table(oracle)
+        # Bids by target id.  No one else holds an available target in the
+        # agent's view, so its marginal gain is the gain on the empty policy;
+        # column 0 ("none") is -inf, the first maximum only of a row with
+        # nothing available.
+        self.bids = _gain_table(oracle, -np.inf)
 
     def self_entries(self) -> tuple[np.ndarray, np.ndarray]:
         return self.self_w.astype(np.intp), self.self_f.copy()
@@ -438,15 +448,16 @@ class ArrayViews:
         if rows.size != self.live.size:
             raise ContractViolation("phase I rows are not the live agents")
         r = np.arange(rows.size)
-        m = self.gains.shape[1]
-        # Each row's bids by target id, -inf where the target is not
-        # allowed or another agent holds it in the view; column 0 ("none")
-        # stays -inf.  Every live self-entry is rewritten below, so the own
-        # entries are cleared in place first.
+        # Each row's bids, -inf where the target is not allowed or another
+        # agent holds it in the view.  Every live self-entry is rewritten
+        # below, so the own entries are cleared in place first; the held
+        # "none" entries land on column 0, which is -inf already.  Before
+        # the first exchange no view holds a claim, and nothing is masked.
         self.w[r, rows] = 0
-        bids = np.full((rows.size, m + 1), -np.inf)
-        np.copyto(bids[:, 1:], self.gains[rows], where=allowed)
-        bids.reshape(-1)[self.w + (r * (m + 1))[:, None]] = -np.inf
+        bids = self.bids[rows]
+        np.copyto(bids[:, 1:], -np.inf, where=~allowed)
+        if self.w.any():
+            bids[r[:, None], self.w] = -np.inf
         best = bids.argmax(axis=1)  # first maximum: lowest target id
         bid = bids[r, best]
         idle = best == 0  # nothing available: finalize with an empty claim
@@ -508,8 +519,9 @@ class AuctionViews:
         self.target = np.zeros(n, dtype=np.intp)
         self.done = np.zeros(n, dtype=bool)
         self.taken = np.zeros((n, m), dtype=bool)
-        # Each pair's bid: its gain on the empty policy.
-        self.gains = _gain_table(oracle)
+        # Bids by target id: each pair's gain on the empty policy, and 0.0
+        # for "none" (column 0), so a row with no positive bid picks it.
+        self.bids = _gain_table(oracle, 0.0)
         # This round's bids, as bidder, target index and rank.
         self.bidders = self.bid_targets = self.ranks = np.zeros(0, dtype=np.intp)
 
@@ -523,11 +535,10 @@ class AuctionViews:
         target id), on a target it has not heard is won and that its row
         of ``allowed`` allows.  An agent with no positive bid is done, with
         no target."""
-        # Each row's bids by target id, 0.0 where the target is not allowed
-        # or heard to be won; column 0 ("none") is 0.0 too, so a row with
-        # no positive bid picks it.
-        bids = np.zeros((rows.size, self.taken.shape[1] + 1))
-        np.copyto(bids[:, 1:], self.gains[rows], where=allowed & ~self.taken[rows])
+        # Each row's bids, 0.0 where the target is not allowed or heard to
+        # be won.
+        bids = self.bids[rows]
+        np.copyto(bids[:, 1:], 0.0, where=~allowed | self.taken[rows])
         best = bids.argmax(axis=1)  # first maximum: lowest target id
         bid = bids[np.arange(rows.size), best]
         placed = best != 0
@@ -704,7 +715,10 @@ def run_rounds(views_type, scenario: AllocationScenario,
       bidders: ``rows`` are their 0-based ids, from the driver's ``done``
       vector, and row r of the boolean ``allowed`` is ``allowed_pairs`` of
       ``scenario.pair_costs(rows)`` and the start budgets for agent
-      ``rows[r]``.
+      ``rows[r]``.  A world whose type is exactly ``StaticScenario``, whose
+      read-only costs and budgets no method changes, has its N x M mask
+      built once per run from ``pair_costs()``, and each round passes its
+      rows; any other world, a subclass included, is queried each round.
     - ``communicate(linked, components)`` is phase II over the round's
       graph and returns the exchanges it made: 1 for DGBA, the flooding
       sweeps for the auction.  ``linked`` is the boolean N x N array
@@ -764,6 +778,10 @@ def run_rounds(views_type, scenario: AllocationScenario,
 
     views = views_type(oracle)
     budgets = scenario.budgets()
+    # A plain StaticScenario's costs and budgets cannot change: its mask is
+    # built once and its rows are indexed each round.
+    allowed = (allowed_pairs(scenario.pair_costs(), budgets)
+               if type(scenario) is StaticScenario else None)
     claims, done = views.self_entries()
     lap("assignment")
     tally = _TableTally(oracle) if isinstance(oracle, TableOracle) else None
@@ -791,7 +809,8 @@ def run_rounds(views_type, scenario: AllocationScenario,
         rows = (~done).nonzero()[0]
 
         if rows.size:  # Phase I
-            views.assign(rows, allowed_pairs(scenario.pair_costs(rows), budgets[rows]))
+            views.assign(rows, allowed[rows] if allowed is not None
+                         else allowed_pairs(scenario.pair_costs(rows), budgets[rows]))
             lap("assignment")
             exchanges = views.communicate(linked, components)  # Phase II
             protocol_rounds += exchanges

@@ -243,6 +243,14 @@ class TestBoundCertificate:
         cert = bound_certificate(1.0, 1.0, 0.5, 3, 4)
         assert cert.xi_argument == 3
 
+    @pytest.mark.parametrize("bound", ["half", "curvature", "q_system"])
+    def test_ratio_just_below_a_threshold_fails(self, bound):
+        threshold = getattr(bound_certificate(1.0, 1.0, 0.5, 2, 4), f"{bound}_threshold")
+        within = bound_certificate(threshold - 1e-10, 1.0, 0.5, 2, 4)
+        below = bound_certificate(threshold - 1e-8, 1.0, 0.5, 2, 4)
+        assert getattr(within, f"{bound}_bound_holds")
+        assert not getattr(below, f"{bound}_bound_holds")
+
 
 class TestModularOracle:
     @pytest.mark.parametrize("weights", [

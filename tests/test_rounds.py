@@ -266,6 +266,41 @@ def test_static_graph_is_checked_once(monkeypatch, solver, n):
     assert calls == [n]
 
 
+class Recosted(StaticScenario):
+    """A static world that answers its cost queries itself and counts the
+    row queries; the driver cannot tell that its costs never change."""
+
+    row_queries = 0
+
+    def pair_costs(self, agents=None):
+        self.row_queries += agents is not None
+        return super().pair_costs(agents)
+
+
+@pytest.mark.parametrize("views_type", VIEWS)
+def test_static_allowed_mask_is_built_once(monkeypatch, views_type):
+    calls = []
+    rule = solvers.allowed_pairs
+
+    def counted(costs, budgets):
+        calls.append(costs.shape)
+        return rule(costs, budgets)
+
+    monkeypatch.setattr(solvers, "allowed_pairs", counted)
+    # Costs and budgets that rule pairs out, so the mask decides bids.
+    rng = np.random.default_rng(21)
+    oracle = TableOracle(rng.uniform(1.0, 3.0, size=5), rng.uniform(0.1, 0.9, size=(12, 5)))
+    arrays = dict(costs=rng.uniform(0.5, 1.5, size=(12, 5)), budgets=rng.uniform(0.6, 1.5, size=12))
+    carried = run_rounds(views_type, StaticScenario(oracle, **arrays))
+    assert len(carried.trace) >= 2
+    assert calls == [(12, 5)]
+    calls.clear()
+    scenario = Recosted(oracle, **arrays)
+    queried = run_rounds(views_type, scenario)
+    assert len(calls) == scenario.row_queries == len(queried.trace)
+    assert _run_record(queried) == _run_record(carried)
+
+
 class EditedInPlace(TurningGraph):
     """Every round ``adjacency()`` returns one writable graph, complete at
     first, which ``edit`` changes in place after round 1.  With ``fresh``

@@ -544,3 +544,19 @@ class TestTraceChecks:
             f"round 0: round increment {wrong!r} != "
             f"sum of gains {rec.groups[0].sum_deltas!r} for agents {agents}"
         ]
+
+    @pytest.mark.parametrize("field", ["component", "round"])
+    def test_increment_off_by_more_than_the_tolerance_fails(self, field):
+        res = self.four_agent_run()
+        rec = res.trace[0]
+        (group,) = rec.groups
+
+        def off_by(gap):
+            if field == "round":
+                return dataclasses.replace(rec, increment=rec.increment + gap)
+            return dataclasses.replace(rec, groups=(
+                dataclasses.replace(group, increment=group.increment + gap),))
+
+        assert check_allocation_trace([off_by(1e-10)] + res.trace[1:], res.policy).ok
+        check = check_allocation_trace([off_by(1e-8)] + res.trace[1:], res.policy)
+        assert [f.split(":")[1].split()[0] for f in check.failures] == [field]
