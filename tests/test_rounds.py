@@ -268,7 +268,7 @@ def test_static_graph_is_checked_once(monkeypatch, solver, n):
 
 class Recosted(StaticScenario):
     """A static world that answers its cost queries itself and counts the
-    row queries; the driver cannot tell that its costs never change."""
+    row queries; the round driver cannot tell that its costs never change."""
 
     row_queries = 0
 
