@@ -102,6 +102,8 @@ def cmd_verify_bounds(args: argparse.Namespace) -> int:
     print(f"half bound:      {report.half_passes}/{report.instances}")
     print(f"curvature bound: {report.curvature_passes}/{report.instances}")
     print(f"q-system bound:  {report.q_system_passes}/{report.instances}")
+    print(f"curvature threshold above 1/2: {report.curvature_above_half}/{report.instances}")
+    print(f"q-system threshold above 1/2:  {report.q_system_above_half}/{report.instances}")
     print(f"worst ratio: {report.worst_ratio:.6f}")
     if report.violations:
         for v in report.violations:

@@ -458,6 +458,10 @@ class BoundSuiteReport:
     half_passes: int
     curvature_passes: int
     q_system_passes: int
+    # Certificates whose curvature or q-system threshold is above 1/2; on
+    # the others that bound certifies no more than the 1/2 bound does.
+    curvature_above_half: int
+    q_system_above_half: int
     worst_ratio: float
     violations: list  # dicts with seed and thresholds
 
@@ -480,7 +484,7 @@ def verify_bound_suite(n_instances: int = 100, master_seed: int = 0) -> BoundSui
     the exact optimum on every instance."""
     _check_count("instances", n_instances, 1)
     _check_count("seed", master_seed, 0)
-    half = curv = qsys = 0
+    half = curv = qsys = curv_above = qsys_above = 0
     worst = math.inf
     violations = []
     for k in range(n_instances):
@@ -489,6 +493,8 @@ def verify_bound_suite(n_instances: int = 100, master_seed: int = 0) -> BoundSui
         half += cert.half_bound_holds
         curv += cert.curvature_bound_holds
         qsys += cert.q_system_bound_holds
+        curv_above += cert.curvature_threshold > 0.5
+        qsys_above += cert.q_system_threshold > 0.5
         worst = min(worst, cert.ratio)
         if not (cert.half_bound_holds and cert.curvature_bound_holds
                 and cert.q_system_bound_holds):
@@ -504,6 +510,8 @@ def verify_bound_suite(n_instances: int = 100, master_seed: int = 0) -> BoundSui
         half_passes=half,
         curvature_passes=curv,
         q_system_passes=qsys,
+        curvature_above_half=curv_above,
+        q_system_above_half=qsys_above,
         worst_ratio=worst,
         violations=violations,
     )

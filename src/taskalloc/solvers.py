@@ -122,9 +122,10 @@ class AllocationScenario:
     the world cannot serve (in the satellite world, one whose rendezvous
     deadline has passed) costs infinity.  In a protocol run only the round
     driver makes these queries: ``budgets`` once, and each round
-    ``pair_costs`` for the rows of the agents still bidding (a plain
-    ``StaticScenario`` once, for the whole table); the satellite world
-    computes only the rows it is asked for.
+    ``pair_costs`` for the rows of the agents still bidding and
+    ``adjacency``.  A world whose type is exactly ``StaticScenario`` is
+    asked for its whole cost table and its graph once per run instead.
+    The satellite world computes only the rows it is asked for.
     """
 
     n_agents: int
@@ -599,12 +600,6 @@ class AuctionViews:
 # The full protocol run
 # ---------------------------------------------------------------------------
 
-def _finalized_deltas(oracle: UtilityOracle, before: Policy,
-                      pairs: list[GroundElement]) -> list[tuple[int, int, float]]:
-    """(agent, target, marginal gain on ``before``) of each new pair."""
-    return [(el.agent, el.target, marginal_gain(oracle, before, el)) for el in pairs]
-
-
 def _round_groups(newly: list[tuple[int, int, float]], components: list[int],
                   before_utility: float, after) -> tuple[DecisionGroup, ...]:
     """Newly finalized agents grouped by component; ``before_utility`` is
@@ -668,12 +663,6 @@ def _held_pairs(claims: np.ndarray, mask: np.ndarray) -> list[GroundElement]:
     return [GroundElement(k + 1, j) for k, j in zip(rows.tolist(), claims[rows].tolist()) if j]
 
 
-def _frozen(array: np.ndarray) -> bool:
-    """Whether no one can write the array's values: it is read-only and
-    owns its data, so it is no view of a writable array."""
-    return not array.flags.writeable and array.flags.owndata
-
-
 # A run's phase clocks; ``components`` includes the work per distinct graph.
 PHASES = ("assignment", "communication", "implementation", "components", "bookkeeping")
 
@@ -706,8 +695,14 @@ def run_rounds(views_type, scenario: AllocationScenario,
     round 0, and scores every round, of ``scenario.default_horizon()`` at most.
 
     The driver alone queries the world and applies the allowed-pair rule;
-    the views only keep protocol state and decide.  The views and the
-    driver trade plain values, never state objects:
+    the views only keep protocol state and decide.  One test, made before
+    round 0, says what the driver reads once: a world whose type is
+    exactly ``StaticScenario`` is static, as no method of that class
+    changes its read-only costs, budgets or graph.  A static world's
+    N x M allowed mask is built once per run from ``pair_costs()``, and
+    its graph is read once, in round 0.  Any other world, a subclass
+    included, is asked for its cost rows and its graph each round.  The
+    views and the driver trade plain values, never state objects:
 
     - ``views_type(oracle)`` is built once, before round 0, and may
       tabulate its bids; the driver then reads ``scenario.budgets()``, once.
@@ -715,10 +710,7 @@ def run_rounds(views_type, scenario: AllocationScenario,
       bidders: ``rows`` are their 0-based ids, from the driver's ``done``
       vector, and row r of the boolean ``allowed`` is ``allowed_pairs`` of
       ``scenario.pair_costs(rows)`` and the start budgets for agent
-      ``rows[r]``.  A world whose type is exactly ``StaticScenario``, whose
-      read-only costs and budgets no method changes, has its N x M mask
-      built once per run from ``pair_costs()``, and each round passes its
-      rows; any other world, a subclass included, is queried each round.
+      ``rows[r]`` (on a static world, that row of the mask built once).
     - ``communicate(linked, components)`` is phase II over the round's
       graph and returns the exchanges it made: 1 for DGBA, the flooding
       sweeps for the auction.  ``linked`` is the boolean N x N array
@@ -731,18 +723,16 @@ def run_rounds(views_type, scenario: AllocationScenario,
       leave them as they are.
 
     The driver owns the graph: it checks, links, labels and counts the
-    directed edges of each distinct graph once, when it differs from the
-    last round's.  It compares the values of the two, except when the
-    scenario returns the very array it returned last round and that array
-    is read-only and owns its data (``_frozen``), as a ``StaticScenario``'s
-    is: then the graph cannot have changed.  A message is one agent's
-    state sent over one directed edge in one exchange, so a round's
-    ``messages`` is its exchanges times the graph's edges, and ``rounds``
-    sums the exchanges.  The ``(claims, done)`` vectors are the driver's
-    one allocation state, passed as they are to ``scenario.advance(claims)``
-    (phase III) and ``scenario.agent_costs(claims, done)``; records hold
-    the pairs each round finalized, and policies are built from the claims
-    in agent order.
+    directed edges of each distinct graph once.  The graph of a world that
+    is not static is compared by value each round with the driver's copy
+    of the last one, so a graph edited in place is seen.  A message is one
+    agent's state sent over one directed edge in one exchange, so a
+    round's ``messages`` is its exchanges times the graph's edges, and
+    ``rounds`` sums the exchanges.  The ``(claims, done)`` vectors are
+    the driver's one allocation state, passed as they are to
+    ``scenario.advance(claims)`` (phase III) and
+    ``scenario.agent_costs(claims, done)``; records hold the pairs each
+    round finalized, and policies are built from the claims in agent order.
 
     ``phase_times`` holds seconds per phase: the three protocol phases
     (``assignment`` includes building the views, the budget read and the
@@ -778,10 +768,10 @@ def run_rounds(views_type, scenario: AllocationScenario,
 
     views = views_type(oracle)
     budgets = scenario.budgets()
-    # A plain StaticScenario's costs and budgets cannot change: its mask is
-    # built once and its rows are indexed each round.
-    allowed = (allowed_pairs(scenario.pair_costs(), budgets)
-               if type(scenario) is StaticScenario else None)
+    # A plain StaticScenario cannot change: its mask is built once and its
+    # rows indexed each round, and its graph is read once, in round 0.
+    static = type(scenario) is StaticScenario
+    allowed = allowed_pairs(scenario.pair_costs(), budgets) if static else None
     claims, done = views.self_entries()
     lap("assignment")
     tally = _TableTally(oracle) if isinstance(oracle, TableOracle) else None
@@ -792,16 +782,16 @@ def run_rounds(views_type, scenario: AllocationScenario,
     lap("bookkeeping")
 
     for t in range(max_rounds):
-        adjacency = scenario.adjacency()
-        lap("implementation")
-        if not (adjacency is graph and _frozen(graph)) and (
-                graph is None or not np.array_equal(adjacency, graph)):
-            checked = _check_adjacency(adjacency, scenario.n_agents)
-            graph = checked if _frozen(checked) else np.array(checked)
-            linked = graph > 0
-            edges = int(np.count_nonzero(linked))
-            components = graph_components(linked)
-        lap("components")
+        if t == 0 or not static:
+            adjacency = scenario.adjacency()
+            lap("implementation")
+            if graph is None or not np.array_equal(adjacency, graph):
+                checked = _check_adjacency(adjacency, scenario.n_agents)
+                graph = checked if static else np.array(checked)
+                linked = graph > 0
+                edges = int(np.count_nonzero(linked))
+                components = graph_components(linked)
+            lap("components")
         before_utility, claims_before, done_before = utility, claims, done
         round_messages = 0
         # The agents still bidding (``nonzero`` costs less than
@@ -834,7 +824,7 @@ def run_rounds(views_type, scenario: AllocationScenario,
             # Three-factor gains depend on order: take them on agent-order policies.
             before = frozenset(_held_pairs(claims_before, done_before))
             policy = frozenset(_held_pairs(claims, done))
-            newly = _finalized_deltas(oracle, before, fresh)
+            newly = [(el.agent, el.target, marginal_gain(oracle, before, el)) for el in fresh]
             after = lambda members: oracle.evaluate(
                 before | frozenset(GroundElement(a, j) for a, j, _ in members))
         groups = _round_groups(newly, components, before_utility, after)

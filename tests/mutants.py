@@ -1,0 +1,121 @@
+"""Mutation checks: each entry below changes one piece of source text, and
+the tests must catch the change.
+
+For every entry the script copies the repository to a temporary directory,
+applies the replacement there and runs pytest with ``-x``: the covering
+test module first and, if that passes, the whole suite.  It fails when a
+mutant survives both runs, and when an entry's source text is not found
+exactly once in its file (the code moved, and the entry must follow it).
+Before any mutant, each covering module must pass on an unchanged copy,
+so that a copy the tests cannot run in kills no mutant.
+
+Run it from anywhere; it finds the repository from its own path:
+
+    python tests/mutants.py
+
+Tier-1 does not collect this file, as its name does not start with
+``test_``.
+"""
+
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+import time
+from pathlib import Path
+from typing import NamedTuple
+
+ROOT = Path(__file__).resolve().parent.parent
+# What building, testing and running leave in the tree; none of it is copied.
+SKIPPED = shutil.ignore_patterns(".git", "__pycache__", ".pytest_cache", ".hypothesis",
+                                 ".perfbench_out", ".benchmarks", "bench.out")
+
+
+class Mutant(NamedTuple):
+    path: str  # relative to the repository root
+    source: str  # found exactly once in the file
+    replacement: str
+    module: str  # the test module that covers it
+    reason: str  # what the mutant breaks
+
+
+MUTANTS = (
+    Mutant("src/taskalloc/solvers.py",
+           "static = type(scenario) is StaticScenario",
+           "static = isinstance(scenario, StaticScenario)",
+           "tests/test_rounds.py",
+           "a subclass may change its costs and graph, so only the exact type is read once"),
+    Mutant("src/taskalloc/solvers.py",
+           "if t == 0 or not static:",
+           "if True:",
+           "tests/test_rounds.py",
+           "a static world's graph is read once per run, not every round"),
+    Mutant("src/taskalloc/solvers.py",
+           "groups.setdefault(components[agent - 1], [])",
+           "groups.setdefault(components[0], [])",
+           "tests/test_rounds.py",
+           "each new pair joins the group of its own agent's component"),
+    Mutant("src/taskalloc/solvers.py",
+           "TRACE_TOL = 1e-9",
+           "TRACE_TOL = 1e-3",
+           "tests/test_solvers.py",
+           "a trace whose increments miss their gains by 1e-8 is refused"),
+    Mutant("src/taskalloc/core.py",
+           "BOUND_TOL = 1e-9",
+           "BOUND_TOL = 1e-2",
+           "tests/test_core.py",
+           "a ratio 1e-8 below a bound threshold fails the certificate"),
+)
+
+
+def pytest_fails(repo: Path, *args: str) -> bool:
+    env = dict(os.environ, PYTHONPATH="src")
+    done = subprocess.run([sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider",
+                           *args], cwd=repo, env=env, stdout=subprocess.DEVNULL,
+                          stderr=subprocess.DEVNULL)
+    return done.returncode != 0
+
+
+def copy_of_repo(tmp: str) -> Path:
+    repo = Path(tmp) / "repo"
+    shutil.copytree(ROOT, repo, ignore=SKIPPED)
+    return repo
+
+
+def check(mutant: Mutant) -> str:
+    """'killed by <what>', 'SURVIVED' or 'SOURCE NOT FOUND ONCE'."""
+    with tempfile.TemporaryDirectory() as tmp:
+        repo = copy_of_repo(tmp)
+        target = repo / mutant.path
+        text = target.read_text()
+        if text.count(mutant.source) != 1:
+            return "SOURCE NOT FOUND ONCE"
+        target.write_text(text.replace(mutant.source, mutant.replacement))
+        if pytest_fails(repo, mutant.module):
+            return f"killed by {mutant.module}"
+        if pytest_fails(repo):
+            return "killed by the whole suite"
+        return "SURVIVED"
+
+
+def main() -> int:
+    with tempfile.TemporaryDirectory() as tmp:
+        repo = copy_of_repo(tmp)
+        for module in dict.fromkeys(mutant.module for mutant in MUTANTS):
+            if pytest_fails(repo, module):
+                print(f"{module} fails on an unchanged copy; no mutant can be judged")
+                return 1
+    failed = 0
+    for mutant in MUTANTS:
+        start = time.perf_counter()
+        outcome = check(mutant)
+        failed += not outcome.startswith("killed")
+        print(f"{mutant.path}: {mutant.source!r} -> {mutant.replacement!r}: {outcome} "
+              f"({time.perf_counter() - start:.1f} s; {mutant.reason})", flush=True)
+    print(f"{len(MUTANTS) - failed}/{len(MUTANTS)} mutants killed")
+    return 1 if failed else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -250,6 +250,12 @@ class TestVerifyBoundsCommand:
         assert "15/15" in output
         assert "worst ratio" in output
 
+    def test_says_how_many_certificates_are_above_one_half(self, capsys):
+        assert main(["verify-bounds", "--instances", "100", "--seed", "0"]) == EXIT_OK
+        output = capsys.readouterr().out
+        assert "curvature threshold above 1/2: 11/100\n" in output
+        assert "q-system threshold above 1/2:  10/100\n" in output
+
     def test_exit_code_reserved_for_violations(self, monkeypatch, capsys):
         # A real instance on which DGBA reaches 0.484 of the optimum.
         failing = harness.random_bound_instance(8022498)

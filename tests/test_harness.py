@@ -437,6 +437,14 @@ class TestBoundSuite:
         assert violation["seed"] == 8022498
         assert violation["ratio"] == report.worst_ratio == pytest.approx(0.484, abs=1e-3)
 
+    def test_counts_certificates_above_one_half(self):
+        report = verify_bound_suite(n_instances=100, master_seed=0)
+        certs = [run_bound_instance(random_bound_instance(k)) for k in range(100)]
+        assert report.curvature_above_half == sum(c.curvature_threshold > 0.5 for c in certs) == 11
+        assert report.q_system_above_half == sum(c.q_system_threshold > 0.5 for c in certs) == 10
+        # A threshold of exactly 1/2 (a q-system argument of 1) is not above it.
+        assert any(c.q_system_threshold == 0.5 < c.curvature_threshold for c in certs)
+
     def test_small_suite_passes(self):
         report = verify_bound_suite(n_instances=25, master_seed=3)
         assert report.all_pass

@@ -1,10 +1,12 @@
 """The round driver's bookkeeping and graph handling, against references.
 
 ``reference_records`` recomputes every ``RoundRecord`` the plain way, from
-each round's claims in agent order: the policy as a fresh frozenset, its
-utility by ``oracle.evaluate``, the deltas by ``_finalized_deltas`` and the
-groups by ``_round_groups``, each group's utility by ``oracle.evaluate``.
-The driver must give the same bits, whether it kept a ``TableOracle``'s
+each round's claims in agent order, calling none of the driver's own
+helpers: the policy as a fresh frozenset, its utility by
+``oracle.evaluate``, each new pair's delta by ``marginal_gain``, the groups
+by the component labels of the round's graph, in order of each group's
+lowest agent, and each group's utility by ``oracle.evaluate``.  The driver
+must give the same bits, whether it kept a ``TableOracle``'s
 per-target tallies or fell back to the plain path after a target got three
 holders.
 """
@@ -18,7 +20,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from taskalloc import solvers
-from taskalloc.core import ContractViolation, GroundElement, ModularOracle, TableOracle
+from taskalloc.core import (
+    ContractViolation,
+    GroundElement,
+    ModularOracle,
+    TableOracle,
+    marginal_gain,
+)
 from taskalloc.harness import random_bound_instance
 from taskalloc.scenario import SatelliteScenario, ScenarioConfig, sample_scenario
 from taskalloc.solvers import (
@@ -26,9 +34,8 @@ from taskalloc.solvers import (
     ArrayViews,
     AuctionViews,
     ConfigurationError,
+    DecisionGroup,
     StaticScenario,
-    _finalized_deltas,
-    _round_groups,
     auction_baseline,
     dgba_run,
     graph_components,
@@ -54,8 +61,9 @@ def trace_policies(trace):
 
 def recorded_run(views_type, scenario):
     """``run_rounds`` with what the reference needs recorded per round: the
-    views' self-entries (once before round 0, then once per round), the
-    adjacency the scenario gave, and the summed cost, taken when the driver
+    views' self-entries (once before round 0, then once per round), each
+    adjacency the scenario gave (one per round, or one per run for a plain
+    ``StaticScenario``), and the summed cost, taken when the driver
     asks for its costs: the satellite world's accrued cost, or for a static
     world the cost table's entries at the agent-order policy's pairs."""
     entries, graphs, costs = [], [], []
@@ -96,13 +104,19 @@ def reference_records(oracle, entries, graphs, costs):
     done_before = entries[0][1]
     for t, (claims, done) in enumerate(entries[1:]):
         policy = agent_order_policy(claims, done)
-        newly = _finalized_deltas(oracle, before, [
-            GroundElement(k + 1, j) for k, j in enumerate(claims)
-            if done[k] and not done_before[k] and j != 0])
+        newly = [(k + 1, j, marginal_gain(oracle, before, GroundElement(k + 1, j)))
+                 for k, j in enumerate(claims) if done[k] and not done_before[k] and j != 0]
         utility = oracle.evaluate(policy)
-        groups = _round_groups(newly, graph_components(graphs[t]), before_utility,
-                               lambda ms: oracle.evaluate(before | frozenset(
-                                   GroundElement(a, j) for a, j, _ in ms)))
+        labels = graph_components(graphs[t])
+        groups = []
+        for label in dict.fromkeys(labels[a - 1] for a, _j, _d in newly):
+            members = [(a, j, d) for a, j, d in newly if labels[a - 1] == label]
+            groups.append(DecisionGroup(
+                agents=tuple(a for a, _j, _d in members),
+                targets=tuple(j for _a, j, _d in members),
+                sum_deltas=sum(d for _a, _j, d in members),
+                increment=oracle.evaluate(before | frozenset(
+                    GroundElement(a, j) for a, j, _d in members)) - before_utility))
         out.append((policy, newly, groups, utility - before_utility, utility, costs[t]))
         before, before_utility, done_before = policy, utility, done
     return out
@@ -112,13 +126,16 @@ def assert_records_match_reference(views_type, scenario):
     """Runs the scenario and checks every record field by ``repr``; returns
     the result."""
     oracle, res, entries, graphs, costs = recorded_run(views_type, scenario)
+    if type(scenario) is StaticScenario:  # its graph is read once, in round 0
+        assert len(graphs) == 1
+        graphs = graphs * len(res.trace)
     assert len(entries) == len(res.trace) + 1 == len(graphs) + 1 == len(costs) + 1
     for rec, held, (policy, newly, groups, inc, utility, cost) in zip(
             res.trace, trace_policies(res.trace),
             reference_records(oracle, entries, graphs, costs)):
         assert held == policy
         assert repr(rec.newly_finalized) == repr(tuple(newly))
-        assert repr(rec.groups) == repr(groups)
+        assert repr(rec.groups) == repr(tuple(groups))
         assert repr(rec.increment) == repr(inc)
         assert repr(rec.utility) == repr(utility)
         assert repr(rec.cumulative_cost) == repr(cost)
@@ -348,6 +365,54 @@ def test_graph_edited_in_place_is_compared_by_value(views_type):
     unedited = run_rounds(views_type, EditedInPlace(n, lambda graph: None))
     assert edited.trace[2].messages < unedited.trace[2].messages
     assert _run_record(edited) != _run_record(unedited)
+
+
+class Rewired(StaticScenario):
+    """A static world that, after round 0, makes its own read-only graph
+    writable, cuts the edge from agent 1 to agent 2 one way, and makes the
+    graph read-only again: ``adjacency()`` returns the same array, which
+    is now asymmetric."""
+
+    def advance(self, claims):
+        self._adjacency.flags.writeable = True
+        self._adjacency[0, 1] = 0.0
+        self._adjacency.flags.writeable = False
+
+
+@pytest.mark.parametrize("views_type", VIEWS)
+def test_subclass_rewiring_its_read_only_graph_is_refused(views_type):
+    n = 10
+    oracle = TableOracle(np.arange(n, 0, -1.0), np.full((n, n), 0.5))
+    with pytest.raises(ContractViolation, match="symmetric"):
+        run_rounds(views_type, Rewired(oracle))
+
+
+def counted_adjacency(scenario):
+    """Wraps ``scenario.adjacency`` in an instance attribute, which leaves
+    the scenario's type as it is; returns the list its calls append to."""
+    calls, query = [], scenario.adjacency
+
+    def counted():
+        calls.append(None)
+        return query()
+
+    scenario.adjacency = counted
+    return calls
+
+
+@pytest.mark.parametrize("views_type", VIEWS)
+def test_static_graph_is_read_once_and_others_each_round(views_type):
+    turning = TurningGraph(10, None, bad_from=math.inf)
+    plain = StaticScenario(turning.oracle())
+    calls = counted_adjacency(plain)
+    assert type(plain) is StaticScenario
+    static = run_rounds(views_type, plain)
+    assert len(static.trace) >= 3
+    assert len(calls) == 1
+    calls = counted_adjacency(turning)
+    each_round = run_rounds(views_type, turning)
+    assert len(calls) == len(each_round.trace)
+    assert _run_record(each_round) == _run_record(static)
 
 
 @pytest.mark.parametrize("views_type", VIEWS)
