@@ -204,6 +204,16 @@ class BoundCertificate:
     q: float
     xi_argument: int
 
+    # Whether a threshold is above 1/2; at exactly 1/2 or below, that bound
+    # certifies no more than the 1/2 bound does.
+    @property
+    def curvature_above_half(self) -> bool:
+        return self.curvature_threshold > 0.5
+
+    @property
+    def q_system_above_half(self) -> bool:
+        return self.q_system_threshold > 0.5
+
 
 def bound_certificate(achieved: float, optimal: float, kappa_e: float,
                       q: float, n_agents: int) -> BoundCertificate:

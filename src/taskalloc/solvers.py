@@ -60,10 +60,11 @@ TRACE_TOL = 1e-9  # largest increment-to-gains gap check_allocation_trace accept
 # Team size from which dgba_run keeps the views as arrays rather than
 # per-agent lists.  Median time per run on complete-graph TableOracle
 # instances with N = M, medians of three interleaved runs (shared 2-CPU
-# Xeon, Python 3.11, numpy 2.4, one thread); N = 8 and 9 are within noise:
+# Xeon, Python 3.11, numpy 2.4, one thread).  N = 8 is a tie here; on
+# other instances arrays led there by up to 12%, and lists led at N = 7:
 #   N          4      6      8      9     10     12     16
-#   lists    290    411    525    557    693    865   1299 us
-#   arrays   376    507    491    604    550    681    762 us
+#   lists    182    206    404    327    434    605    777 us
+#   arrays   211    216    405    321    396    411    428 us
 ARRAY_VIEWS_MIN_AGENTS = 9
 
 
@@ -143,9 +144,11 @@ class AllocationScenario:
 
     def pair_cost_row(self, agent: int) -> list[float]:
         """All pair costs of one agent, indexable by target - 1.  Nothing in
-        the library or its tests calls it; it stays only because the
-        benchmark's tracer wraps ``SatelliteScenario.pair_cost_row`` (ROADMAP
-        item 6), and goes together with that wrap."""
+        the library calls it, and only its own test does
+        (``test_scenario.py::test_pair_cost_row_is_a_row_of_pair_costs``);
+        it stays only because the benchmark's tracer wraps
+        ``SatelliteScenario.pair_cost_row`` (ROADMAP item 6), and goes,
+        with that test, together with that wrap."""
         return self.pair_costs()[agent - 1].tolist()
 
     def budgets(self) -> np.ndarray:

@@ -66,6 +66,53 @@ MUTANTS = (
            "BOUND_TOL = 1e-2",
            "tests/test_core.py",
            "a ratio 1e-8 below a bound threshold fails the certificate"),
+    Mutant("src/taskalloc/solvers.py",
+           "g = gains[j]\n        if g > best_gain:",
+           "g = gains[j]\n        if g >= best_gain:",
+           "tests/test_solvers.py",
+           "per-agent phase I breaks equal gains toward the lowest target id"),
+    Mutant("src/taskalloc/solvers.py",
+           "best = bids.argmax(axis=1)  # first maximum: lowest target id\n"
+           "        bid = bids[r, best]",
+           "best = bids.shape[1] - 1 - bids[:, ::-1].argmax(axis=1)\n"
+           "        bid = bids[r, best]",
+           "tests/test_views.py",
+           "array phase I breaks equal bids toward the lowest target id"),
+    Mutant("src/taskalloc/solvers.py",
+           "(-b[k], k)",
+           "(-b[k], -k)",
+           "tests/test_solvers.py",
+           "per-agent phase II breaks equal bids toward the lowest agent id"),
+    Mutant("src/taskalloc/solvers.py",
+           "winner = np.where(holders, self.b, -np.inf).argmax(axis=1)",
+           "winner = self.b.shape[1] - 1 - np.where(holders, self.b, -np.inf)[:, ::-1].argmax(axis=1)",
+           "tests/test_views.py",
+           "array phase II breaks equal bids toward the lowest agent id"),
+    Mutant("src/taskalloc/solvers.py",
+           "if u > best_utility:",
+           "if u >= best_utility:",
+           "tests/test_search.py",
+           "the exact search keeps the first optimal mapping in lexicographic order"),
+    Mutant("src/taskalloc/solvers.py",
+           "if g > best_gain:\n                best_el",
+           "if g >= best_gain:\n                best_el",
+           "tests/test_search.py",
+           "the greedy takes only a strictly better pair, the first in ground-set order"),
+    Mutant("src/taskalloc/solvers.py",
+           "(costs <= budgets[:, None])",
+           "(costs < budgets[:, None])",
+           "tests/test_solvers.py",
+           "a pair whose cost equals the agent's budget is allowed"),
+    Mutant("src/taskalloc/solvers.py",
+           "self.holders[j - 1] < 3",
+           "self.holders[j - 1] < 4",
+           "tests/test_rounds.py",
+           "a target's third holder makes the round tally fall back to evaluate"),
+    Mutant("src/taskalloc/scenario.py",
+           "(x[..., 0] + x[..., 1]) + x[..., 2]",
+           "x[..., 0] + (x[..., 1] + x[..., 2])",
+           "tests/test_world.py",
+           "row sums add in np.sum's order, so cost bits match the reference"),
 )
 
 

@@ -213,6 +213,30 @@ class TestRunExperiment:
         assert all(c is not None for c in certs)
         assert all(c.half_bound_holds for c in certs)
 
+    def test_aggregates_count_certificates_above_one_half(self):
+        # With one target kappa_e < 1, so both thresholds are above 1/2;
+        # with three, kappa_e = 1 and both are exactly 1/2.
+        config = small_config(sizes=[(3, 3), (3, 1)], solvers=["dgba", "exact"])
+        res = run_experiment(config)
+        counts = {}
+        for size_index, (n, m) in enumerate(config.sizes):
+            certs = []
+            for draw in range(config.draws):
+                base = harness.sample_draw(config, size_index, draw)
+                final = {r.solver: r.final_utility for r in res.metrics
+                         if r.draw == draw and (r.n_agents, r.n_targets) == (n, m)}
+                certs.append(harness._certify(base.oracle(), base.pair_costs().tolist(),
+                                              final["dgba"], final["exact"]))
+            agg = res.aggregates[f"dgba/N{n}M{m}"]
+            counts[n, m] = (agg["certificates_curvature_above_half"],
+                            agg["certificates_q_system_above_half"])
+            assert counts[n, m] == (sum(c.curvature_threshold > 0.5 for c in certs),
+                                    sum(c.q_system_threshold > 0.5 for c in certs))
+            exact = res.aggregates[f"exact/N{n}M{m}"]
+            assert exact["certificates_curvature_above_half"] == 0
+            assert exact["certificates_q_system_above_half"] == 0
+        assert counts == {(3, 3): (0, 0), (3, 1): (3, 3)}
+
     def test_aggregates_match_metrics(self):
         res = run_experiment(small_config())
         agg = res.aggregates["dgba/N3M3"]

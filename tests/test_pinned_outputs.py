@@ -2,10 +2,11 @@
 
 The default experiment must write a ``series.csv`` with a fixed sha256 and
 a ``summary.json`` equal to ``tests/data/default_summary.json`` (wall and
-phase times left out).  The benchmark's per-workload digests, which
-``perfbench/run.py`` computes over each workload's fixed instance list,
-must equal those committed in ``perfbench/baseline.json``; here they are
-recomputed the same way, through ``perfbench/workloads.py``, untimed.
+phase times left out).  The benchmark's per-workload digests for seeds
+1-5, which ``perfbench/run.py`` computes over each workload's fixed
+instance list, must equal those committed in ``perfbench/baseline.json``;
+here they are recomputed the same way, through ``perfbench/workloads.py``,
+untimed.
 """
 
 import hashlib
@@ -41,11 +42,10 @@ def test_default_run_writes_the_pinned_outputs(tmp_path, capsys):
     assert got == json.loads((ROOT / "tests" / "data" / "default_summary.json").read_text())
 
 
-# Seed 1 of each workload, and satellite-mc seed 4, whose op 17 has a
-# target with three holders.
-@pytest.mark.parametrize("workload, seed", [
-    ("static-dense", 1), ("satellite-mc", 1), ("bound-suite", 1), ("satellite-mc", 4),
-])
+# Seeds 1-5 of each workload.  satellite-mc seed 4's op 17 has a target
+# with three holders.
+@pytest.mark.parametrize("seed", [1, 2, 3, 4, 5])
+@pytest.mark.parametrize("workload", ["static-dense", "satellite-mc", "bound-suite"])
 def test_benchmark_digest_equals_the_baseline(workload, seed, tmp_path, monkeypatch):
     workloads = _workloads()
     # The capture rebinds dgba_run in both namespaces; pytest restores them.

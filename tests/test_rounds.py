@@ -206,6 +206,18 @@ def test_three_holders_in_a_later_round_match_reference():
         assert most_holders(res.policy) == 3  # agent 3's, in a later round
 
 
+def test_three_holders_in_one_round_match_reference():
+    # Three isolated agents take the one target in round 0.  With these
+    # probabilities, a product of the three miss factors taken in the
+    # tally's order has other bits than ``evaluate``'s, so the driver must
+    # leave the tallies at the third holder.
+    oracle = TableOracle([1.0], [[0.26], [0.44], [0.13]])
+    for views_type in VIEWS:
+        res = assert_records_match_reference(
+            views_type, StaticScenario(oracle, adjacency=np.zeros((3, 3))))
+        assert most_holders(res.policy) == 3
+
+
 def test_modular_oracle_records_match_reference():
     rng = np.random.default_rng(8)
     oracle = ModularOracle(rng.choice([0.5, 1.0, 1.5], size=(10, 4)).tolist())
