@@ -199,8 +199,10 @@ def build_parser() -> argparse.ArgumentParser:
                     "reference kernels, the grid sizes taking turns, and fit each "
                     "size's median to a + b*N^2 + c*N*M.  dgba_run runs teams of "
                     f"{ARRAY_VIEWS_MIN_AGENTS} or more agents on array views "
-                    "instead, whose round time is nearly flat over the grid; "
-                    "that round is not what is timed here.")
+                    "instead (L x N view rows, or on a plain static world with a "
+                    "complete graph the broadcast self-entries alone), whose "
+                    "round time is nearly flat over the grid; that round is not "
+                    "what is timed here.")
     sc.add_argument("--grid", nargs="*", metavar="NxM",
                     help="sizes to measure, e.g. 5x5 10x10 (default full grid)")
     sc.add_argument("--rounds", type=int, default=50)

@@ -9,13 +9,16 @@ exchange self-entries with neighbors and resolve claims on the same target
 in favor of the highest bid (phase II), and the world state advances
 (phase III).  Once an agent's ``f`` self-entry is set it never changes.
 
-One round driver, ``run_rounds``, runs the protocol over either of two
+One round driver, ``run_rounds``, runs the protocol over any of three
 exact implementations of the views: ``AgentViews`` keeps one
 ``BundleState`` per agent and runs the per-agent phase kernels (the
 reference, and the faster one for small teams); ``ArrayViews`` keeps the
 views of the agents not yet finalized as the rows of L x N arrays, and
-runs each phase as a few array operations.  A finalized agent stops
-listening: no one reads its view again.  ``dgba_run`` picks by team size.
+runs each phase as a few array operations; ``CompleteGraphViews``, for a
+complete graph only, keeps no view rows at all, because there every live
+view is the broadcast with one conflict resolved.  A finalized agent
+stops listening: no one reads its view again.  ``dgba_run`` picks by team
+size and, for a world that cannot change, by its graph.
 
 Baselines: a centralized sequential greedy, a pruned exact search, and
 a simplified flooding auction, which the same driver runs over its own
@@ -57,14 +60,19 @@ class ConfigurationError(ValueError):
 EXACT_SEARCH_CAP = 10 ** 7
 TRACE_TOL = 1e-9  # largest increment-to-gains gap check_allocation_trace accepts
 
-# Team size from which dgba_run keeps the views as arrays rather than
-# per-agent lists.  Median time per run on complete-graph TableOracle
-# instances with N = M, medians of three interleaved runs (shared 2-CPU
-# Xeon, Python 3.11, numpy 2.4, one thread).  N = 8 is a tie here; on
-# other instances arrays led there by up to 12%, and lists led at N = 7:
+# Team size from which dgba_run keeps the views as arrays
+# (``ArrayViews``, or ``CompleteGraphViews`` on a plain static world whose
+# graph is complete) rather than per-agent lists.  Median time per run of
+# lists and ``ArrayViews`` on complete-graph TableOracle instances with
+# N = M, medians of three interleaved runs (shared 2-CPU Xeon, Python
+# 3.11, numpy 2.4, one thread).  N = 8 is a tie here; on other instances
+# arrays led there by up to 12%, and lists led at N = 7:
 #   N          4      6      8      9     10     12     16
 #   lists    182    206    404    327    434    605    777 us
 #   arrays   211    216    405    321    396    411    428 us
+# On the same machine ``CompleteGraphViews`` took 0.88-0.92 of
+# ``ArrayViews``' time per run at N = 6-12 (five instances per N), so on
+# the worlds it serves the crossover is no higher.
 ARRAY_VIEWS_MIN_AGENTS = 9
 
 
@@ -183,7 +191,9 @@ class StaticScenario(AllocationScenario):
     given), N budgets (all infinite unless given) and communication graph
     (complete unless given).  The scenario keeps its own copies of the
     arrays it is given and makes them read-only, so the queries return the
-    same unchanging arrays every time."""
+    same unchanging arrays every time.  ``complete`` says whether every
+    pair of distinct agents is linked; it is decided here, once, and only
+    ``dgba_run`` reads it, for a world of exactly this type."""
 
     def __init__(self, oracle: UtilityOracle,
                  costs: Optional[Sequence[Sequence[float]]] = None,
@@ -195,8 +205,12 @@ class StaticScenario(AllocationScenario):
         self._budgets = np.full(n, math.inf) if budgets is None else np.array(budgets, dtype=float)
         if (self._costs.shape, self._budgets.shape) != ((n, m), (n,)):
             raise ConfigurationError("cost table or budgets do not match the oracle's N x M")
-        self._adjacency = (1.0 - np.eye(n) if adjacency is None
-                           else np.array(adjacency, dtype=float))
+        if adjacency is None:
+            self._adjacency, self.complete = 1.0 - np.eye(n), True
+        else:
+            self._adjacency = np.array(adjacency, dtype=float)
+            # Links are the entries > 0; a run refuses a nonzero diagonal.
+            self.complete = np.count_nonzero(self._adjacency > 0) == n * (n - 1)
         for table in (self._costs, self._budgets, self._adjacency):
             table.flags.writeable = False
 
@@ -359,7 +373,7 @@ def graph_components(adjacency: np.ndarray) -> list[int]:
 
 
 # ---------------------------------------------------------------------------
-# Views: DGBA's two exact implementations, and the auction's state
+# Views: DGBA's three exact implementations, and the auction's state
 # ---------------------------------------------------------------------------
 
 def _gain_table(oracle: UtilityOracle, none: float) -> np.ndarray:
@@ -453,11 +467,11 @@ class ArrayViews:
             raise ContractViolation("phase I rows are not the live agents")
         r = np.arange(rows.size)
         # Each row's bids, -inf where the target is not allowed or another
-        # agent holds it in the view.  Every live self-entry is rewritten
-        # below, so the own entries are cleared in place first; the held
-        # "none" entries land on column 0, which is -inf already.  Before
-        # the first exchange no view holds a claim, and nothing is masked.
-        self.w[r, rows] = 0
+        # agent holds it in the view.  A live agent's own entry is 0 (after
+        # each exchange a live agent has lost or withdrawn its claim), and
+        # the held "none" entries land on column 0, which is -inf already.
+        # Before the first exchange no view holds a claim, and nothing is
+        # masked.
         bids = self.bids[rows]
         np.copyto(bids[:, 1:], -np.inf, where=~allowed)
         if self.w.any():
@@ -507,6 +521,70 @@ class ArrayViews:
             keep = ~finals
             self.live = live[keep]
             self.w, self.b, self.f = self.w[keep], self.b[keep], self.f[keep]
+        return 1
+
+
+class CompleteGraphViews:
+    """Team-wide views on a complete graph, kept as the broadcast alone:
+    the N-vectors ``self_w``, ``self_b`` and ``self_f`` of every agent's
+    self-entries, the M-vector ``held`` (the targets held in every live
+    agent's view) and the bid table ``bids`` of ``ArrayViews``.  The
+    state is 3N + M entries besides the bid table, whatever L is.
+
+    It is exact because every live agent hears every other agent in each
+    exchange: after phase II a live agent's view is the broadcast with only
+    its own target's conflict resolved.  A live agent has lost or withdrawn
+    its claim by then, so its own entry is 0, and the targets held in its
+    view are exactly the nonzero broadcast claims, the same set for every
+    live agent.  Each phase gives the self-entries of ``AgentViews``, bids
+    to the last bit; ``communicate`` refuses a graph that is not complete.
+    """
+
+    def __init__(self, oracle: UtilityOracle):
+        n = oracle.n_agents
+        self.self_w = np.zeros(n, dtype=np.int32)
+        self.self_b = np.zeros(n)
+        self.self_f = np.zeros(n, dtype=bool)
+        self.held = np.zeros(oracle.n_targets, dtype=bool)
+        self.bids = _gain_table(oracle, -np.inf)
+
+    def self_entries(self) -> tuple[np.ndarray, np.ndarray]:
+        return self.self_w.astype(np.intp), self.self_f.copy()
+
+    def assign(self, rows: np.ndarray, allowed: np.ndarray) -> None:
+        """Phase I with the rules and arguments of ``AgentViews.assign``:
+        each row's bids, -inf where the target is not allowed or is held,
+        and the first maximum, so ties go to the lowest target id."""
+        bids = self.bids[rows]
+        np.copyto(bids[:, 1:], -np.inf, where=~allowed | self.held)
+        claim = bids.argmax(axis=1)
+        bid = bids[np.arange(rows.size), claim]
+        idle = claim == 0  # nothing available: finalize with an empty claim
+        bid[idle] = 0.0
+        self.self_w[rows], self.self_b[rows], self.self_f[rows] = claim, bid, idle
+
+    def communicate(self, linked: np.ndarray, components: Sequence[int]) -> int:
+        """Phase II with the rules of ``dgba_communication_phase``, each
+        target resolved once over its claimers; returns 1, the exchanges
+        made."""
+        n = self.self_w.size
+        if np.count_nonzero(linked) != n * (n - 1):
+            raise ContractViolation("complete-graph views need every pair of agents linked")
+        claimers = np.flatnonzero((self.self_w != 0) & ~self.self_f)
+        targets = self.self_w[claimers]
+        # A claim on a target a finalized agent holds is withdrawn.  Of the
+        # rest, per target, the highest bid wins, ties to the lowest agent id.
+        contest = ~self.held[targets - 1]
+        agents, targets = claimers[contest], targets[contest]
+        order = np.lexsort((agents, -self.self_b[agents], targets))
+        ranked = targets[order]
+        first = np.ones(ranked.size, dtype=bool)
+        first[1:] = ranked[1:] != ranked[:-1]
+        self.self_f[agents[order[first]]] = True
+        losers = claimers[~self.self_f[claimers]]
+        self.self_w[losers] = 0
+        self.self_b[losers] = 0.0
+        self.held[targets - 1] = True
         return 1
 
 
@@ -670,6 +748,13 @@ def _held_pairs(claims: np.ndarray, mask: np.ndarray) -> list[GroundElement]:
 PHASES = ("assignment", "communication", "implementation", "components", "bookkeeping")
 
 
+def _is_static(scenario: AllocationScenario) -> bool:
+    """Whether a world cannot change during a run: its type is exactly
+    ``StaticScenario``, no method of which changes its read-only costs,
+    budgets or graph.  A subclass may, so it is not static."""
+    return type(scenario) is StaticScenario
+
+
 def dgba_run(scenario: AllocationScenario,
              constraints: Optional[IndependenceSystem] = None) -> SolverResult:
     """Run the distributed bundles protocol to completion.
@@ -682,30 +767,39 @@ def dgba_run(scenario: AllocationScenario,
     oracle as it is when the run starts, so the per-round increment
     identities hold even while the world moves underneath.
 
-    Teams of ``ARRAY_VIEWS_MIN_AGENTS`` or more keep their views as arrays
-    (``ArrayViews``), smaller ones per agent (``AgentViews``); the results
-    are the same either way.
+    Teams of ``ARRAY_VIEWS_MIN_AGENTS`` or more keep their views as arrays,
+    smaller ones per agent (``AgentViews``).  Of the array forms, a static
+    world (type exactly ``StaticScenario``) whose graph is complete gets
+    ``CompleteGraphViews``, which keeps the broadcast alone; every other
+    world gets ``ArrayViews``.  The results are the same either way.
     """
-    views = ArrayViews if scenario.n_agents >= ARRAY_VIEWS_MIN_AGENTS else AgentViews
+    if scenario.n_agents < ARRAY_VIEWS_MIN_AGENTS:
+        views = AgentViews
+    elif _is_static(scenario) and scenario.complete:
+        views = CompleteGraphViews
+    else:
+        views = ArrayViews
     return run_rounds(views, scenario, constraints)
 
 
 def run_rounds(views_type, scenario: AllocationScenario,
                constraints: Optional[IndependenceSystem] = None) -> SolverResult:
     """The round driver of both distributed solvers, over the given views
-    type: ``AgentViews`` or ``ArrayViews`` for ``dgba_run``, ``AuctionViews``
-    for ``auction_baseline``.  The scenario's oracle is read once, before
-    round 0, and scores every round, of ``scenario.default_horizon()`` at most.
+    type: ``AgentViews``, ``ArrayViews`` or ``CompleteGraphViews`` for
+    ``dgba_run``, ``AuctionViews`` for ``auction_baseline``.  The
+    scenario's oracle is read once, before round 0, and scores every round,
+    of ``scenario.default_horizon()`` at most.
 
     The driver alone queries the world and applies the allowed-pair rule;
     the views only keep protocol state and decide.  One test, made before
     round 0, says what the driver reads once: a world whose type is
-    exactly ``StaticScenario`` is static, as no method of that class
-    changes its read-only costs, budgets or graph.  A static world's
-    N x M allowed mask is built once per run from ``pair_costs()``, and
-    its graph is read once, in round 0.  Any other world, a subclass
-    included, is asked for its cost rows and its graph each round.  The
-    views and the driver trade plain values, never state objects:
+    exactly ``StaticScenario`` is static (``_is_static``, which ``dgba_run``
+    asks too), as no method of that class changes its read-only costs,
+    budgets or graph.  A static world's N x M allowed mask is built once
+    per run from ``pair_costs()``, and its graph is read once, in round 0.
+    Any other world, a subclass included, is asked for its cost rows and
+    its graph each round.  The views and the driver trade plain values,
+    never state objects:
 
     - ``views_type(oracle)`` is built once, before round 0, and may
       tabulate its bids; the driver then reads ``scenario.budgets()``, once.
@@ -773,7 +867,7 @@ def run_rounds(views_type, scenario: AllocationScenario,
     budgets = scenario.budgets()
     # A plain StaticScenario cannot change: its mask is built once and its
     # rows indexed each round, and its graph is read once, in round 0.
-    static = type(scenario) is StaticScenario
+    static = _is_static(scenario)
     allowed = allowed_pairs(scenario.pair_costs(), budgets) if static else None
     claims, done = views.self_entries()
     lap("assignment")

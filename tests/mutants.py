@@ -42,10 +42,25 @@ class Mutant(NamedTuple):
 
 MUTANTS = (
     Mutant("src/taskalloc/solvers.py",
-           "static = type(scenario) is StaticScenario",
-           "static = isinstance(scenario, StaticScenario)",
+           "return type(scenario) is StaticScenario",
+           "return isinstance(scenario, StaticScenario)",
            "tests/test_rounds.py",
            "a subclass may change its costs and graph, so only the exact type is read once"),
+    Mutant("src/taskalloc/solvers.py",
+           "elif _is_static(scenario) and",
+           "elif isinstance(scenario, StaticScenario) and",
+           "tests/test_views.py",
+           "dgba_run gives a subclass of StaticScenario the L x N array views"),
+    Mutant("src/taskalloc/solvers.py",
+           "_is_static(scenario) and scenario.complete:",
+           "_is_static(scenario):",
+           "tests/test_views.py",
+           "dgba_run gives the complete-graph views only to a world whose graph is complete"),
+    Mutant("src/taskalloc/solvers.py",
+           "np.count_nonzero(self._adjacency > 0)",
+           "np.count_nonzero(self._adjacency != 0)",
+           "tests/test_views.py",
+           "a negative weight is a missing link, so such a graph is not complete"),
     Mutant("src/taskalloc/solvers.py",
            "if t == 0 or not static:",
            "if True:",
@@ -88,6 +103,41 @@ MUTANTS = (
            "winner = self.b.shape[1] - 1 - np.where(holders, self.b, -np.inf)[:, ::-1].argmax(axis=1)",
            "tests/test_views.py",
            "array phase II breaks equal bids toward the lowest agent id"),
+    Mutant("src/taskalloc/solvers.py",
+           "np.lexsort((agents, -self.self_b[agents], targets))",
+           "np.lexsort((-agents, -self.self_b[agents], targets))",
+           "tests/test_views.py",
+           "complete-graph phase II breaks equal bids toward the lowest agent id"),
+    Mutant("src/taskalloc/solvers.py",
+           "if any(f[k] for k in holders if k != i):",
+           "if False:",
+           "tests/test_views.py",
+           "per-agent phase II withdraws a claim on a target a finalized agent holds"),
+    Mutant("src/taskalloc/solvers.py",
+           "yields = (holders & self.f).any(axis=1)",
+           "yields = np.zeros(live.size, dtype=bool)",
+           "tests/test_views.py",
+           "array phase II withdraws a claim on a target a finalized agent holds"),
+    Mutant("src/taskalloc/solvers.py",
+           "contest = ~self.held[targets - 1]",
+           "contest = np.ones(targets.size, dtype=bool)",
+           "tests/test_views.py",
+           "complete-graph phase II withdraws a claim on a target a finalized agent holds"),
+    Mutant("src/taskalloc/solvers.py",
+           "if self_f[i]:\n            continue",
+           "if False:\n            continue",
+           "tests/test_views.py",
+           "an agent finalized before the exchange no longer listens, so its claim stands"),
+    Mutant("src/taskalloc/solvers.py",
+           'np.argsort(-bid[placed], kind="stable")',
+           "np.lexsort((-np.arange(placed.sum()), -bid[placed]))",
+           "tests/test_views.py",
+           "the auction ranks equal bids toward the lowest agent id"),
+    Mutant("src/taskalloc/solvers.py",
+           "self.done[rows[~placed]] = True",
+           "self.done[rows[~placed]] = False",
+           "tests/test_views.py",
+           "an auction bidder with no positive bid is done, with no target"),
     Mutant("src/taskalloc/solvers.py",
            "if u > best_utility:",
            "if u >= best_utility:",

@@ -32,6 +32,7 @@ from taskalloc.scenario import SatelliteScenario, ScenarioConfig, sample_scenari
 from taskalloc.solvers import (
     AgentViews,
     ArrayViews,
+    CompleteGraphViews,
     AuctionViews,
     ConfigurationError,
     DecisionGroup,
@@ -43,6 +44,9 @@ from taskalloc.solvers import (
 )
 
 VIEWS = (AgentViews, ArrayViews, AuctionViews)
+# The views types for worlds whose graph stays complete (or turns
+# malformed); ``CompleteGraphViews`` refuses any other graph.
+ON_COMPLETE_GRAPHS = VIEWS + (CompleteGraphViews,)
 
 
 def agent_order_policy(claims, done):
@@ -269,7 +273,7 @@ def _self_loop(n):
     return adjacency
 
 
-@pytest.mark.parametrize("views_type", VIEWS)
+@pytest.mark.parametrize("views_type", ON_COMPLETE_GRAPHS)
 @pytest.mark.parametrize("bad", [_asymmetric, _self_loop])
 def test_graph_turning_bad_at_round_two_is_rejected(views_type, bad):
     n = 10
@@ -279,9 +283,16 @@ def test_graph_turning_bad_at_round_two_is_rejected(views_type, bad):
     assert scenario.round == 2
 
 
-@pytest.mark.parametrize("solver, n", [(dgba_run, 4), (dgba_run, 12), (auction_baseline, 12)],
-                         ids=["agent-views", "array-views", "auction"])
-def test_static_graph_is_checked_once(monkeypatch, solver, n):
+def _plain(n, bad, bad_from):
+    """A plain ``StaticScenario`` with ``TurningGraph``'s oracle."""
+    return StaticScenario(TurningGraph(n, bad, bad_from).oracle())
+
+
+@pytest.mark.parametrize("solver, n, world", [
+    (dgba_run, 4, TurningGraph), (dgba_run, 12, TurningGraph), (dgba_run, 12, _plain),
+    (auction_baseline, 12, TurningGraph),
+], ids=["agent-views", "array-views", "complete-graph-views", "auction"])
+def test_static_graph_is_checked_once(monkeypatch, solver, n, world):
     calls = []
     check = solvers._check_adjacency
 
@@ -290,7 +301,7 @@ def test_static_graph_is_checked_once(monkeypatch, solver, n):
         return check(adjacency, size)
 
     monkeypatch.setattr(solvers, "_check_adjacency", counted)
-    res = solver(TurningGraph(n, None, bad_from=math.inf))
+    res = solver(world(n, None, bad_from=math.inf))
     assert len(res.trace) >= 3
     assert calls == [n]
 
@@ -306,7 +317,7 @@ class Recosted(StaticScenario):
         return super().pair_costs(agents)
 
 
-@pytest.mark.parametrize("views_type", VIEWS)
+@pytest.mark.parametrize("views_type", ON_COMPLETE_GRAPHS)
 def test_static_allowed_mask_is_built_once(monkeypatch, views_type):
     calls = []
     rule = solvers.allowed_pairs
@@ -412,7 +423,7 @@ def counted_adjacency(scenario):
     return calls
 
 
-@pytest.mark.parametrize("views_type", VIEWS)
+@pytest.mark.parametrize("views_type", ON_COMPLETE_GRAPHS)
 def test_static_graph_is_read_once_and_others_each_round(views_type):
     turning = TurningGraph(10, None, bad_from=math.inf)
     plain = StaticScenario(turning.oracle())
@@ -458,7 +469,7 @@ def test_adjacency_of_the_wrong_shape_is_refused(views_type):
         run_rounds(views_type, StaticScenario(oracle, adjacency=np.zeros((3, 3))))
 
 
-@pytest.mark.parametrize("views_type", VIEWS)
+@pytest.mark.parametrize("views_type", ON_COMPLETE_GRAPHS)
 def test_phase_clocks_tile_the_run(monkeypatch, views_type):
     # Each clock read returns the next integer, so every read the driver
     # makes shows up as one unit; the phases must account for all of them.

@@ -1,11 +1,11 @@
 """The implementations of the round driver's views, run side by side.
 
 ``AgentViews`` (per-agent lists and kernels) is the reference;
-``ArrayViews`` (the live agents' views as rows of arrays) must reproduce
-it.  Both are driven directly, whatever team size ``dgba_run`` would pick
-them for.  The flooding auction's ``AuctionViews`` must reproduce
-``LoopAuction``, the same auction written as per-agent loops over dicts
-and sets.
+``ArrayViews`` (the live agents' views as rows of arrays) and, on complete
+graphs, ``CompleteGraphViews`` (the broadcast alone) must reproduce it.
+All are driven directly, whatever world ``dgba_run`` would pick them for.
+The flooding auction's ``AuctionViews`` must reproduce ``LoopAuction``,
+the same auction written as per-agent loops over dicts and sets.
 """
 
 import functools
@@ -16,6 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from taskalloc import solvers
 from taskalloc.core import (
     ContractViolation,
     GroundElement,
@@ -29,6 +30,7 @@ from taskalloc.solvers import (
     AgentViews,
     ArrayViews,
     AuctionViews,
+    CompleteGraphViews,
     StaticScenario,
     allowed_pairs,
     auction_baseline,
@@ -100,9 +102,13 @@ class PlainTableOracle(UtilityOracle):
         return self.table.marginal_gains_for_agent(policy, agent, targets)
 
 
+KINDS = ("complete", "sparse", "disconnected", "path", "ring")
+
+
 @st.composite
-def instances(draw):
-    """Arguments of a DeadlineScenario; each run builds its own."""
+def instances(draw, kinds=KINDS):
+    """Arguments of a DeadlineScenario on a graph of one of ``kinds``; each
+    run builds its own."""
     n = draw(st.integers(1, 24))
     m = draw(st.integers(1, 24))
     rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
@@ -115,7 +121,7 @@ def instances(draw):
         oracle = oracle_type(rng.choice([1.0, 2.0], size=m), probs)
     costs = rng.uniform(0.5, 1.5, size=(n, m))
     budgets = rng.uniform(0.6, 1.5, size=n) if draw(st.booleans()) else None
-    kind = draw(st.sampled_from(["complete", "sparse", "disconnected", "path", "ring"]))
+    kind = draw(st.sampled_from(kinds))
     return (oracle, costs, budgets, graphs(kind, n, rng),
             rng.integers(0, 2 * n + 3, size=m).tolist())
 
@@ -165,10 +171,118 @@ def test_phase_kernels_agree_round_by_round(args):
                 == array.communicate(adjacency > 0, components))
         claims, done = agent.self_entries()
         assert_same_views(agent, array, [k for k, d in enumerate(done) if not d])
+        # A live agent lost or withdrew its claim: its own entries are 0,
+        # so phase I need not clear them.
+        own = np.arange(array.live.size), array.live
+        assert not array.w[own].any() and not array.b[own].any()
         assert [v.tolist() for v in array.self_entries()] == [claims.tolist(), done.tolist()]
         if all(done):
             break
         scenario.advance(claims)
+
+
+def assert_same_broadcast(agent, complete, live):
+    """The complete-graph form holds every agent's self-entries, bids to
+    the last bit, and as ``held`` the targets that each agent of ``live``
+    (0-based) holds in its view other than its own claim."""
+    bundles = agent.bundles
+    assert complete.self_w.tolist() == [int(x.w[k]) for k, x in enumerate(bundles)]
+    assert bits(complete.self_b) == bits([x.b[k] for k, x in enumerate(bundles)])
+    assert complete.self_f.tolist() == [bool(x.f[k]) for k, x in enumerate(bundles)]
+    held = (np.flatnonzero(complete.held) + 1).tolist()
+    for k in live:
+        assert sorted({j for i, j in enumerate(bundles[k].w) if j and i != k}) == held
+
+
+@settings(max_examples=60, deadline=None)
+@given(instances(kinds=["complete"]))
+def test_complete_graph_views_agree_round_by_round(args):
+    scenario = DeadlineScenario(*args)
+    oracle = scenario.oracle()
+    budgets = scenario.budgets()
+    agent, complete = AgentViews(oracle), CompleteGraphViews(oracle)
+    done = agent.self_entries()[1]
+    for _ in range(scenario.default_horizon()):
+        rows = np.flatnonzero(np.logical_not(done))
+        allowed = allowed_pairs(scenario.pair_costs(rows), budgets[rows])
+        agent.assign(rows, allowed)
+        complete.assign(rows, allowed)
+        assert_same_broadcast(agent, complete, rows.tolist())
+        adjacency = scenario.adjacency()
+        components = graph_components(adjacency)
+        assert (agent.communicate(adjacency > 0, components)
+                == complete.communicate(adjacency > 0, components))
+        claims, done = agent.self_entries()
+        assert_same_broadcast(agent, complete, [k for k, d in enumerate(done) if not d])
+        assert [v.tolist() for v in complete.self_entries()] == [claims.tolist(), done.tolist()]
+        if all(done):
+            break
+        scenario.advance(claims)
+
+
+def test_complete_graph_views_resolve_each_target_as_the_agent_views_do():
+    # Agent 1 holds target 1, finalized.  Agent 2 claims it anyway, with
+    # the highest bid, and agents 3 and 4 claim target 2 with equal bids.
+    # Phase I masks held targets, so on a complete graph it never makes
+    # agent 2's claim; the self-entries are set by hand.  Agent 2
+    # withdraws, and agent 3, the lower id, wins target 2.
+    oracle = TableOracle([1.0, 1.0], np.full((4, 2), 0.5))
+    agent, complete = AgentViews(oracle), CompleteGraphViews(oracle)
+    entries = [(1, 0.5, True), (1, 0.9, False), (2, 0.5, False), (2, 0.5, False)]
+    for k, (w, b, f) in enumerate(entries):
+        bundle = agent.bundles[k]
+        bundle.w[k], bundle.b[k], bundle.f[k] = w, b, int(f)
+    complete.self_w[:], complete.self_b[:], complete.self_f[:] = zip(*entries)
+    complete.held[:] = [True, False]
+    linked = ~np.eye(4, dtype=bool)
+    assert agent.communicate(linked, [0] * 4) == complete.communicate(linked, [0] * 4) == 1
+    assert_same_broadcast(agent, complete, [1, 3])
+    assert [v.tolist() for v in complete.self_entries()] == [
+        [1, 0, 2, 0], [True, False, True, False]]
+
+
+def test_complete_graph_views_refuse_a_graph_that_is_not_complete():
+    views = CompleteGraphViews(TableOracle(np.ones(3), np.full((3, 3), 0.5)))
+    views.assign(np.arange(3), np.ones((3, 3), dtype=bool))
+    linked = ~np.eye(3, dtype=bool)
+    linked[0, 1] = linked[1, 0] = False
+    with pytest.raises(ContractViolation, match="every pair of agents linked"):
+        views.communicate(linked, [0, 0, 0])
+
+
+def test_dgba_run_picks_complete_graph_views_for_plain_complete_static_worlds(monkeypatch):
+    picked = []
+    run = solvers.run_rounds
+
+    def recorded(views_type, scenario, constraints=None):
+        picked.append(views_type)
+        return run(views_type, scenario, constraints)
+
+    class Plain(StaticScenario):
+        """A subclass that changes nothing, but may: not static."""
+
+    monkeypatch.setattr(solvers, "run_rounds", recorded)
+    rng = np.random.default_rng(9)
+
+    def oracle(n):
+        return TableOracle(rng.uniform(1.0, 2.0, n), rng.uniform(0.1, 0.9, (n, n)))
+
+    complete = 1.0 - np.eye(9)
+    one_missing = complete.copy()
+    one_missing[3, 7] = one_missing[7, 3] = 0.0
+    cases = [
+        (StaticScenario(oracle(9)), CompleteGraphViews),
+        (StaticScenario(oracle(9), adjacency=2.5 * complete), CompleteGraphViews),
+        (Plain(oracle(9)), ArrayViews),
+        (StaticScenario(oracle(9), adjacency=one_missing), ArrayViews),
+        # Links are the entries > 0, so a negative weight is a missing link.
+        (StaticScenario(oracle(9), adjacency=rescaled(one_missing, 1.0, -3.0)), ArrayViews),
+        (StaticScenario(oracle(8)), AgentViews),
+    ]
+    for scenario, want in cases:
+        got = dgba_run(scenario)
+        assert picked.pop() is want
+        assert_same_run(got, run(AgentViews, scenario))
 
 
 @pytest.mark.parametrize("kind", ["sparse", "ring", "disconnected"])
@@ -487,7 +601,7 @@ def test_auction_flooding_reads_the_values_of_linked_not_its_identity():
         assert list(views.self_entries()[0]) == [1] + [0] * (n - 1)
 
 
-@pytest.mark.parametrize("views_type", [AgentViews, ArrayViews, AuctionViews])
+@pytest.mark.parametrize("views_type", [AgentViews, ArrayViews, AuctionViews, CompleteGraphViews])
 def test_self_entries_are_fresh_vectors(views_type):
     # The driver keeps the last round's vectors beside the new ones, so
     # later assign and communicate calls must leave them as returned.
@@ -502,9 +616,10 @@ def test_self_entries_are_fresh_vectors(views_type):
 
     rng = np.random.default_rng(20)
     n, m = 12, 8
+    kind = "complete" if views_type is CompleteGraphViews else "sparse"
     oracle = TableOracle(rng.uniform(1.0, 2.0, m), rng.uniform(0.1, 0.9, (n, m)))
     res = run_rounds(Kept, DeadlineScenario(
-        oracle, rng.uniform(0.5, 1.5, (n, m)), None, graphs("sparse", n, rng),
+        oracle, rng.uniform(0.5, 1.5, (n, m)), None, graphs(kind, n, rng),
         rng.integers(0, 2 * n + 3, size=m).tolist()))
     assert len(returned) == len(res.trace) + 1 > 2
     assert [(c.tolist(), d.tolist()) for c, d, _, _ in returned] == [
