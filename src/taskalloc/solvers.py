@@ -48,7 +48,7 @@ from .core import (
     SizeLimitExceeded,
     TableOracle,
     UtilityOracle,
-    check_bounds,
+    make_policy,
     marginal_gain,
 )
 
@@ -62,17 +62,20 @@ TRACE_TOL = 1e-9  # largest increment-to-gains gap check_allocation_trace accept
 
 # Team size from which dgba_run keeps the views as arrays
 # (``ArrayViews``, or ``CompleteGraphViews`` on a plain static world whose
-# graph is complete) rather than per-agent lists.  Median time per run of
-# lists and ``ArrayViews`` on complete-graph TableOracle instances with
-# N = M, medians of three interleaved runs (shared 2-CPU Xeon, Python
-# 3.11, numpy 2.4, one thread).  N = 8 is a tie here; on other instances
-# arrays led there by up to 12%, and lists led at N = 7:
-#   N          4      6      8      9     10     12     16
-#   lists    182    206    404    327    434    605    777 us
-#   arrays   211    216    405    321    396    411    428 us
-# On the same machine ``CompleteGraphViews`` took 0.88-0.92 of
-# ``ArrayViews``' time per run at N = 6-12 (five instances per N), so on
-# the worlds it serves the crossover is no higher.
+# graph is complete) rather than per-agent lists.  Time per run on
+# complete-graph TableOracle instances with N = M, five instances per N:
+# per instance the median of seven interleaved batches of 20 runs, per N
+# the median over its five instances (shared 2-CPU Xeon, Python 3.11,
+# numpy 2.4, one thread):
+#   N                     4      6      8      9     10     12     16
+#   lists               182    287    314    346    376    881   1164 us
+#   ArrayViews          221    360    324    316    316    730    728 us
+#   CompleteGraphViews  177    265    259    250    253    557    549 us
+# Lists lead ``ArrayViews`` up to N = 8 and trail it from N = 9; so did a
+# repeat under heavier load, which read 30-60% slower throughout.
+# ``CompleteGraphViews`` is within 10% of lists at N = 4 and 6 in both and
+# leads from N = 8, so on the worlds it serves the crossover is lower; one
+# constant serves both array forms.
 ARRAY_VIEWS_MIN_AGENTS = 9
 
 
@@ -528,20 +531,27 @@ class CompleteGraphViews:
     """Team-wide views on a complete graph, kept as the broadcast alone:
     the N-vectors ``self_w``, ``self_b`` and ``self_f`` of every agent's
     self-entries, the M-vector ``held`` (the targets held in every live
-    agent's view) and the bid table ``bids`` of ``ArrayViews``.  The
-    state is 3N + M entries besides the bid table, whatever L is.
+    agent's view), and, as in ``ArrayViews``, ``live``, the 0-based ids of
+    the agents not finalized by the last exchange, in ascending order.
+    Row r of the L x (M + 1) bid table ``bids`` holds agent ``live[r]``'s
+    row of ``_gain_table``, with -inf in the column of every held target,
+    so the table shrinks as agents finalize.  Besides it the state is
+    3N + M + L entries.
 
     It is exact because every live agent hears every other agent in each
     exchange: after phase II a live agent's view is the broadcast with only
     its own target's conflict resolved.  A live agent has lost or withdrawn
     its claim by then, so its own entry is 0, and the targets held in its
     view are exactly the nonzero broadcast claims, the same set for every
-    live agent.  Each phase gives the self-entries of ``AgentViews``, bids
-    to the last bit; ``communicate`` refuses a graph that is not complete.
+    live agent.  A target stays held once it is, so its column is written
+    once, in the exchange that makes it held.  Each phase gives the
+    self-entries of ``AgentViews``, bids to the last bit; ``communicate``
+    refuses a graph that is not complete.
     """
 
     def __init__(self, oracle: UtilityOracle):
         n = oracle.n_agents
+        self.live = np.arange(n)
         self.self_w = np.zeros(n, dtype=np.int32)
         self.self_b = np.zeros(n)
         self.self_f = np.zeros(n, dtype=bool)
@@ -552,11 +562,18 @@ class CompleteGraphViews:
         return self.self_w.astype(np.intp), self.self_f.copy()
 
     def assign(self, rows: np.ndarray, allowed: np.ndarray) -> None:
-        """Phase I with the rules and arguments of ``AgentViews.assign``:
-        each row's bids, -inf where the target is not allowed or is held,
-        and the first maximum, so ties go to the lowest target id."""
-        bids = self.bids[rows]
-        np.copyto(bids[:, 1:], -np.inf, where=~allowed | self.held)
+        """Phase I with the rules and arguments of ``AgentViews.assign``;
+        ``rows`` are the live agents, as ``run_rounds`` passes them, and as in
+        ``ArrayViews`` a count that is not theirs is refused.  Each row's
+        first maximum is the claim, so ties go to the lowest target id.
+        The held targets are -inf in the table already; only when
+        ``allowed`` rules out some pair are the rows copied and masked."""
+        if rows.size != self.live.size:
+            raise ContractViolation("phase I rows are not the live agents")
+        bids = self.bids
+        if not allowed.all():
+            bids = bids.copy()
+            np.copyto(bids[:, 1:], -np.inf, where=~allowed)
         claim = bids.argmax(axis=1)
         bid = bids[np.arange(rows.size), claim]
         idle = claim == 0  # nothing available: finalize with an empty claim
@@ -565,8 +582,9 @@ class CompleteGraphViews:
 
     def communicate(self, linked: np.ndarray, components: Sequence[int]) -> int:
         """Phase II with the rules of ``dgba_communication_phase``, each
-        target resolved once over its claimers; returns 1, the exchanges
-        made."""
+        target resolved once over its claimers; then the rows of the agents
+        that finalized are dropped and the newly held targets' columns set
+        to -inf.  Returns 1, the exchanges made."""
         n = self.self_w.size
         if np.count_nonzero(linked) != n * (n - 1):
             raise ContractViolation("complete-graph views need every pair of agents linked")
@@ -584,7 +602,12 @@ class CompleteGraphViews:
         losers = claimers[~self.self_f[claimers]]
         self.self_w[losers] = 0
         self.self_b[losers] = 0.0
-        self.held[targets - 1] = True
+        won = ranked[first]  # each contested target once: the newly held
+        self.held[won - 1] = True
+        keep = ~self.self_f[self.live]
+        if not keep.all():
+            self.live, self.bids = self.live[keep], self.bids[keep]
+        self.bids[:, won] = -np.inf
         return 1
 
 
@@ -681,29 +704,33 @@ class AuctionViews:
 # The full protocol run
 # ---------------------------------------------------------------------------
 
-def _round_groups(newly: list[tuple[int, int, float]], components: list[int],
-                  before_utility: float, after) -> tuple[DecisionGroup, ...]:
-    """Newly finalized agents grouped by component; ``before_utility`` is
-    the utility before the round and ``after(members)`` the utility with
-    only the group's (agent, target, delta) pairs added."""
+def _component_members(newly: list[tuple[int, int, float]],
+                       components: list[int]) -> list[list[tuple[int, int, float]]]:
+    """The round's (agent, target, delta) triples split by their agent's
+    component, in order of each component's first new agent."""
     groups: dict[int, list[tuple[int, int, float]]] = {}
     for agent, target, delta in newly:
         groups.setdefault(components[agent - 1], []).append((agent, target, delta))
-    return tuple(DecisionGroup(
+    return list(groups.values())
+
+
+def _decision_group(members: list[tuple[int, int, float]], increment: float) -> DecisionGroup:
+    return DecisionGroup(
         agents=tuple(a for a, _, _ in members),
         targets=tuple(t for _, t, _ in members),
         sum_deltas=sum(d for _, _, d in members),
-        increment=after(members) - before_utility,
-    ) for members in groups.values())
+        increment=increment,
+    )
 
 
 class _TableTally:
     """A ``TableOracle`` policy's per-target miss products and utilities,
-    kept across rounds so that a round touches only its new pairs' targets.
-    They have the bits of ``target_utilities`` while no target has three
-    holders: a product of two miss factors commutes, but one of three
-    depends on the policy's iteration order.  Probabilities are read from
-    ``prob_table`` as Python floats, the bits of ``probs``."""
+    kept across rounds and updated in place, so that a round touches only
+    its new pairs' targets.  They have the bits of ``target_utilities``
+    while no target has three holders: a product of two miss factors
+    commutes, but one of three depends on the policy's iteration order.
+    Probabilities are read from ``prob_table`` as Python floats, the bits
+    of ``probs``."""
 
     def __init__(self, oracle: TableOracle):
         self.values, self.prob_table = oracle.values, oracle.prob_table
@@ -723,25 +750,40 @@ class _TableTally:
         return [(i, j, max(0.0, values[j - 1] * (1.0 - miss[j - 1] * (1.0 - probs.item(i - 1, j - 1)))
                            - utils[j - 1])) for i, j in pairs]
 
-    def with_pairs(self, newly) -> tuple[list[float], list[float]]:
-        """Per-target utilities and miss products with ``newly``'s pairs added."""
-        utils, miss = list(self.utils), list(self.miss)
+    def _fold(self, utils: list[float], miss: list[float], newly) -> None:
+        """Multiply ``newly``'s pairs into the given lists, in place."""
+        values, probs = self.values, self.prob_table
         for i, j, _ in newly:
-            miss[j - 1] *= 1.0 - self.prob_table.item(i - 1, j - 1)
-            utils[j - 1] = self.values[j - 1] * (1.0 - miss[j - 1])
-        return utils, miss
+            miss[j - 1] *= 1.0 - probs.item(i - 1, j - 1)
+            utils[j - 1] = values[j - 1] * (1.0 - miss[j - 1])
+
+    def utility_with(self, newly) -> float:
+        """The utility with ``newly``'s pairs added, leaving the tally as
+        it is."""
+        utils = list(self.utils)
+        self._fold(utils, list(self.miss), newly)
+        return sum(utils, 0.0)
 
     def add(self, newly) -> float:
         """Add the pairs for good; returns the utility, ``evaluate``'s sum."""
-        self.utils, self.miss = self.with_pairs(newly)
+        self._fold(self.utils, self.miss, newly)
         return sum(self.utils, 0.0)
 
 
-def _held_pairs(claims: np.ndarray, mask: np.ndarray) -> list[GroundElement]:
-    """The pairs of the agents in ``mask`` that hold a target, in agent
-    order: the insertion order of every policy the driver builds."""
+def _held_pairs(claims: np.ndarray, mask: np.ndarray, n_targets: int) -> list[tuple[int, int]]:
+    """The (agent, target) pairs, as 1-based ints, of the agents in
+    ``mask`` that hold a target, in agent order: the insertion order of
+    every policy ``run_rounds`` builds.  Each target id is checked in the
+    same pass (ContractViolation outside 1..M); an agent id is a position
+    in the N-vectors ``claims`` and ``mask``."""
     rows = mask.nonzero()[0]
-    return [GroundElement(k + 1, j) for k, j in zip(rows.tolist(), claims[rows].tolist()) if j]
+    pairs = []
+    for k, j in zip(rows.tolist(), claims[rows].tolist()):
+        if j:
+            if not 0 < j <= n_targets:
+                raise ContractViolation(f"agent {k + 1} holds target {j}, outside 1..{n_targets}")
+            pairs.append((k + 1, j))
+    return pairs
 
 
 # A run's phase clocks; ``components`` includes the work per distinct graph.
@@ -830,6 +872,13 @@ def run_rounds(views_type, scenario: AllocationScenario,
     ``scenario.advance(claims)`` (phase III) and
     ``scenario.agent_costs(claims, done)``; records hold the pairs each
     round finalized, and policies are built from the claims in agent order.
+    A round's new pairs are read as plain (agent, target) ints, and each
+    target id is checked in the same pass (``ContractViolation`` outside
+    1..M).  For a ``TableOracle`` the run's ``_TableTally`` scores them
+    with one pass over the new pairs: when they all lie in one component,
+    that group's increment is the round's, the same bits; with several
+    groups, each group's utility is taken on a copy first.  No policy is
+    built then until the run ends.
 
     ``phase_times`` holds seconds per phase: the three protocol phases
     (``assignment`` includes building the views, the budget read and the
@@ -858,6 +907,7 @@ def run_rounds(views_type, scenario: AllocationScenario,
         raise ConfigurationError("constraint dimensions do not match scenario")
     if (oracle.n_agents, oracle.n_targets) != (scenario.n_agents, scenario.n_targets):
         raise ConfigurationError("oracle dimensions do not match scenario")
+    m = scenario.n_targets
     max_rounds = scenario.default_horizon()
     if max_rounds < 1:
         raise ConfigurationError("default_horizon() must be at least 1")
@@ -909,23 +959,27 @@ def run_rounds(views_type, scenario: AllocationScenario,
         scenario.advance(claims)
         lap("implementation")
 
-        fresh = _held_pairs(claims, done & ~done_before)  # finalized this round
-        if tally is not None:
-            check_bounds(fresh, oracle.n_agents, oracle.n_targets)
-            if not tally.admit(fresh):  # a third holder: the plain path from now on
-                tally = None
+        fresh = _held_pairs(claims, done > done_before, m)  # finalized this round
+        if tally is not None and not tally.admit(fresh):
+            tally = None  # a third holder: the plain path from now on
         if tally is not None:
             newly = tally.deltas(fresh)
-            after = lambda members: sum(tally.with_pairs(members)[0])
         else:
             # Three-factor gains depend on order: take them on agent-order policies.
-            before = frozenset(_held_pairs(claims_before, done_before))
-            policy = frozenset(_held_pairs(claims, done))
-            newly = [(el.agent, el.target, marginal_gain(oracle, before, el)) for el in fresh]
-            after = lambda members: oracle.evaluate(
-                before | frozenset(GroundElement(a, j) for a, j, _ in members))
-        groups = _round_groups(newly, components, before_utility, after)
-        utility = tally.add(newly) if tally is not None else oracle.evaluate(policy)
+            before = make_policy(_held_pairs(claims_before, done_before, m))
+            newly = [(i, j, marginal_gain(oracle, before, GroundElement(i, j))) for i, j in fresh]
+        members = _component_members(newly, components)
+        if tally is None:
+            increments = [oracle.evaluate(before | make_policy([(i, j) for i, j, _ in group]))
+                          - before_utility for group in members]
+            utility = oracle.evaluate(make_policy(_held_pairs(claims, done, m)))
+        elif len(members) == 1:  # one group: its increment is the round's
+            utility = tally.add(newly)
+            increments = [utility - before_utility]
+        else:
+            increments = [tally.utility_with(group) - before_utility for group in members]
+            utility = tally.add(newly)
+        groups = tuple(map(_decision_group, members, increments))
         per_agent_cost = scenario.agent_costs(claims, done)
         trace.append(RoundRecord(
             round=t,
@@ -941,7 +995,7 @@ def run_rounds(views_type, scenario: AllocationScenario,
         if done.all():
             break
 
-    policy = frozenset(_held_pairs(claims, done))
+    policy = make_policy(_held_pairs(claims, done, m))
     if constraints is not None and not constraints.is_independent(policy):
         raise ContractViolation("protocol produced an infeasible policy")
     lap("bookkeeping")

@@ -72,6 +72,16 @@ MUTANTS = (
            "tests/test_rounds.py",
            "each new pair joins the group of its own agent's component"),
     Mutant("src/taskalloc/solvers.py",
+           "if len(members) == 1:",
+           "if True:",
+           "tests/test_rounds.py",
+           "only a round whose new pairs lie in one component takes its increment as the group's"),
+    Mutant("src/taskalloc/solvers.py",
+           "if not 0 < j <= n_targets:",
+           "if not 0 < j:",
+           "tests/test_rounds.py",
+           "the round driver refuses a new pair whose target id is past M"),
+    Mutant("src/taskalloc/solvers.py",
            "TRACE_TOL = 1e-9",
            "TRACE_TOL = 1e-3",
            "tests/test_solvers.py",
@@ -93,6 +103,21 @@ MUTANTS = (
            "        bid = bids[r, best]",
            "tests/test_views.py",
            "array phase I breaks equal bids toward the lowest target id"),
+    Mutant("src/taskalloc/solvers.py",
+           "claim = bids.argmax(axis=1)",
+           "claim = bids.shape[1] - 1 - bids[:, ::-1].argmax(axis=1)",
+           "tests/test_views.py",
+           "complete-graph phase I breaks equal bids toward the lowest target id"),
+    Mutant("src/taskalloc/solvers.py",
+           "if not allowed.all():",
+           "if not True:",
+           "tests/test_views.py",
+           "complete-graph phase I masks the pairs allowed rules out whenever there are some"),
+    Mutant("src/taskalloc/solvers.py",
+           "self.bids[:, won] = -np.inf",
+           "self.bids[:, won[:0]] = -np.inf",
+           "tests/test_views.py",
+           "a target's column of the live bid rows is -inf from the exchange that makes it held"),
     Mutant("src/taskalloc/solvers.py",
            "(-b[k], k)",
            "(-b[k], -k)",

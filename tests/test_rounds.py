@@ -246,6 +246,37 @@ def test_static_costs_match_reference():
         assert res.trace[-1].cumulative_cost > 0.0
 
 
+class ClaimsPastTheLastTarget:
+    """A views stub that finalizes every agent in round 0, agent 1 on
+    target M + 1 and the others with no claim."""
+
+    def __init__(self, oracle):
+        n = oracle.n_agents
+        self.claims, self.done = np.zeros(n, dtype=np.intp), np.zeros(n, dtype=bool)
+        self.past_the_end = oracle.n_targets + 1
+
+    def self_entries(self):
+        return self.claims.copy(), self.done.copy()
+
+    def assign(self, rows, allowed):
+        self.claims[0] = self.past_the_end
+        self.done[rows] = True
+
+    def communicate(self, linked, components):
+        return 1
+
+
+@pytest.mark.parametrize("oracle", [
+    TableOracle([1.0, 2.0], np.full((3, 2), 0.5)),
+    ModularOracle(np.full((3, 2), 0.5).tolist()),
+], ids=["tally", "plain"])
+def test_a_claim_past_the_last_target_is_refused(oracle):
+    # The round driver checks each new pair's target id as it reads it,
+    # before any gain is taken, whichever path scores the round.
+    with pytest.raises(ContractViolation, match="agent 1 holds target 3, outside 1..2"):
+        run_rounds(ClaimsPastTheLastTarget, StaticScenario(oracle))
+
+
 class TurningGraph(StaticScenario):
     """Complete graph until ``bad_from``, then ``bad``; every agent wants
     the targets in the same order, so one agent finalizes per round."""

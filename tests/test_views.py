@@ -194,6 +194,18 @@ def assert_same_broadcast(agent, complete, live):
         assert sorted({j for i, j in enumerate(bundles[k].w) if j and i != k}) == held
 
 
+def assert_live_bid_rows(oracle, complete, done):
+    """Between exchanges the complete-graph form holds the rows of the
+    agents not done, ascending, each that agent's row of the bid table with
+    every held target's column at -inf, to the bit."""
+    live = [k for k, d in enumerate(done) if not d]
+    assert complete.live.tolist() == live
+    want = solvers._gain_table(oracle, -np.inf)[live]
+    want[:, 1:][:, complete.held] = -np.inf
+    assert complete.bids.shape == want.shape
+    assert [bits(row) for row in complete.bids] == [bits(row) for row in want]
+
+
 @settings(max_examples=60, deadline=None)
 @given(instances(kinds=["complete"]))
 def test_complete_graph_views_agree_round_by_round(args):
@@ -215,6 +227,7 @@ def test_complete_graph_views_agree_round_by_round(args):
         claims, done = agent.self_entries()
         assert_same_broadcast(agent, complete, [k for k, d in enumerate(done) if not d])
         assert [v.tolist() for v in complete.self_entries()] == [claims.tolist(), done.tolist()]
+        assert_live_bid_rows(oracle, complete, done)
         if all(done):
             break
         scenario.advance(claims)
@@ -631,6 +644,17 @@ def test_array_views_refuse_rows_that_are_not_the_live_agents():
     views = ArrayViews(TableOracle(np.ones(3), np.full((3, 3), 0.5)))
     with pytest.raises(ContractViolation, match="phase I rows are not the live agents"):
         views.assign(np.arange(2), np.ones((2, 3), dtype=bool))
+
+
+def test_complete_graph_views_refuse_rows_that_are_not_the_live_agents():
+    # After round 0 agent 1 holds target 1 and agent 2 is live; phase I
+    # for both again would bid with a row the views no longer keep.
+    views = CompleteGraphViews(TableOracle(np.ones(2), [[0.9, 0.1], [0.8, 0.2]]))
+    views.assign(np.arange(2), np.ones((2, 2), dtype=bool))
+    views.communicate(~np.eye(2, dtype=bool), [0, 0])
+    assert views.live.tolist() == [1]
+    with pytest.raises(ContractViolation, match="phase I rows are not the live agents"):
+        views.assign(np.arange(2), np.ones((2, 2), dtype=bool))
 
 
 def test_auction_refuses_component_labels_the_graph_does_not_have():
