@@ -130,9 +130,9 @@ class CurvatureReport:
 
 
 def estimate_elemental_curvature(oracle: UtilityOracle,
-                                 ground: Iterable[GroundElement],
-                                 cap: int = CURVATURE_GROUND_CAP) -> CurvatureReport:
-    """Exhaustive elemental curvature of an oracle over a small ground set.
+                                 ground: Iterable[GroundElement]) -> CurvatureReport:
+    """Exhaustive elemental curvature of an oracle over a ground set of at
+    most ``CURVATURE_GROUND_CAP`` elements (``SizeLimitExceeded`` beyond).
 
     Maximizes gain(pi | P + {pi'}) / gain(pi | P) over all subsets P of the
     ground set and all distinct pi, pi' outside P.  Pairs whose denominator
@@ -143,14 +143,14 @@ def estimate_elemental_curvature(oracle: UtilityOracle,
     """
     elements = sorted(set(ground))
     epsilon = CURVATURE_EPSILON
-    if len(elements) > cap:
+    n = len(elements)
+    if n > CURVATURE_GROUND_CAP:
         raise SizeLimitExceeded(
-            f"ground set of {len(elements)} elements exceeds enumeration cap {cap}"
+            f"ground set of {n} elements exceeds enumeration cap {CURVATURE_GROUND_CAP}"
         )
     best = -1.0
     witness = None
     skipped = 0
-    n = len(elements)
     for mask in range(1 << n):
         subset = frozenset(elements[k] for k in range(n) if mask >> k & 1)
         outside = [e for e in elements if e not in subset]

@@ -16,9 +16,11 @@ reference, and the faster one for small teams); ``ArrayViews`` keeps the
 views of the agents not yet finalized as the rows of L x N arrays, and
 runs each phase as a few array operations; ``CompleteGraphViews``, for a
 complete graph only, keeps no view rows at all, because there every live
-view is the broadcast with one conflict resolved.  A finalized agent
-stops listening: no one reads its view again.  ``dgba_run`` picks by team
-size and, for a world that cannot change, by its graph.
+view is the broadcast with one conflict resolved.  The two array forms
+share their broadcast state and phase I (``_BroadcastViews``) and keep
+their own phase II.  A finalized agent stops listening: no one reads its
+view again.  ``dgba_run`` picks by team size and, for a world that cannot
+change, by its graph.
 
 Baselines: a centralized sequential greedy, a pruned exact search, and
 a simplified flooding auction, which the same driver runs over its own
@@ -432,60 +434,82 @@ class AgentViews:
         return 1
 
 
-class ArrayViews:
-    """Team-wide views of the live agents, those not finalized by the last
-    exchange: ``live`` holds their 0-based ids in ascending order, and row
-    r of the L x N arrays ``w`` (int32 targets), ``b`` (float bids) and
-    ``f`` (bool finals) is agent ``live[r]``'s view.  ``self_w``,
-    ``self_b`` and ``self_f`` hold every agent's self-entries as
-    N-vectors: what the exchange broadcasts and ``self_entries`` reports.
-    A finalized agent's view is never read again, so phase II drops its
-    row; the arrays shrink as agents finalize.  Phase I bids from the
-    N x (M + 1) table ``bids``, built once, with -inf for "none".  Each
-    phase is a few array operations with the same results as
-    ``AgentViews``, bids included to the last bit."""
+class _BroadcastViews:
+    """What both array forms keep and do alike.  ``live`` holds the 0-based
+    ids of the agents not finalized by the last exchange, in ascending
+    order; ``self_w`` (int32 targets), ``self_b`` (float bids) and
+    ``self_f`` (bool finals) hold every agent's self-entries as N-vectors:
+    what the exchange broadcasts and ``self_entries`` reports.  Phase I
+    bids from ``bids``, rows of the N x (M + 1) ``_gain_table`` with -inf
+    for "none": no one else holds an available target in the agent's view,
+    so its marginal gain is the gain on the empty policy, and column 0 is
+    the first maximum only of a row with nothing available.
+
+    ``assign`` is phase I with the rules and arguments of
+    ``AgentViews.assign``: ``rows`` are the live agents, as ``run_rounds``
+    passes them, and a count that is not theirs is refused.  A form's
+    ``_bid_rows`` gives each live agent's bids, -inf where it may not bid;
+    each row's first maximum is its claim, so ties go to the lowest target
+    id.  The form's ``communicate`` is phase II."""
 
     def __init__(self, oracle: UtilityOracle):
         n = oracle.n_agents
         self.live = np.arange(n)
-        self.w = np.zeros((n, n), dtype=np.int32)
-        self.b = np.zeros((n, n))
-        self.f = np.zeros((n, n), dtype=bool)
         self.self_w = np.zeros(n, dtype=np.int32)
         self.self_b = np.zeros(n)
         self.self_f = np.zeros(n, dtype=bool)
-        # Bids by target id.  No one else holds an available target in the
-        # agent's view, so its marginal gain is the gain on the empty policy;
-        # column 0 ("none") is -inf, the first maximum only of a row with
-        # nothing available.
         self.bids = _gain_table(oracle, -np.inf)
 
     def self_entries(self) -> tuple[np.ndarray, np.ndarray]:
         return self.self_w.astype(np.intp), self.self_f.copy()
 
     def assign(self, rows: np.ndarray, allowed: np.ndarray) -> None:
-        """Phase I with the rules and arguments of ``AgentViews.assign``;
-        ``rows`` are the live agents, as the driver passes them."""
         if rows.size != self.live.size:
             raise ContractViolation("phase I rows are not the live agents")
-        r = np.arange(rows.size)
-        # Each row's bids, -inf where the target is not allowed or another
-        # agent holds it in the view.  A live agent's own entry is 0 (after
-        # each exchange a live agent has lost or withdrawn its claim), and
-        # the held "none" entries land on column 0, which is -inf already.
-        # Before the first exchange no view holds a claim, and nothing is
-        # masked.
+        bids = self._bid_rows(rows, allowed)
+        claim = bids.argmax(axis=1)  # first maximum: lowest target id
+        bid = bids[np.arange(rows.size), claim]
+        idle = claim == 0  # nothing available: finalize with an empty claim
+        bid[idle] = 0.0
+        self.self_w[rows], self.self_b[rows], self.self_f[rows] = claim, bid, idle
+
+
+class ArrayViews(_BroadcastViews):
+    """Team-wide views of the live agents: besides the broadcast state of
+    ``_BroadcastViews``, row r of the L x N arrays ``w`` (int32 targets),
+    ``b`` (float bids) and ``f`` (bool finals) is agent ``live[r]``'s
+    view.  A finalized agent's view is never read again, so phase II drops
+    its row; the arrays shrink as agents finalize, while ``bids`` keeps
+    all N rows.  Each phase is a few array operations with the same results
+    as ``AgentViews``, bids included to the last bit."""
+
+    def __init__(self, oracle: UtilityOracle):
+        super().__init__(oracle)
+        n = oracle.n_agents
+        self.w = np.zeros((n, n), dtype=np.int32)
+        self.b = np.zeros((n, n))
+        self.f = np.zeros((n, n), dtype=bool)
+
+    def _bid_rows(self, rows: np.ndarray, allowed: np.ndarray) -> np.ndarray:
+        """Each row's bids, -inf where the target is not allowed or another
+        agent holds it in the view.  A live agent's own entry is 0 (after
+        each exchange a live agent has lost or withdrawn its claim), and
+        the held "none" entries land on column 0, which is -inf already.
+        Before the first exchange no view holds a claim, and nothing is
+        masked."""
         bids = self.bids[rows]
         np.copyto(bids[:, 1:], -np.inf, where=~allowed)
         if self.w.any():
-            bids[r[:, None], self.w] = -np.inf
-        best = bids.argmax(axis=1)  # first maximum: lowest target id
-        bid = bids[r, best]
-        idle = best == 0  # nothing available: finalize with an empty claim
-        bid[idle] = 0.0
-        for view, own in ((self.w, best), (self.b, bid), (self.f, idle)):
-            view[r, rows] = own
-        self.self_w[rows], self.self_b[rows], self.self_f[rows] = best, bid, idle
+            bids[np.arange(rows.size)[:, None], self.w] = -np.inf
+        return bids
+
+    def assign(self, rows: np.ndarray, allowed: np.ndarray) -> None:
+        """Phase I, whose new self-entries are copied into their agents'
+        view rows too."""
+        super().assign(rows, allowed)
+        r = np.arange(rows.size)
+        for view, own in ((self.w, self.self_w), (self.b, self.self_b), (self.f, self.self_f)):
+            view[r, rows] = own[rows]
 
     def communicate(self, linked: np.ndarray, components: Sequence[int]) -> int:
         """Phase II with the rules of ``dgba_communication_phase``, then the
@@ -527,87 +551,59 @@ class ArrayViews:
         return 1
 
 
-class CompleteGraphViews:
-    """Team-wide views on a complete graph, kept as the broadcast alone:
-    the N-vectors ``self_w``, ``self_b`` and ``self_f`` of every agent's
-    self-entries, the M-vector ``held`` (the targets held in every live
-    agent's view), and, as in ``ArrayViews``, ``live``, the 0-based ids of
-    the agents not finalized by the last exchange, in ascending order.
-    Row r of the L x (M + 1) bid table ``bids`` holds agent ``live[r]``'s
-    row of ``_gain_table``, with -inf in the column of every held target,
-    so the table shrinks as agents finalize.  Besides it the state is
-    3N + M + L entries.
+class CompleteGraphViews(_BroadcastViews):
+    """Team-wide views on a complete graph, kept as the broadcast state of
+    ``_BroadcastViews`` alone, with ``bids`` cut to the L live agents' rows:
+    row r holds agent ``live[r]``'s row of ``_gain_table``, with -inf in
+    the column of every held target, so the table shrinks as agents
+    finalize.  Besides it the state is 3N + L entries.
 
     It is exact because every live agent hears every other agent in each
     exchange: after phase II a live agent's view is the broadcast with only
-    its own target's conflict resolved.  A live agent has lost or withdrawn
-    its claim by then, so its own entry is 0, and the targets held in its
-    view are exactly the nonzero broadcast claims, the same set for every
-    live agent.  A target stays held once it is, so its column is written
-    once, in the exchange that makes it held.  Each phase gives the
+    its own target's conflict resolved.  A live agent has lost its claim by
+    then, so its own entry is 0, and the targets held in its view are
+    exactly the nonzero broadcast claims, the same set for every live
+    agent: the targets of the finalized agents.  A target stays held once
+    it is, so its column is written once, in the exchange that makes it
+    held, and the -inf columns are the only record of the held targets.
+    Phase I never claims a -inf column, so no claim is ever on a held
+    target, and phase II needs no withdraw rule.  Each phase gives the
     self-entries of ``AgentViews``, bids to the last bit; ``communicate``
     refuses a graph that is not complete.
     """
 
-    def __init__(self, oracle: UtilityOracle):
-        n = oracle.n_agents
-        self.live = np.arange(n)
-        self.self_w = np.zeros(n, dtype=np.int32)
-        self.self_b = np.zeros(n)
-        self.self_f = np.zeros(n, dtype=bool)
-        self.held = np.zeros(oracle.n_targets, dtype=bool)
-        self.bids = _gain_table(oracle, -np.inf)
-
-    def self_entries(self) -> tuple[np.ndarray, np.ndarray]:
-        return self.self_w.astype(np.intp), self.self_f.copy()
-
-    def assign(self, rows: np.ndarray, allowed: np.ndarray) -> None:
-        """Phase I with the rules and arguments of ``AgentViews.assign``;
-        ``rows`` are the live agents, as ``run_rounds`` passes them, and as in
-        ``ArrayViews`` a count that is not theirs is refused.  Each row's
-        first maximum is the claim, so ties go to the lowest target id.
-        The held targets are -inf in the table already; only when
-        ``allowed`` rules out some pair are the rows copied and masked."""
-        if rows.size != self.live.size:
-            raise ContractViolation("phase I rows are not the live agents")
-        bids = self.bids
-        if not allowed.all():
-            bids = bids.copy()
-            np.copyto(bids[:, 1:], -np.inf, where=~allowed)
-        claim = bids.argmax(axis=1)
-        bid = bids[np.arange(rows.size), claim]
-        idle = claim == 0  # nothing available: finalize with an empty claim
-        bid[idle] = 0.0
-        self.self_w[rows], self.self_b[rows], self.self_f[rows] = claim, bid, idle
+    def _bid_rows(self, rows: np.ndarray, allowed: np.ndarray) -> np.ndarray:
+        """The live rows of ``bids``, held targets -inf already; only when
+        ``allowed`` rules out some pair are they copied and masked."""
+        if allowed.all():
+            return self.bids
+        bids = self.bids.copy()
+        np.copyto(bids[:, 1:], -np.inf, where=~allowed)
+        return bids
 
     def communicate(self, linked: np.ndarray, components: Sequence[int]) -> int:
         """Phase II with the rules of ``dgba_communication_phase``, each
-        target resolved once over its claimers; then the rows of the agents
-        that finalized are dropped and the newly held targets' columns set
-        to -inf.  Returns 1, the exchanges made."""
+        target resolved once over its claimers: the highest bid wins, ties
+        to the lowest agent id.  Then the rows of the agents that finalized
+        are dropped (every exchange finalizes some live agent) and the
+        newly held targets' columns set to -inf.  Returns 1, the exchanges
+        made."""
         n = self.self_w.size
         if np.count_nonzero(linked) != n * (n - 1):
             raise ContractViolation("complete-graph views need every pair of agents linked")
         claimers = np.flatnonzero((self.self_w != 0) & ~self.self_f)
         targets = self.self_w[claimers]
-        # A claim on a target a finalized agent holds is withdrawn.  Of the
-        # rest, per target, the highest bid wins, ties to the lowest agent id.
-        contest = ~self.held[targets - 1]
-        agents, targets = claimers[contest], targets[contest]
-        order = np.lexsort((agents, -self.self_b[agents], targets))
+        order = np.lexsort((claimers, -self.self_b[claimers], targets))
         ranked = targets[order]
         first = np.ones(ranked.size, dtype=bool)
         first[1:] = ranked[1:] != ranked[:-1]
-        self.self_f[agents[order[first]]] = True
+        self.self_f[claimers[order[first]]] = True
         losers = claimers[~self.self_f[claimers]]
         self.self_w[losers] = 0
         self.self_b[losers] = 0.0
-        won = ranked[first]  # each contested target once: the newly held
-        self.held[won - 1] = True
         keep = ~self.self_f[self.live]
-        if not keep.all():
-            self.live, self.bids = self.live[keep], self.bids[keep]
-        self.bids[:, won] = -np.inf
+        self.live, self.bids = self.live[keep], self.bids[keep]
+        self.bids[:, ranked[first]] = -np.inf  # each claimed target once
         return 1
 
 

@@ -97,25 +97,23 @@ MUTANTS = (
            "tests/test_solvers.py",
            "per-agent phase I breaks equal gains toward the lowest target id"),
     Mutant("src/taskalloc/solvers.py",
-           "best = bids.argmax(axis=1)  # first maximum: lowest target id\n"
-           "        bid = bids[r, best]",
-           "best = bids.shape[1] - 1 - bids[:, ::-1].argmax(axis=1)\n"
-           "        bid = bids[r, best]",
-           "tests/test_views.py",
-           "array phase I breaks equal bids toward the lowest target id"),
-    Mutant("src/taskalloc/solvers.py",
            "claim = bids.argmax(axis=1)",
            "claim = bids.shape[1] - 1 - bids[:, ::-1].argmax(axis=1)",
            "tests/test_views.py",
-           "complete-graph phase I breaks equal bids toward the lowest target id"),
+           "both array forms' phase I breaks equal bids toward the lowest target id"),
     Mutant("src/taskalloc/solvers.py",
-           "if not allowed.all():",
-           "if not True:",
+           "bid[idle] = 0.0",
+           "bid[idle] = -np.inf",
+           "tests/test_views.py",
+           "an array-form agent with nothing available finalizes with bid 0.0"),
+    Mutant("src/taskalloc/solvers.py",
+           "if allowed.all():",
+           "if True:",
            "tests/test_views.py",
            "complete-graph phase I masks the pairs allowed rules out whenever there are some"),
     Mutant("src/taskalloc/solvers.py",
-           "self.bids[:, won] = -np.inf",
-           "self.bids[:, won[:0]] = -np.inf",
+           "self.bids[:, ranked[first]] = -np.inf",
+           "self.bids[:, ranked[first][:0]] = -np.inf",
            "tests/test_views.py",
            "a target's column of the live bid rows is -inf from the exchange that makes it held"),
     Mutant("src/taskalloc/solvers.py",
@@ -129,8 +127,8 @@ MUTANTS = (
            "tests/test_views.py",
            "array phase II breaks equal bids toward the lowest agent id"),
     Mutant("src/taskalloc/solvers.py",
-           "np.lexsort((agents, -self.self_b[agents], targets))",
-           "np.lexsort((-agents, -self.self_b[agents], targets))",
+           "np.lexsort((claimers, -self.self_b[claimers], targets))",
+           "np.lexsort((-claimers, -self.self_b[claimers], targets))",
            "tests/test_views.py",
            "complete-graph phase II breaks equal bids toward the lowest agent id"),
     Mutant("src/taskalloc/solvers.py",
@@ -143,11 +141,6 @@ MUTANTS = (
            "yields = np.zeros(live.size, dtype=bool)",
            "tests/test_views.py",
            "array phase II withdraws a claim on a target a finalized agent holds"),
-    Mutant("src/taskalloc/solvers.py",
-           "contest = ~self.held[targets - 1]",
-           "contest = np.ones(targets.size, dtype=bool)",
-           "tests/test_views.py",
-           "complete-graph phase II withdraws a claim on a target a finalized agent holds"),
     Mutant("src/taskalloc/solvers.py",
            "if self_f[i]:\n            continue",
            "if False:\n            continue",

@@ -191,7 +191,7 @@ def test_criterion_6_bounding_inequalities():
     while checks < 1000:
         oracle = random_oracle(min_elements=2)
         ground = oracle.ground_set()
-        kappa = estimate_elemental_curvature(oracle, ground, cap=16).kappa_e
+        kappa = estimate_elemental_curvature(oracle, ground).kappa_e
         for _ in range(20):
             base, other = subset(ground), subset(ground)
             extra = other - base

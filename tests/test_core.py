@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from taskalloc.core import (
+    CURVATURE_GROUND_CAP,
     ContractViolation,
     CurvatureReport,
     DegenerateOracleError,
@@ -158,9 +159,10 @@ class TestCurvature:
         assert rep.kappa_e == 0.0
 
     def test_cap_enforced(self):
-        orc = TableOracle([1.0] * 5, [[0.5] * 5] * 3)
+        m = CURVATURE_GROUND_CAP + 1  # one agent, one element past the cap
+        orc = TableOracle([1.0] * m, [[0.5] * m])
         with pytest.raises(SizeLimitExceeded):
-            estimate_elemental_curvature(orc, orc.ground_set(), cap=12)
+            estimate_elemental_curvature(orc, orc.ground_set())
 
     def test_degenerate_ground_raises(self):
         orc = TableOracle([1.0], [[0.5]])

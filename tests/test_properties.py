@@ -115,7 +115,7 @@ class TestSetFunctionInequalities:
         for _ in range(100):
             oracle = random_oracle(rng, min_elements=2)
             ground = oracle.ground_set()
-            kappa = estimate_elemental_curvature(oracle, ground, cap=16).kappa_e
+            kappa = estimate_elemental_curvature(oracle, ground).kappa_e
             base = random_subset(rng, ground)
             other = random_subset(rng, ground)
             extra = other - base
@@ -133,7 +133,7 @@ class TestSetFunctionInequalities:
         while checked < 100:
             oracle = random_oracle(rng, min_elements=2)
             ground = oracle.ground_set()
-            kappa = estimate_elemental_curvature(oracle, ground, cap=16).kappa_e
+            kappa = estimate_elemental_curvature(oracle, ground).kappa_e
             if kappa <= 0:
                 continue
             base = random_subset(rng, ground)
@@ -177,7 +177,7 @@ class TestCurvatureProperties:
         oracle = random_oracle(rng, max_size=2)
         if oracle.n_agents * oracle.n_targets < 2:
             return
-        rep = estimate_elemental_curvature(oracle, oracle.ground_set(), cap=16)
+        rep = estimate_elemental_curvature(oracle, oracle.ground_set())
         assert 0.0 <= rep.kappa_e <= 1.0
 
     def test_coverage_oracle_kappa_below_one(self):

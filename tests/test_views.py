@@ -181,27 +181,33 @@ def test_phase_kernels_agree_round_by_round(args):
         scenario.advance(claims)
 
 
+def held_targets(claims, done):
+    """The targets of the finalized agents, ascending."""
+    return sorted({int(j) for j, d in zip(claims, done) if d and j})
+
+
 def assert_same_broadcast(agent, complete, live):
     """The complete-graph form holds every agent's self-entries, bids to
-    the last bit, and as ``held`` the targets that each agent of ``live``
-    (0-based) holds in its view other than its own claim."""
+    the last bit, and the targets of its finalized agents are the targets
+    that each agent of ``live`` (0-based) holds in its view other than its
+    own claim."""
     bundles = agent.bundles
     assert complete.self_w.tolist() == [int(x.w[k]) for k, x in enumerate(bundles)]
     assert bits(complete.self_b) == bits([x.b[k] for k, x in enumerate(bundles)])
     assert complete.self_f.tolist() == [bool(x.f[k]) for k, x in enumerate(bundles)]
-    held = (np.flatnonzero(complete.held) + 1).tolist()
+    held = held_targets(complete.self_w, complete.self_f)
     for k in live:
         assert sorted({j for i, j in enumerate(bundles[k].w) if j and i != k}) == held
 
 
-def assert_live_bid_rows(oracle, complete, done):
+def assert_live_bid_rows(oracle, complete, claims, done):
     """Between exchanges the complete-graph form holds the rows of the
     agents not done, ascending, each that agent's row of the bid table with
-    every held target's column at -inf, to the bit."""
+    the column of every finalized agent's target at -inf, to the bit."""
     live = [k for k, d in enumerate(done) if not d]
     assert complete.live.tolist() == live
     want = solvers._gain_table(oracle, -np.inf)[live]
-    want[:, 1:][:, complete.held] = -np.inf
+    want[:, held_targets(claims, done)] = -np.inf
     assert complete.bids.shape == want.shape
     assert [bits(row) for row in complete.bids] == [bits(row) for row in want]
 
@@ -227,31 +233,29 @@ def test_complete_graph_views_agree_round_by_round(args):
         claims, done = agent.self_entries()
         assert_same_broadcast(agent, complete, [k for k, d in enumerate(done) if not d])
         assert [v.tolist() for v in complete.self_entries()] == [claims.tolist(), done.tolist()]
-        assert_live_bid_rows(oracle, complete, done)
+        assert_live_bid_rows(oracle, complete, claims, done)
         if all(done):
             break
         scenario.advance(claims)
 
 
 def test_complete_graph_views_resolve_each_target_as_the_agent_views_do():
-    # Agent 1 holds target 1, finalized.  Agent 2 claims it anyway, with
-    # the highest bid, and agents 3 and 4 claim target 2 with equal bids.
-    # Phase I masks held targets, so on a complete graph it never makes
-    # agent 2's claim; the self-entries are set by hand.  Agent 2
-    # withdraws, and agent 3, the lower id, wins target 2.
+    # Agent 1 holds target 1 and agent 2 nothing, both finalized; agents 3
+    # and 4 claim target 2 with equal bids, set by hand.  Agent 3, the
+    # lower id, wins target 2, and agent 4 is the one live agent left.
     oracle = TableOracle([1.0, 1.0], np.full((4, 2), 0.5))
     agent, complete = AgentViews(oracle), CompleteGraphViews(oracle)
-    entries = [(1, 0.5, True), (1, 0.9, False), (2, 0.5, False), (2, 0.5, False)]
+    entries = [(1, 0.5, True), (0, 0.0, True), (2, 0.5, False), (2, 0.5, False)]
     for k, (w, b, f) in enumerate(entries):
         bundle = agent.bundles[k]
         bundle.w[k], bundle.b[k], bundle.f[k] = w, b, int(f)
     complete.self_w[:], complete.self_b[:], complete.self_f[:] = zip(*entries)
-    complete.held[:] = [True, False]
     linked = ~np.eye(4, dtype=bool)
     assert agent.communicate(linked, [0] * 4) == complete.communicate(linked, [0] * 4) == 1
-    assert_same_broadcast(agent, complete, [1, 3])
+    assert_same_broadcast(agent, complete, [3])
     assert [v.tolist() for v in complete.self_entries()] == [
-        [1, 0, 2, 0], [True, False, True, False]]
+        [1, 0, 2, 0], [True, True, True, False]]
+    assert complete.live.tolist() == [3]
 
 
 def test_complete_graph_views_refuse_a_graph_that_is_not_complete():
