@@ -13,6 +13,7 @@ from .constraints import (
     CompositeConstraint,
     ConflictFreeConstraint,
     IndependenceSystem,
+    MatchingConstraint,
     PartitionConstraint,
     estimate_q,
     verify_q_property,
@@ -72,6 +73,7 @@ __all__ = [
     "ExperimentResult",
     "GroundElement",
     "IndependenceSystem",
+    "MatchingConstraint",
     "ModularOracle",
     "PartitionConstraint",
     "Policy",

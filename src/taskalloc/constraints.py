@@ -2,9 +2,11 @@
 
 The allocation problem is constrained by a hereditary independence system:
 the empty policy is feasible and removing pairs never breaks feasibility.
-The concrete systems here are the one-target-per-agent rule, the per-agent
-cost budget, and their conjunction, whose worst-case basis-size ratio is
-bounded by q = ceil(1 + max cost / min cost).
+The concrete systems here are the one-target-per-agent rule, the
+one-agent-per-target rule, the per-agent cost budget, and their conjunction,
+whose worst-case basis-size ratio is bounded by q = ceil(1 + max cost / min
+cost).  ``MatchingConstraint`` is that conjunction of all three, checked in
+one pass; the solvers and the bound suite are run under it.
 """
 
 from __future__ import annotations
@@ -99,7 +101,50 @@ class CompositeConstraint(IndependenceSystem):
                 raise ContractViolation("constraint ground dimensions disagree")
 
     def is_independent(self, policy: Policy) -> bool:
+        return self._holds(policy)
+
+    def _holds(self, policy: Policy) -> bool:
+        """The conjunction's verdict.  A subclass replaces this, not
+        ``is_independent``, with an equivalent check, so every check still
+        runs through ``CompositeConstraint.is_independent``, the method
+        perfbench's tracer wraps."""
         return all(p.is_independent(policy) for p in self.parts)
+
+
+class MatchingConstraint(CompositeConstraint):
+    """The allocation system: one target per agent, one agent per target,
+    and each agent's pair costs within its budget.
+
+    Built from the same three parts (partition, conflict-free, budget) and
+    giving the same verdicts, but checked in one pass over the policy: with
+    one pair per agent, the agent's budget sum is that pair's cost, so a
+    pair is allowed when its cost is finite and at most the budget, the
+    rule of ``solvers.allowed_pairs``.  A NaN budget is refused, since
+    under it the budget part rejects even the empty policy.
+    """
+
+    def __init__(self, costs: Sequence[Sequence[float]], budgets: Sequence[float]):
+        budget = BudgetConstraint(budgets, costs)
+        if any(math.isnan(b) for b in budget.budgets):
+            raise ContractViolation("budgets must not be NaN")
+        n, m = budget.n_agents, budget.n_targets
+        super().__init__([PartitionConstraint(n, m), ConflictFreeConstraint(n, m), budget])
+        self.costs = budget.costs
+        self.budgets = budget.budgets
+
+    def _holds(self, policy: Policy) -> bool:
+        check_bounds(policy, self.n_agents, self.n_targets)
+        agents: set = set()
+        targets: set = set()
+        for agent, target in policy:
+            if agent in agents or target in targets:
+                return False
+            cost = self.costs[agent - 1][target - 1]
+            if not (cost <= self.budgets[agent - 1] and cost < math.inf):
+                return False
+            agents.add(agent)
+            targets.add(target)
+        return True
 
 
 @dataclass(frozen=True)

@@ -24,13 +24,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .constraints import (
-    BudgetConstraint,
-    CompositeConstraint,
-    ConflictFreeConstraint,
-    PartitionConstraint,
-    estimate_q,
-)
+from .constraints import MatchingConstraint, estimate_q
 from .core import (
     CURVATURE_GROUND_CAP,
     BoundCertificate,
@@ -174,15 +168,12 @@ def sample_draw(config: ExperimentConfig, size_index: int, draw: int) -> Satelli
                            np.random.default_rng([config.seed, size_index, draw]))
 
 
-def _allocation_constraints(costs, budgets) -> CompositeConstraint:
+def _allocation_constraints(costs, budgets) -> MatchingConstraint:
     """The system allocations are solved under: one target per agent, one
-    agent per target, and each agent's pair costs within its budget."""
-    n, m = np.shape(costs)
-    return CompositeConstraint([
-        PartitionConstraint(n, m),
-        ConflictFreeConstraint(n, m),
-        BudgetConstraint(budgets, costs),
-    ])
+    agent per target, and each agent's pair costs within its budget, as one
+    ``MatchingConstraint`` (the three-part conjunction, checked in one
+    pass)."""
+    return MatchingConstraint(costs, budgets)
 
 
 def _run_one(name: str, base: SatelliteScenario):
@@ -422,7 +413,7 @@ class BoundInstance:
     oracle: TableOracle
     costs: list
     budgets: list
-    constraints: CompositeConstraint
+    constraints: MatchingConstraint  # the system the exact optimum is taken over
 
 
 def random_bound_instance(seed: int) -> BoundInstance:

@@ -176,6 +176,26 @@ MUTANTS = (
            "self.holders[j - 1] < 4",
            "tests/test_rounds.py",
            "a target's third holder makes the round tally fall back to evaluate"),
+    Mutant("src/taskalloc/constraints.py",
+           "if agent in agents or target in targets:",
+           "if agent in agents:",
+           "tests/test_constraints.py",
+           "the allocation system refuses a target held by two agents"),
+    Mutant("src/taskalloc/constraints.py",
+           "cost <= self.budgets[agent - 1] and cost < math.inf",
+           "cost <= self.budgets[agent - 1]",
+           "tests/test_constraints.py",
+           "a pair of infinite cost is never allowed, not even under an infinite budget"),
+    Mutant("src/taskalloc/constraints.py",
+           "cost <= self.budgets[agent - 1]",
+           "cost < self.budgets[agent - 1]",
+           "tests/test_constraints.py",
+           "a pair whose cost equals its agent's budget is allowed in the allocation system"),
+    Mutant("src/taskalloc/constraints.py",
+           "check_bounds(policy, self.n_agents, self.n_targets)\n        agents: set",
+           "agents: set",
+           "tests/test_constraints.py",
+           "the allocation system raises at an out-of-range pair before it gives any verdict"),
     Mutant("src/taskalloc/scenario.py",
            "(x[..., 0] + x[..., 1]) + x[..., 2]",
            "x[..., 0] + (x[..., 1] + x[..., 2])",

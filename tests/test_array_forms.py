@@ -6,13 +6,24 @@ Seeded plain complete static ``TableOracle`` worlds with N = M in {9, 20,
 complete-graph views and a subclass of it the L x N array views; both
 runs must agree, keep the constraints and, where scipy is installed,
 reach half the maximum-weight matching.  Every failure names its seed.
+Relations that any correct implementation keeps are checked on all three
+forms of DGBA's views, each driven directly.
 """
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from taskalloc.core import TableOracle
-from taskalloc.solvers import StaticScenario, dgba_run
+from taskalloc.solvers import (
+    AgentViews,
+    ArrayViews,
+    CompleteGraphViews,
+    StaticScenario,
+    dgba_run,
+    run_rounds,
+)
 
 SIZES = (9, 20, 50)
 SEEDS = range(3)
@@ -65,3 +76,26 @@ def test_utility_is_at_least_half_the_maximum_weight_matching(n, budgeted):
         rows, cols = optimize.linear_sum_assignment(weights, maximize=True)
         matching = weights[rows, cols].sum()
         assert got.utility >= 0.5 * matching, f"seed {seed}: {got.utility} < {matching} / 2"
+
+
+@settings(max_examples=15, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1), n=st.integers(1, 24), m=st.integers(1, 24),
+       budgeted=st.booleans(), levels=st.booleans())
+@pytest.mark.parametrize("views_type", [AgentViews, ArrayViews, CompleteGraphViews])
+def test_doubling_every_value_doubles_the_utility_exactly(views_type, seed, n, m, budgeted,
+                                                          levels):
+    # A power-of-two scale is exact in binary floating point, so every gain
+    # and bid doubles to the bit and each tie-break compares as before.
+    # ``levels`` draws from few values, so that equal gains and bids occur.
+    rng = np.random.default_rng(seed)
+    if levels:
+        values, probs = rng.choice([1.0, 2.0], m), rng.choice([0.2, 0.5, 0.8], (n, m))
+    else:
+        values, probs = rng.uniform(2.0, 2.5, m), rng.uniform(0.1, 0.9, (n, m))
+    costs = rng.uniform(0.5, 1.5, (n, m))
+    budgets = rng.uniform(0.6, 1.5, n) if budgeted else None
+    ref = run_rounds(views_type, StaticScenario(TableOracle(values, probs), costs, budgets))
+    got = run_rounds(views_type, StaticScenario(TableOracle(2.0 * values, probs), costs, budgets))
+    assert got.policy == ref.policy, f"seed {seed}"
+    assert got.utility == 2.0 * ref.utility, f"seed {seed}"
+    assert (got.messages, got.rounds) == (ref.messages, ref.rounds), f"seed {seed}"

@@ -2,7 +2,10 @@
 
 import math
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from taskalloc.constraints import (
     Q_VERIFY_CAP,
@@ -10,11 +13,14 @@ from taskalloc.constraints import (
     CompositeConstraint,
     ConflictFreeConstraint,
     IndependenceSystem,
+    MatchingConstraint,
     PartitionConstraint,
     estimate_q,
     verify_q_property,
 )
 from taskalloc.core import ContractViolation, GroundElement, SizeLimitExceeded, make_policy
+from taskalloc.harness import random_bound_instance
+from taskalloc.solvers import allowed_pairs, exact_oracle
 
 
 class TestPartitionConstraint:
@@ -93,6 +99,125 @@ class TestCompositeConstraint:
     def test_empty_parts_rejected(self):
         with pytest.raises(ContractViolation):
             CompositeConstraint([])
+
+
+def three_parts(costs, budgets):
+    """The allocation system as the conjunction of its three parts."""
+    n, m = len(costs), len(costs[0])
+    return CompositeConstraint([
+        PartitionConstraint(n, m),
+        ConflictFreeConstraint(n, m),
+        BudgetConstraint(budgets, costs),
+    ])
+
+
+def verdict(system, policy):
+    try:
+        return system.is_independent(policy)
+    except ContractViolation:
+        return "raises"
+
+
+@st.composite
+def systems(draw):
+    """Costs and budgets of N, M <= 5 agents and targets: zero, infinite
+    and finite budgets; infinite costs, costs equal to their agent's budget
+    and finite ones."""
+    n = draw(st.integers(1, 5))
+    m = draw(st.integers(1, 5))
+    budgets = [draw(st.sampled_from([0.0, math.inf, 0.5, 1.0, 1.5])) for _ in range(n)]
+    costs = []
+    for b in budgets:
+        row = []
+        for _ in range(m):
+            kind = draw(st.sampled_from(["inf", "budget", "finite"]))
+            if kind == "inf":
+                row.append(math.inf)
+            elif kind == "budget" and b > 0:
+                row.append(b)
+            else:
+                row.append(draw(st.sampled_from([0.25, 0.5, 1.0, 1.25, 2.0])))
+        costs.append(row)
+    return costs, budgets
+
+
+@st.composite
+def policies(draw, n, m):
+    """Sets of pairs whose ids run one past the ground set on both sides,
+    so repeated agents and targets and out-of-range ids all occur.  Three
+    draws in four keep only the in-range pairs, so most policies get a
+    verdict rather than raise."""
+    pairs = draw(st.lists(st.tuples(st.integers(0, n + 1), st.integers(0, m + 1)),
+                          max_size=6))
+    if draw(st.integers(0, 3)):
+        pairs = [(i, j) for i, j in pairs if 1 <= i <= n and 1 <= j <= m]
+    return make_policy(pairs)
+
+
+class TestMatchingConstraint:
+    def test_keeps_the_three_parts(self):
+        c = MatchingConstraint([[1.0, 2.0, 0.5], [1.0, 1.0, 1.0]], [1.0, 2.0])
+        assert isinstance(c, CompositeConstraint)
+        assert [type(p) for p in c.parts] == [
+            PartitionConstraint, ConflictFreeConstraint, BudgetConstraint]
+        assert (c.n_agents, c.n_targets) == (2, 3)
+
+    def test_rejects_a_repeated_agent(self):
+        c = MatchingConstraint([[0.5, 0.5], [0.5, 0.5]], [2.0, 2.0])
+        assert not c.is_independent(make_policy([(1, 1), (1, 2)]))
+
+    def test_rejects_a_repeated_target(self):
+        c = MatchingConstraint([[0.5, 0.5], [0.5, 0.5]], [2.0, 2.0])
+        assert not c.is_independent(make_policy([(1, 1), (2, 1)]))
+        assert c.is_independent(make_policy([(1, 1), (2, 2)]))
+
+    def test_infinite_cost_never_within_an_infinite_budget(self):
+        c = MatchingConstraint([[math.inf, 1.0], [1.0, 1.0]], [math.inf, math.inf])
+        assert not c.is_independent(make_policy([(1, 1)]))
+        assert c.is_independent(make_policy([(1, 2), (2, 1)]))
+
+    def test_cost_equal_to_budget_is_within_it(self):
+        c = MatchingConstraint([[1.0, 1.5]], [1.0])
+        assert c.is_independent(make_policy([(1, 1)]))
+        assert not c.is_independent(make_policy([(1, 2)]))
+
+    def test_out_of_range_raises_before_any_verdict(self):
+        c = MatchingConstraint([[0.5, 0.5], [0.5, 0.5]], [2.0, 2.0])
+        with pytest.raises(ContractViolation, match="outside ground set"):
+            c.is_independent(make_policy([(1, 1), (1, 2), (2, 3)]))
+        with pytest.raises(ContractViolation, match="outside ground set"):
+            c.is_independent(make_policy([(0, 1)]))
+
+    def test_rejects_a_nan_budget(self):
+        # Under it the budget part would reject even the empty policy.
+        with pytest.raises(ContractViolation, match="NaN"):
+            MatchingConstraint([[1.0]], [math.nan])
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.data())
+    def test_same_verdict_as_the_three_parts(self, data):
+        costs, budgets = data.draw(systems())
+        policy = data.draw(policies(len(costs), len(costs[0])))
+        assert (verdict(MatchingConstraint(costs, budgets), policy)
+                == verdict(three_parts(costs, budgets), policy)), (costs, budgets, policy)
+
+    @settings(max_examples=100, deadline=None)
+    @given(systems())
+    def test_single_pairs_follow_the_allowed_pair_rule(self, system):
+        costs, budgets = system
+        c = MatchingConstraint(costs, budgets)
+        allowed = allowed_pairs(np.array(costs), np.array(budgets))
+        for (i, j), ok in np.ndenumerate(allowed):
+            assert c.is_independent(make_policy([(i + 1, j + 1)])) == ok, (costs, budgets, i, j)
+
+    def test_exact_optimum_same_under_the_three_parts(self):
+        for seed in range(200):
+            inst = random_bound_instance(seed)
+            assert isinstance(inst.constraints, MatchingConstraint)
+            got = exact_oracle(inst.oracle, inst.constraints)
+            ref = exact_oracle(inst.oracle, three_parts(inst.costs, inst.budgets))
+            assert got.policy == ref.policy, f"seed {seed}"
+            assert repr(got.utility) == repr(ref.utility), f"seed {seed}"
 
 
 class TestEstimateQ:
