@@ -5,8 +5,11 @@ the empty policy is feasible and removing pairs never breaks feasibility.
 The concrete systems here are the one-target-per-agent rule, the
 one-agent-per-target rule, the per-agent cost budget, and their conjunction,
 whose worst-case basis-size ratio is bounded by q = ceil(1 + max cost / min
-cost).  ``MatchingConstraint`` is that conjunction of all three, checked in
-one pass; the solvers and the bound suite are run under it.
+cost).  ``allowed_pairs`` is the one rule for which pairs an agent may take:
+the round driver applies it to the cost rows it queries, and
+``MatchingConstraint``, the conjunction of all three checked in one pass
+over its mask, applies it to policies; the centralized solvers and the
+bound suite are run under it.
 """
 
 from __future__ import annotations
@@ -16,9 +19,18 @@ import math
 from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence, Tuple
 
+import numpy as np
+
 from .core import ContractViolation, GroundElement, Policy, SizeLimitExceeded, check_bounds
 
 Q_VERIFY_CAP = 10  # largest ground set verify_q_property enumerates (2^n subsets)
+
+
+def allowed_pairs(costs: np.ndarray, budgets: np.ndarray) -> np.ndarray:
+    """The allowed-pair rule over rows of agents: a pair may be taken when
+    its cost is finite and at most the agent's budget.  The finiteness test
+    is needed: under an infinite budget ``inf <= inf`` holds."""
+    return (costs <= budgets[:, None]) & np.isfinite(costs)
 
 
 class IndependenceSystem(abc.ABC):
@@ -59,9 +71,12 @@ class ConflictFreeConstraint(IndependenceSystem):
 
 
 class BudgetConstraint(IndependenceSystem):
-    """Per-agent sum of pair costs must stay within the agent's budget.  A
-    pair of infinite cost (one the world cannot serve) is never within
-    budget, not even an infinite one."""
+    """Per-agent sum of pair costs must stay within the agent's budget, by
+    the rule of ``allowed_pairs`` applied to each agent's sum: a pair of
+    infinite cost (one the world cannot serve) is never within budget, not
+    even an infinite one.  The cost table must be rectangular, and a NaN
+    budget is refused: under it even the empty policy would be rejected,
+    and the system would not be hereditary."""
 
     def __init__(self, budgets: Sequence[float], costs: Sequence[Sequence[float]]):
         self.budgets = [float(b) for b in budgets]
@@ -70,17 +85,19 @@ class BudgetConstraint(IndependenceSystem):
         self.n_targets = len(self.costs[0]) if self.costs else 0
         if len(self.costs) != self.n_agents:
             raise ContractViolation("cost table rows must match budget count")
-        if any(b < 0 for b in self.budgets):
-            raise ContractViolation("budgets must be nonnegative")
+        if any(len(row) != self.n_targets for row in self.costs):
+            raise ContractViolation("cost table rows must all have the same length")
+        if not all(b >= 0 for b in self.budgets):
+            raise ContractViolation("budgets must be nonnegative, and not NaN")
         if any(c <= 0 for row in self.costs for c in row):
             raise ContractViolation("pair costs must be strictly positive")
 
     def is_independent(self, policy: Policy) -> bool:
         check_bounds(policy, self.n_agents, self.n_targets)
-        spent = [0.0] * self.n_agents
+        spent = np.zeros(self.n_agents)
         for el in policy:
             spent[el.agent - 1] += self.costs[el.agent - 1][el.target - 1]
-        return all(s <= b and s < math.inf for s, b in zip(spent, self.budgets))
+        return bool(allowed_pairs(spent[:, None], np.array(self.budgets)).all())
 
 
 class CompositeConstraint(IndependenceSystem):
@@ -118,29 +135,21 @@ class MatchingConstraint(CompositeConstraint):
     Built from the same three parts (partition, conflict-free, budget) and
     giving the same verdicts, but checked in one pass over the policy: with
     one pair per agent, the agent's budget sum is that pair's cost, so a
-    pair is allowed when its cost is finite and at most the budget, the
-    rule of ``solvers.allowed_pairs``.  A NaN budget is refused, since
-    under it the budget part rejects even the empty policy.
+    pair is within budget exactly where ``allowed_pairs`` allows it.  That
+    mask is built once, as ``allowed[i - 1][j - 1]`` for pair (i, j).
     """
 
     def __init__(self, costs: Sequence[Sequence[float]], budgets: Sequence[float]):
         budget = BudgetConstraint(budgets, costs)
-        if any(math.isnan(b) for b in budget.budgets):
-            raise ContractViolation("budgets must not be NaN")
         n, m = budget.n_agents, budget.n_targets
         super().__init__([PartitionConstraint(n, m), ConflictFreeConstraint(n, m), budget])
-        self.costs = budget.costs
-        self.budgets = budget.budgets
+        self.allowed = allowed_pairs(np.array(budget.costs), np.array(budget.budgets)).tolist()
 
     def _holds(self, policy: Policy) -> bool:
         check_bounds(policy, self.n_agents, self.n_targets)
-        agents: set = set()
-        targets: set = set()
+        agents, targets = set(), set()
         for agent, target in policy:
-            if agent in agents or target in targets:
-                return False
-            cost = self.costs[agent - 1][target - 1]
-            if not (cost <= self.budgets[agent - 1] and cost < math.inf):
+            if agent in agents or target in targets or not self.allowed[agent - 1][target - 1]:
                 return False
             agents.add(agent)
             targets.add(target)

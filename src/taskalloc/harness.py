@@ -76,7 +76,11 @@ class ExperimentConfig:
         _check_count("draws", self.draws, 1)
         if not self.sizes:
             raise ConfigError("at least one (agents, targets) size is required")
-        for n, m in self.sizes:
+        for size in self.sizes:
+            try:
+                n, m = size
+            except (TypeError, ValueError):
+                raise ConfigError(f"size {size!r} is not an (agents, targets) pair") from None
             _check_count("agents in each size", n, 1)
             _check_count("targets in each size", m, 1)
         self.sizes = [(int(n), int(m)) for n, m in self.sizes]
@@ -168,14 +172,6 @@ def sample_draw(config: ExperimentConfig, size_index: int, draw: int) -> Satelli
                            np.random.default_rng([config.seed, size_index, draw]))
 
 
-def _allocation_constraints(costs, budgets) -> MatchingConstraint:
-    """The system allocations are solved under: one target per agent, one
-    agent per target, and each agent's pair costs within its budget, as one
-    ``MatchingConstraint`` (the three-part conjunction, checked in one
-    pass)."""
-    return MatchingConstraint(costs, budgets)
-
-
 def _run_one(name: str, base: SatelliteScenario):
     """Run one solver on the instance, the distributed ones on a fresh copy
     of it; returns the solver result plus the wall time of the call."""
@@ -189,7 +185,7 @@ def _run_one(name: str, base: SatelliteScenario):
     costs = base.pair_costs()
     solver = sequential_greedy if name == "greedy" else exact_oracle
     start = time.perf_counter()
-    result = solver(base.oracle(), _allocation_constraints(costs, base.budgets()))
+    result = solver(base.oracle(), MatchingConstraint(costs, base.budgets()))
     wall = time.perf_counter() - start
     # The centralized solvers fly nothing: report the planned t = 0 pair
     # costs their budget constraint was checked against.
@@ -437,7 +433,7 @@ def random_bound_instance(seed: int) -> BoundInstance:
         oracle=TableOracle(values, probs),
         costs=costs.tolist(),
         budgets=budgets.tolist(),
-        constraints=_allocation_constraints(costs, budgets),
+        constraints=MatchingConstraint(costs, budgets),
     )
 
 

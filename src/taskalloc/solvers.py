@@ -42,7 +42,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .constraints import IndependenceSystem
+from .constraints import IndependenceSystem, allowed_pairs
 from .core import (
     ContractViolation,
     GroundElement,
@@ -243,13 +243,6 @@ def local_view_policy(bundle: BundleState, self_id: int) -> Policy:
         for i, j in enumerate(bundle.w)
         if j != 0 and i + 1 != self_id
     )
-
-
-def allowed_pairs(costs: np.ndarray, budgets: np.ndarray) -> np.ndarray:
-    """The allowed-pair rule over rows of agents: a pair may be taken when
-    its cost is finite and at most the agent's budget.  The finiteness test
-    is needed: under an infinite budget ``inf <= inf`` holds."""
-    return (costs <= budgets[:, None]) & np.isfinite(costs)
 
 
 def available_targets(bundle: BundleState, self_id: int,
@@ -843,9 +836,10 @@ def run_rounds(views_type, scenario: AllocationScenario,
       tabulate its bids; the driver then reads ``scenario.budgets()``, once.
     - ``assign(rows, allowed)`` is phase I, in each round that still has
       bidders: ``rows`` are their 0-based ids, from the driver's ``done``
-      vector, and row r of the boolean ``allowed`` is ``allowed_pairs`` of
-      ``scenario.pair_costs(rows)`` and the start budgets for agent
-      ``rows[r]`` (on a static world, that row of the mask built once).
+      vector, and row r of the boolean ``allowed`` is
+      ``constraints.allowed_pairs`` of ``scenario.pair_costs(rows)`` and
+      the start budgets for agent ``rows[r]`` (on a static world, that row
+      of the mask built once).
     - ``communicate(linked, components)`` is phase II over the round's
       graph and returns the exchanges it made: 1 for DGBA, the flooding
       sweeps for the auction.  ``linked`` is the boolean N x N array

@@ -167,33 +167,39 @@ MUTANTS = (
            "tests/test_search.py",
            "the greedy takes only a strictly better pair, the first in ground-set order"),
     Mutant("src/taskalloc/solvers.py",
-           "(costs <= budgets[:, None])",
-           "(costs < budgets[:, None])",
-           "tests/test_solvers.py",
-           "a pair whose cost equals the agent's budget is allowed"),
-    Mutant("src/taskalloc/solvers.py",
            "self.holders[j - 1] < 3",
            "self.holders[j - 1] < 4",
            "tests/test_rounds.py",
            "a target's third holder makes the round tally fall back to evaluate"),
     Mutant("src/taskalloc/constraints.py",
-           "if agent in agents or target in targets:",
-           "if agent in agents:",
+           "agent in agents or target in targets",
+           "agent in agents",
            "tests/test_constraints.py",
            "the allocation system refuses a target held by two agents"),
     Mutant("src/taskalloc/constraints.py",
-           "cost <= self.budgets[agent - 1] and cost < math.inf",
-           "cost <= self.budgets[agent - 1]",
+           "(costs <= budgets[:, None]) & np.isfinite(costs)",
+           "(costs <= budgets[:, None])",
            "tests/test_constraints.py",
            "a pair of infinite cost is never allowed, not even under an infinite budget"),
     Mutant("src/taskalloc/constraints.py",
-           "cost <= self.budgets[agent - 1]",
-           "cost < self.budgets[agent - 1]",
+           "(costs <= budgets[:, None])",
+           "(costs < budgets[:, None])",
            "tests/test_constraints.py",
-           "a pair whose cost equals its agent's budget is allowed in the allocation system"),
+           "a pair whose cost equals its agent's budget is allowed, by the driver and in "
+           "the allocation system"),
     Mutant("src/taskalloc/constraints.py",
-           "check_bounds(policy, self.n_agents, self.n_targets)\n        agents: set",
-           "agents: set",
+           "or not self.allowed[agent - 1][target - 1]",
+           "or False",
+           "tests/test_constraints.py",
+           "the allocation system refuses a pair that the allowed-pair rule rules out"),
+    Mutant("src/taskalloc/constraints.py",
+           "if not all(b >= 0 for b in self.budgets):",
+           "if any(b < 0 for b in self.budgets):",
+           "tests/test_constraints.py",
+           "the budget system refuses a NaN budget, under which it would not be hereditary"),
+    Mutant("src/taskalloc/constraints.py",
+           "check_bounds(policy, self.n_agents, self.n_targets)\n        agents, targets",
+           "agents, targets",
            "tests/test_constraints.py",
            "the allocation system raises at an out-of-range pair before it gives any verdict"),
     Mutant("src/taskalloc/scenario.py",

@@ -1,12 +1,14 @@
 """Unit tests for independence systems and the q-parameter estimate."""
 
 import math
+from itertools import combinations
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from taskalloc import constraints, solvers
 from taskalloc.constraints import (
     Q_VERIFY_CAP,
     BudgetConstraint,
@@ -79,6 +81,15 @@ class TestBudgetConstraint:
     def test_rejects_cost_rows_not_matching_budgets(self):
         with pytest.raises(ContractViolation, match="budget count"):
             BudgetConstraint([1.0, 1.0], [[0.5]])
+
+    def test_rejects_a_ragged_cost_table(self):
+        with pytest.raises(ContractViolation, match="same length"):
+            BudgetConstraint([1.0, 1.0], [[0.5, 0.5], [0.5]])
+
+    def test_rejects_a_nan_budget(self):
+        # Under it even the empty policy would be rejected.
+        with pytest.raises(ContractViolation, match="NaN"):
+            BudgetConstraint([math.nan], [[1.0]])
 
 
 class TestCompositeConstraint:
@@ -193,6 +204,13 @@ class TestMatchingConstraint:
         with pytest.raises(ContractViolation, match="NaN"):
             MatchingConstraint([[1.0]], [math.nan])
 
+    def test_rejects_a_ragged_cost_table(self):
+        with pytest.raises(ContractViolation, match="same length"):
+            MatchingConstraint([[0.5, 0.5], [0.5]], [1.0, 1.0])
+
+    def test_driver_and_system_share_the_allowed_pair_rule(self):
+        assert solvers.allowed_pairs is constraints.allowed_pairs
+
     @settings(max_examples=300, deadline=None)
     @given(st.data())
     def test_same_verdict_as_the_three_parts(self, data):
@@ -218,6 +236,42 @@ class TestMatchingConstraint:
             ref = exact_oracle(inst.oracle, three_parts(inst.costs, inst.budgets))
             assert got.policy == ref.policy, f"seed {seed}"
             assert repr(got.utility) == repr(ref.utility), f"seed {seed}"
+
+
+HEREDITY_SYSTEMS = {
+    "partition": lambda costs, budgets: PartitionConstraint(len(costs), len(costs[0])),
+    "conflict-free": lambda costs, budgets: ConflictFreeConstraint(len(costs), len(costs[0])),
+    "budget": lambda costs, budgets: BudgetConstraint(budgets, costs),
+    "three parts": three_parts,
+    "matching": MatchingConstraint,
+}
+
+
+@pytest.mark.parametrize("name", HEREDITY_SYSTEMS)
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_every_system_is_hereditary_or_refused(name, data):
+    """Each system either refuses its costs and budgets, or holds the empty
+    policy and every subset of each independent policy.  Budgets include 0,
+    inf and NaN, and costs inf, on every policy of up to 3 x 3 pairs."""
+    n = data.draw(st.integers(1, 3))
+    m = data.draw(st.integers(1, 3))
+    budgets = data.draw(st.lists(st.sampled_from([0.0, math.inf, math.nan, 0.5, 1.0, 1.5]),
+                                 min_size=n, max_size=n))
+    costs = data.draw(st.lists(st.lists(st.sampled_from([math.inf, 0.25, 0.5, 1.0, 2.0]),
+                                        min_size=m, max_size=m), min_size=n, max_size=n))
+    try:
+        system = HEREDITY_SYSTEMS[name](costs, budgets)
+    except ContractViolation:
+        return
+    ground = [GroundElement(i, j) for i in range(1, n + 1) for j in range(1, m + 1)]
+    independent = {frozenset(s): system.is_independent(frozenset(s))
+                   for k in range(len(ground) + 1) for s in combinations(ground, k)}
+    assert independent[frozenset()], (costs, budgets)
+    for policy, ok in independent.items():
+        if ok:
+            for el in policy:
+                assert independent[policy - {el}], (costs, budgets, policy, el)
 
 
 class TestEstimateQ:

@@ -94,6 +94,9 @@ class TestExperimentConfig:
         {"solvers": ["dgba", "dgba"]},
         {"sizes": [(3, 3), (4, 4), (3, 3)]},
         {"sizes": []},
+        {"sizes": [3]},
+        {"sizes": [[1, 2, 3]]},
+        {"sizes": [(2,)]},
         {"solvers": []},
     ])
     def test_malformed_setting_rejected(self, overrides):
