@@ -138,8 +138,9 @@ class AllocationScenario:
     driver makes these queries: ``budgets`` once, and each round
     ``pair_costs`` for the rows of the agents still bidding and
     ``adjacency``.  A world whose type is exactly ``StaticScenario`` is
-    asked for its whole cost table and its graph once per run instead.
-    The satellite world computes only the rows it is asked for.
+    asked for its whole cost table once per run instead, and for its graph
+    once per run if it was given one, never if it made its own.  The
+    satellite world computes only the rows it is asked for.
     """
 
     n_agents: int
@@ -198,7 +199,14 @@ class StaticScenario(AllocationScenario):
     arrays it is given and makes them read-only, so the queries return the
     same unchanging arrays every time.  ``complete`` says whether every
     pair of distinct agents is linked; it is decided here, once, and only
-    ``dgba_run`` reads it, for a world of exactly this type."""
+    ``dgba_run`` reads it, to pick the views for a world of exactly this
+    type.
+
+    A world built without a graph keeps no N x N array: its graph is its
+    own complete graph (``_own_graph``, set here and never changed), which
+    the round driver of a world of exactly this type takes as known
+    without reading it, and ``adjacency`` builds ``1 - I`` on its first
+    call only."""
 
     def __init__(self, oracle: UtilityOracle,
                  costs: Optional[Sequence[Sequence[float]]] = None,
@@ -210,14 +218,15 @@ class StaticScenario(AllocationScenario):
         self._budgets = np.full(n, math.inf) if budgets is None else np.array(budgets, dtype=float)
         if (self._costs.shape, self._budgets.shape) != ((n, m), (n,)):
             raise ConfigurationError("cost table or budgets do not match the oracle's N x M")
+        self._own_graph = adjacency is None
         if adjacency is None:
-            self._adjacency, self.complete = 1.0 - np.eye(n), True
+            self._adjacency, self.complete = None, True
         else:
             self._adjacency = np.array(adjacency, dtype=float)
+            self._adjacency.flags.writeable = False
             # Links are the entries > 0; a run refuses a nonzero diagonal.
             self.complete = np.count_nonzero(self._adjacency > 0) == n * (n - 1)
-        for table in (self._costs, self._budgets, self._adjacency):
-            table.flags.writeable = False
+        self._costs.flags.writeable = self._budgets.flags.writeable = False
 
     def oracle(self) -> UtilityOracle:
         return self._oracle
@@ -229,6 +238,9 @@ class StaticScenario(AllocationScenario):
         return self._budgets
 
     def adjacency(self) -> np.ndarray:
+        if self._adjacency is None:
+            self._adjacency = 1.0 - np.eye(self.n_agents)
+            self._adjacency.flags.writeable = False
         return self._adjacency
 
 
@@ -565,6 +577,8 @@ class CompleteGraphViews(_BroadcastViews):
     refuses a graph that is not complete.
     """
 
+    _complete = None  # the last ``linked`` found complete
+
     def _bid_rows(self, rows: np.ndarray, allowed: np.ndarray) -> np.ndarray:
         """The live rows of ``bids``, held targets -inf already; only when
         ``allowed`` rules out some pair are they copied and masked."""
@@ -580,10 +594,16 @@ class CompleteGraphViews(_BroadcastViews):
         to the lowest agent id.  Then the rows of the agents that finalized
         are dropped (every exchange finalizes some live agent) and the
         newly held targets' columns set to -inf.  Returns 1, the exchanges
-        made."""
-        n = self.self_w.size
-        if np.count_nonzero(linked) != n * (n - 1):
-            raise ContractViolation("complete-graph views need every pair of agents linked")
+        made.
+
+        Completeness is checked once per ``linked`` object: the round
+        driver passes a new one whenever the graph changes, and never
+        edits one it has passed."""
+        if linked is not self._complete:
+            n = self.self_w.size
+            if np.count_nonzero(linked) != n * (n - 1):
+                raise ContractViolation("complete-graph views need every pair of agents linked")
+            self._complete = linked
         claimers = np.flatnonzero((self.self_w != 0) & ~self.self_f)
         targets = self.self_w[claimers]
         order = np.lexsort((claimers, -self.self_b[claimers], targets))
@@ -827,10 +847,13 @@ def run_rounds(views_type, scenario: AllocationScenario,
     exactly ``StaticScenario`` is static (``_is_static``, which ``dgba_run``
     asks too), as no method of that class changes its read-only costs,
     budgets or graph.  A static world's N x M allowed mask is built once
-    per run from ``pair_costs()``, and its graph is read once, in round 0.
-    Any other world, a subclass included, is asked for its cost rows and
-    its graph each round.  The views and the driver trade plain values,
-    never state objects:
+    per run from ``pair_costs()``.  A graph it was given is read once, in
+    round 0; one it made itself (``_own_graph``) is complete by
+    construction, and the driver takes its links, its N(N - 1) directed
+    edges and its one component before round 0 without reading, checking
+    or labelling it.  Any other world, a subclass included, is asked for
+    its cost rows and its graph each round.  The views and the driver
+    trade plain values, never state objects:
 
     - ``views_type(oracle)`` is built once, before round 0, and may
       tabulate its bids; the driver then reads ``scenario.budgets()``, once.
@@ -844,9 +867,10 @@ def run_rounds(views_type, scenario: AllocationScenario,
       graph and returns the exchanges it made: 1 for DGBA, the flooding
       sweeps for the auction.  ``linked`` is the boolean N x N array
       ``graph > 0`` of a graph the driver has passed through
-      ``_check_adjacency``, ``components`` the component label per agent
-      (only the auction reads them).  The result depends on the values of
-      the arguments only.
+      ``_check_adjacency`` (or ``~I`` for a static world's own graph), a
+      new object whenever the graph changes, ``components`` the component
+      label per agent (only the auction reads them).  The result depends
+      on the values of the arguments only.
     - ``self_entries()`` returns fresh N-vectors: each agent's claim (int,
       0 = none) and whether it is done (bool).  Later calls to the views
       leave them as they are.
@@ -874,7 +898,8 @@ def run_rounds(views_type, scenario: AllocationScenario,
     (``assignment`` includes building the views, the budget read and the
     cost queries, ``implementation`` the oracle read and the argument
     checks), ``components`` (checking, linking, labelling and counting
-    each distinct communication graph) and ``bookkeeping`` (trace records,
+    each distinct communication graph, or taking a static world's own
+    graph as complete) and ``bookkeeping`` (trace records,
     utilities and costs, kept by a ``_TableTally`` for a ``TableOracle``).
     ``lap`` charges the time since the previous clock read to the phase it
     ends, so the intervals tile the run.
@@ -906,9 +931,11 @@ def run_rounds(views_type, scenario: AllocationScenario,
     views = views_type(oracle)
     budgets = scenario.budgets()
     # A plain StaticScenario cannot change: its mask is built once and its
-    # rows indexed each round, and its graph is read once, in round 0.
+    # rows indexed each round, and a graph it was given is read once, in
+    # round 0.  The graph it made itself is complete and is never read.
     static = _is_static(scenario)
     allowed = allowed_pairs(scenario.pair_costs(), budgets) if static else None
+    own_graph = static and scenario._own_graph
     claims, done = views.self_entries()
     lap("assignment")
     tally = _TableTally(oracle) if isinstance(oracle, TableOracle) else None
@@ -917,9 +944,13 @@ def run_rounds(views_type, scenario: AllocationScenario,
     utility = 0.0
     graph = None
     lap("bookkeeping")
+    if own_graph:  # N(N - 1) directed edges, one component
+        n = scenario.n_agents
+        linked, edges, components = ~np.eye(n, dtype=bool), n * (n - 1), [0] * n
+        lap("components")
 
     for t in range(max_rounds):
-        if t == 0 or not static:
+        if (t == 0 or not static) and not own_graph:
             adjacency = scenario.adjacency()
             lap("implementation")
             if graph is None or not np.array_equal(adjacency, graph):

@@ -62,10 +62,26 @@ MUTANTS = (
            "tests/test_views.py",
            "a negative weight is a missing link, so such a graph is not complete"),
     Mutant("src/taskalloc/solvers.py",
-           "if t == 0 or not static:",
-           "if True:",
+           "if (t == 0 or not static) and not own_graph:",
+           "if not own_graph:",
            "tests/test_rounds.py",
-           "a static world's graph is read once per run, not every round"),
+           "a graph given to a static world is read once per run, not every round"),
+    Mutant("src/taskalloc/solvers.py",
+           "own_graph = static and scenario._own_graph",
+           "own_graph = static and scenario.complete",
+           "tests/test_rounds.py",
+           "only the graph a static world made itself goes unchecked; a given one that "
+           "counts as complete is still checked"),
+    Mutant("src/taskalloc/solvers.py",
+           "if linked is not self._complete:",
+           "if False:",
+           "tests/test_views.py",
+           "the complete-graph views refuse a graph that is not complete"),
+    Mutant("src/taskalloc/solvers.py",
+           "            self._complete = linked\n",
+           "",
+           "tests/test_views.py",
+           "the complete-graph views check each linked object once, not in every round"),
     Mutant("src/taskalloc/solvers.py",
            "groups.setdefault(components[agent - 1], [])",
            "groups.setdefault(components[0], [])",

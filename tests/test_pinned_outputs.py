@@ -7,6 +7,10 @@ phase times left out).  The benchmark's per-workload digests for seeds
 instance list, must equal those committed in ``perfbench/baseline.json``;
 here they are recomputed the same way, through ``perfbench/workloads.py``,
 untimed.
+
+The pins were recorded under numpy 2.4.6 on an AVX-512 CPU, and their bits
+can move with numpy's build and CPU dispatch (ROADMAP items 14 and 23), so
+each failure message names the numpy version and SIMD features in use.
 """
 
 import hashlib
@@ -14,6 +18,7 @@ import importlib.util
 import json
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import taskalloc
@@ -21,6 +26,18 @@ from taskalloc import cli, harness
 
 ROOT = Path(__file__).resolve().parents[1]
 DEFAULT_SERIES_SHA256 = "875b019e893cea34f4552b2de9999613823ad8dc6fa3865192f44613ac613d00"
+
+
+def _numpy_build() -> str:
+    """numpy's version and the SIMD features it runs with: its baseline and
+    the dispatched ones this CPU has."""
+    try:
+        from numpy._core import _multiarray_umath as umath
+    except ImportError:  # numpy before 2.0
+        from numpy.core import _multiarray_umath as umath
+    found = [name for name in umath.__cpu_dispatch__ if umath.__cpu_features__[name]]
+    return (f"numpy {np.__version__}; SIMD baseline {' '.join(umath.__cpu_baseline__)}; "
+            f"dispatched {' '.join(found)}")
 
 
 def _workloads():
@@ -35,11 +52,13 @@ def test_default_run_writes_the_pinned_outputs(tmp_path, capsys):
     assert cli.main(["run", "--config", str(ROOT / "configs" / "default.yaml"),
                      "--seed", "42", "--output-dir", str(tmp_path)]) == cli.EXIT_OK
     series = (tmp_path / "series.csv").read_bytes()
-    assert hashlib.sha256(series).hexdigest() == DEFAULT_SERIES_SHA256
+    assert hashlib.sha256(series).hexdigest() == DEFAULT_SERIES_SHA256, \
+        f"series.csv under {_numpy_build()}"
     got = json.loads((tmp_path / "summary.json").read_text())
     for agg in got["aggregates"].values():
         del agg["mean_wall_time_s"], agg["mean_phase_times_s"]
-    assert got == json.loads((ROOT / "tests" / "data" / "default_summary.json").read_text())
+    assert got == json.loads((ROOT / "tests" / "data" / "default_summary.json").read_text()), \
+        f"summary.json under {_numpy_build()}"
 
 
 # Seeds 1-5 of each workload.  satellite-mc seed 4's op 17 has a target
@@ -62,8 +81,9 @@ def test_benchmark_digest_equals_the_baseline(workload, seed, tmp_path, monkeypa
             failures, quality = wl.check(k, inputs, output, capture.take())
         finally:
             wl.cleanup(inputs)
-        assert failures == [], f"{workload} seed {seed} op {k}"
+        assert failures == [], f"{workload} seed {seed} op {k} under {_numpy_build()}"
         digests.append(quality["digest"])
     baseline = json.loads((ROOT / "perfbench" / "baseline.json").read_text())
     digest = hashlib.sha256("".join(digests).encode()).hexdigest()
-    assert digest == baseline["digests"][workload][str(seed)]
+    assert digest == baseline["digests"][workload][str(seed)], \
+        f"{workload} seed {seed} digest under {_numpy_build()}"

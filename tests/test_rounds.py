@@ -315,15 +315,23 @@ def test_graph_turning_bad_at_round_two_is_rejected(views_type, bad):
 
 
 def _plain(n, bad, bad_from):
-    """A plain ``StaticScenario`` with ``TurningGraph``'s oracle."""
+    """A plain ``StaticScenario`` with ``TurningGraph``'s oracle, whose
+    graph is its own complete graph."""
     return StaticScenario(TurningGraph(n, bad, bad_from).oracle())
 
 
-@pytest.mark.parametrize("solver, n, world", [
-    (dgba_run, 4, TurningGraph), (dgba_run, 12, TurningGraph), (dgba_run, 12, _plain),
-    (auction_baseline, 12, TurningGraph),
-], ids=["agent-views", "array-views", "complete-graph-views", "auction"])
-def test_static_graph_is_checked_once(monkeypatch, solver, n, world):
+def _given(n, bad, bad_from):
+    """``_plain``'s world, given the complete graph from outside."""
+    return StaticScenario(TurningGraph(n, bad, bad_from).oracle(), adjacency=1.0 - np.eye(n))
+
+
+# A graph from outside the library is checked once per run; the one a
+# plain ``StaticScenario`` makes itself is complete by construction.
+@pytest.mark.parametrize("solver, n, world, checks", [
+    (dgba_run, 4, TurningGraph, 1), (dgba_run, 12, TurningGraph, 1), (dgba_run, 12, _plain, 0),
+    (dgba_run, 12, _given, 1), (auction_baseline, 12, TurningGraph, 1),
+], ids=["agent-views", "array-views", "complete-graph-views", "given-graph", "auction"])
+def test_static_graph_is_checked_once(monkeypatch, solver, n, world, checks):
     calls = []
     check = solvers._check_adjacency
 
@@ -334,7 +342,7 @@ def test_static_graph_is_checked_once(monkeypatch, solver, n, world):
     monkeypatch.setattr(solvers, "_check_adjacency", counted)
     res = solver(world(n, None, bad_from=math.inf))
     assert len(res.trace) >= 3
-    assert calls == [n]
+    assert calls == [n] * checks
 
 
 class Recosted(StaticScenario):
@@ -458,10 +466,15 @@ def counted_adjacency(scenario):
 def test_static_graph_is_read_once_and_others_each_round(views_type):
     turning = TurningGraph(10, None, bad_from=math.inf)
     plain = StaticScenario(turning.oracle())
+    assert np.array_equal(plain.adjacency(), 1.0 - np.eye(10))  # built on this call
     calls = counted_adjacency(plain)
     assert type(plain) is StaticScenario
     static = run_rounds(views_type, plain)
     assert len(static.trace) >= 3
+    assert len(calls) == 0  # its own graph, built or not: never read
+    given = StaticScenario(turning.oracle(), adjacency=1.0 - np.eye(10))
+    calls = counted_adjacency(given)
+    assert _run_record(run_rounds(views_type, given)) == _run_record(static)
     assert len(calls) == 1
     calls = counted_adjacency(turning)
     each_round = run_rounds(views_type, turning)
@@ -491,6 +504,37 @@ def test_static_scenario_arrays_are_read_only():
     for table in (scenario.pair_costs(), scenario.budgets(), scenario.adjacency()):
         with pytest.raises(ValueError):
             table[0] = 1.0
+    assert scenario.adjacency() is scenario.adjacency()
+
+
+def _weighted_one_way(n):
+    """Every pair linked, agents 1 and 2 with a different weight each way."""
+    graph = 1.0 - np.eye(n)
+    graph[0, 1] = 2.5
+    return graph
+
+
+def _loops_for_a_link(n):
+    """Agents 1 and 2 unlinked, with a self-loop each in place of the link."""
+    graph = 1.0 - np.eye(n)
+    graph[0, 1] = graph[1, 0] = 0.0
+    graph[0, 0] = graph[1, 1] = 1.0
+    return graph
+
+
+# Each graph has N(N - 1) entries above 0, so ``StaticScenario`` counts it
+# complete; a run still checks it.  N = 2 runs the per-agent views and
+# N = 9 the complete-graph views.
+@pytest.mark.parametrize("n", [2, 9])
+@pytest.mark.parametrize("bad, message", [
+    (_weighted_one_way, "symmetric"), (_loops_for_a_link, "zero diagonal"),
+])
+@pytest.mark.parametrize("solver", [dgba_run, auction_baseline])
+def test_a_given_graph_counted_complete_is_still_checked(solver, bad, message, n):
+    scenario = StaticScenario(TableOracle(np.ones(n), np.full((n, n), 0.5)), adjacency=bad(n))
+    assert scenario.complete
+    with pytest.raises(ContractViolation, match=message):
+        solver(scenario)
 
 
 @pytest.mark.parametrize("views_type", VIEWS)

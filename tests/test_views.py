@@ -259,12 +259,22 @@ def test_complete_graph_views_resolve_each_target_as_the_agent_views_do():
 
 
 def test_complete_graph_views_refuse_a_graph_that_is_not_complete():
-    views = CompleteGraphViews(TableOracle(np.ones(3), np.full((3, 3), 0.5)))
-    views.assign(np.arange(3), np.ones((3, 3), dtype=bool))
-    linked = ~np.eye(3, dtype=bool)
+    # Four agents bid alike on three targets, so each exchange finalizes
+    # one of them.  Completeness is checked once per ``linked`` object: the
+    # one accepted in the first exchange is not checked again, so editing
+    # it in place (which the round driver never does) goes unseen, while a
+    # new object that is not complete is refused.
+    views = CompleteGraphViews(TableOracle(np.ones(3), np.full((4, 3), 0.5)))
+    linked = ~np.eye(4, dtype=bool)
+    views.assign(views.live, np.ones((4, 3), dtype=bool))
+    assert views.communicate(linked, [0] * 4) == 1
     linked[0, 1] = linked[1, 0] = False
+    views.assign(views.live, np.ones((3, 3), dtype=bool))
+    assert views.communicate(linked, [0] * 4) == 1
+    assert views.live.tolist() == [2, 3]
+    views.assign(views.live, np.ones((2, 3), dtype=bool))
     with pytest.raises(ContractViolation, match="every pair of agents linked"):
-        views.communicate(linked, [0, 0, 0])
+        views.communicate(linked.copy(), [0] * 4)
 
 
 def test_dgba_run_picks_complete_graph_views_for_plain_complete_static_worlds(monkeypatch):
